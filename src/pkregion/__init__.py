@@ -19,13 +19,13 @@ from .dist import DEFAULT_SUM_TOL, NUM_TOL, JointPmf, attach_statistic, \
 from .errors import BudgetExceededError, DegenerateInputError, \
     DuplicateVariableError, EmptySupportError, InputFormatError, \
     LabelMissingError, MalformedTableError, NegativeEntryError, \
-    OverlappingGroupsError, PkRegionError, ShapeMismatchError, \
-    SumOutOfToleranceError, UnknownVariableError
+    NonFiniteEntryError, OverlappingGroupsError, PkRegionError, \
+    ShapeMismatchError, SumOutOfToleranceError, UnknownVariableError
 from .structure import DEFAULT_CI_TOL, AuxChannel, CommonFunction, Statistic, \
     conditional_independence_residual, is_deterministically_correlated, \
     maximal_common_function, minimal_sufficient_statistic, sample_feasible_aux
-from .auxsolver import DEFAULT_FEAS_TOL, DEFAULT_RESTARTS, DEFAULT_SEED, \
-    SolverReport, dominance_oracle, max_aux_info_outer, max_aux_info_thm3
+from .auxsolver import DEFAULT_FEAS_TOL, SolverReport, dominance_oracle, \
+    max_aux_info_outer, max_aux_info_thm3
 from .regions import RateRegion, RegionReport, compute_report, contains, \
     exact_region, gap_metrics, hull, inner_region, outer_region
 from .protocol import DEFAULT_BUDGET, EvaluationReport, ProtocolSpec, \
@@ -39,7 +39,8 @@ __all__ = [
     "DEFAULT_SUM_TOL", "NUM_TOL", "JointPmf", "load_pmf", "marginal",
     "entropy", "cond_mutual_info", "attach_statistic", "source_roles",
     # errors
-    "PkRegionError", "NegativeEntryError", "SumOutOfToleranceError",
+    "PkRegionError", "NegativeEntryError", "NonFiniteEntryError",
+    "SumOutOfToleranceError",
     "ShapeMismatchError", "DuplicateVariableError", "UnknownVariableError",
     "OverlappingGroupsError", "LabelMissingError", "EmptySupportError",
     "DegenerateInputError", "BudgetExceededError", "MalformedTableError",
@@ -49,8 +50,8 @@ __all__ = [
     "minimal_sufficient_statistic", "maximal_common_function",
     "conditional_independence_residual", "is_deterministically_correlated",
     "sample_feasible_aux",
-    # auxiliary search
-    "DEFAULT_FEAS_TOL", "DEFAULT_RESTARTS", "DEFAULT_SEED", "SolverReport",
+    # extractable auxiliaries
+    "DEFAULT_FEAS_TOL", "SolverReport",
     "max_aux_info_outer", "max_aux_info_thm3", "dominance_oracle",
     # regions
     "RateRegion", "RegionReport", "hull", "contains", "gap_metrics",

@@ -1,24 +1,30 @@
-"""Search over extractable auxiliary variables for the sum-rate bounds.
+"""Extractable auxiliary variables and the sum-rate terms they give.
 
 An auxiliary variable U is *extractable* when its conditional law given the
 source is simultaneously a function of y alone and of z alone — the double
 Markov requirement U→Y→XZ and U→Z→XY. Any such law is constant on
-components of the (Y, Z) support graph, so extractable variables are
-exactly channels applied to the maximal-common-function label C. Two
-consequences drive this module:
+components of the (Y, Z) support graph (Gács–Körner), so extractable
+variables are exactly channels applied to the maximal-common-function label
+C, and U–C–(X, Y, Z) is a Markov chain. Both maxima asked for here are
+therefore closed-form:
 
-* the unconstrained maximum of I(U∧X) is closed-form — take U = C
+* the unconstrained maximum of I(U∧X) is I(C∧X), attained by U = C
   (:func:`max_aux_info_outer`);
-* the constrained variant, which additionally requires U to separate Y
-  from Z in the sense I(Y∧Z|U) ≤ feas_tol, becomes a penalty search over
-  small stochastic matrices (:func:`max_aux_info_thm3`).
+* the variant that also requires U to separate Y from Z,
+  I(Y∧Z|U) ≤ feas_tol, is attained by U = C as well
+  (:func:`max_aux_info_thm3`). C is a function of Y and of Z, so
+
+      I(Y∧Z|U) = I(Y,C∧Z|U) = I(C∧Z|U) + I(Y∧Z|U,C)
+               = H(C|U) + I(Y∧Z|C),
+
+  using H(C|Z,U) = 0 and, by the Markov chain, I(Y∧Z|U,C) = I(Y∧Z|C).
+  Both terms are nonnegative, so no extractable U separates better than
+  U = C, whose residual is I(Y∧Z|C); and since I(U∧X) ≤ I(C∧X) for every
+  U, the best feasible value is I(C∧X) whenever I(Y∧Z|C) ≤ feas_tol.
 
 :func:`dominance_oracle` keeps the structural reduction honest: it samples
 feasible channels at a range of cardinalities and reports the best I(U∧X)
 seen, which callers compare against the closed form.
-
-Everything here is deterministic for fixed seeds; restarts are seeded
-independently, so the aggregate is insensitive to evaluation order.
 """
 
 from __future__ import annotations
@@ -27,14 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import NUM_TOL, JointPmf, marginal, source_roles, _entropy_of
-from .structure import AuxChannel, CommonFunction, \
-    maximal_common_function, sample_feasible_aux
+from .dist import JointPmf, marginal, source_roles, _clip0, _entropy_of
+from .structure import CommonFunction, maximal_common_function, \
+    sample_feasible_aux
 
 __all__ = [
     "DEFAULT_FEAS_TOL",
-    "DEFAULT_RESTARTS",
-    "DEFAULT_SEED",
     "SolverReport",
     "max_aux_info_outer",
     "max_aux_info_thm3",
@@ -42,66 +46,45 @@ __all__ = [
 ]
 
 DEFAULT_FEAS_TOL = 1e-7
-DEFAULT_RESTARTS = 64
-DEFAULT_SEED = 42
-
-_PENALTY_SCHEDULE = (1.0, 10.0, 100.0, 1000.0)
-_IMPROVE_TOL = 1e-12
-_GRAD_EPS = 1e-6
-_STEP_SIZES = (1.0, 0.25, 0.05, 0.01)
-_MAX_SWEEPS = 40
-
-
-def _clip0(v: float) -> float:
-    return 0.0 if -NUM_TOL <= v < 0.0 else v
 
 
 @dataclass(frozen=True, eq=False)
 class SolverReport:
-    """Outcome of the constrained auxiliary search.
+    """Best separating extractable auxiliary, U = C.
 
-    ``value`` is I(U∧X) in bits for the reported channel and ``residual``
-    its separation defect I(Y∧Z|U). When ``converged`` is True the channel
-    is the best one found with residual within tolerance; otherwise it is
-    the attempt that came closest to feasibility. ``restarts`` counts the
-    starts actually executed — the scan stops early once a feasible iterate
-    attains the data-processing cap I(C∧X).
+    ``value`` is I(C∧X) and ``residual`` the separation defect I(Y∧Z|C), both
+    in bits; ``converged`` is True when the residual is within ``feas_tol``,
+    i.e. when some extractable auxiliary separates Y from Z at all.
     """
 
     value: float
-    channel: AuxChannel
     residual: float
-    restarts: int
     converged: bool
-    seed: int
 
 
 @dataclass(frozen=True, eq=False)
 class _SourceStats:
-    """Channel-independent precomputation shared by all objective calls."""
+    """The common part of (Y, Z) and its joint table with X."""
 
     cf: CommonFunction
-    pair: np.ndarray       # joint (y, z) table
-    comp_of_y: np.ndarray  # component index per y symbol (0 off support)
     qcx: np.ndarray        # joint (component, x) table
     hx: float
     bound: float           # I(component ∧ X)
 
     @classmethod
-    def from_pmf(cls, p: JointPmf) -> "_SourceStats":
+    def from_pmf(cls, p: JointPmf,
+                 cf: CommonFunction | None = None) -> "_SourceStats":
         x, y, z = source_roles(p)
-        cf = maximal_common_function(p, y, z)
-        pair = marginal(p, (y, z)).probs
-        lab_y = np.asarray(cf.stat_a.labels, dtype=np.int64)
-        comp_of_y = np.where(lab_y < 0, 0, lab_y)
+        if cf is None:
+            cf = maximal_common_function(p, y, z)
         txy = marginal(p, (x, y)).probs
         qcx = np.zeros((cf.components, txy.shape[0]), dtype=np.float64)
-        for sym, lab in enumerate(lab_y):
+        for sym, lab in enumerate(cf.stat_a.labels):
             if lab >= 0:
                 qcx[lab] += txy[:, sym]
         hx = _entropy_of(txy.sum(axis=1))
         bound = _clip0(_entropy_of(qcx.sum(axis=1)) + hx - _entropy_of(qcx))
-        return cls(cf, pair, comp_of_y, qcx, hx, bound)
+        return cls(cf, qcx, hx, bound)
 
 
 def _mutual_info_ux(stats: _SourceStats, w: np.ndarray) -> float:
@@ -110,186 +93,38 @@ def _mutual_info_ux(stats: _SourceStats, w: np.ndarray) -> float:
     return _clip0(_entropy_of(pux.sum(axis=1)) + stats.hx - _entropy_of(pux))
 
 
-def _separation_residual(stats: _SourceStats, w: np.ndarray) -> float:
-    """I(Y∧Z|U) in bits for the channel matrix ``w`` on components."""
-    rows = w[stats.comp_of_y]                       # law of U per y symbol
-    tens = stats.pair[:, :, None] * rows[:, None, :]
-    h_yu = _entropy_of(stats.pair.sum(axis=1)[:, None] * rows)
-    h_zu = _entropy_of(tens.sum(axis=0))
-    h_u = _entropy_of(tens.sum(axis=(0, 1)))
-    return _clip0(h_yu + h_zu - _entropy_of(tens) - h_u)
-
-
-def _penalized(stats: _SourceStats, w: np.ndarray, lam: float) -> float:
-    return _mutual_info_ux(stats, w) - lam * _separation_residual(stats, w)
-
-
-def _simplex_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    positive = u - css / ks > 0.0
-    k = int(ks[positive][-1]) if positive.any() else 1
-    out = np.maximum(v - css[k - 1] / k, 0.0)
-    total = out.sum()
-    if total <= 0.0:
-        return np.full_like(v, 1.0 / v.size)
-    return out / total
-
-
-def _ascend(stats: _SourceStats, w: np.ndarray, lam: float) -> np.ndarray:
-    """Row-wise coordinate ascent on the penalized objective.
-
-    Each row update considers jumps to every simplex vertex plus projected
-    finite-difference gradient steps and keeps the best candidate that
-    improves the objective by at least 1e-12. Vertex jumps matter: feasible
-    optima sit at deterministic channels, where gradient steps stall.
-    """
-    m, k = w.shape
-    w = w.copy()
-    for _ in range(_MAX_SWEEPS):
-        improved = False
-        for c in range(m):
-            base_row = w[c].copy()
-            base = _penalized(stats, w, lam)
-            grad = np.empty(k)
-            for u in range(k):
-                w[c] = base_row
-                w[c, u] += _GRAD_EPS
-                grad[u] = (_penalized(stats, w, lam) - base) / _GRAD_EPS
-            candidates = [np.eye(k)[u] for u in range(k)]
-            candidates += [_simplex_project(base_row + s * grad)
-                           for s in _STEP_SIZES]
-            best_row, best_val = None, base
-            for row in candidates:
-                if np.array_equal(row, base_row):
-                    continue
-                w[c] = row
-                val = _penalized(stats, w, lam)
-                if val >= best_val + _IMPROVE_TOL:
-                    best_row, best_val = row.copy(), val
-            if best_row is None:
-                w[c] = base_row
-            else:
-                w[c] = best_row
-                improved = True
-        if not improved:
-            break
-    return w
-
-
-def _round_vertex(w: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(w)
-    out[np.arange(w.shape[0]), np.argmax(w, axis=1)] = 1.0
-    return out
-
-
-def _run_start(stats: _SourceStats, w0: np.ndarray):
-    """One start through the penalty schedule.
-
-    A stage's result is accepted only if its residual does not exceed the
-    previously accepted one, so the returned residual trace (one entry per
-    accepted iterate, start point included) is non-increasing. A final snap
-    to the nearest deterministic channel is accepted under the same rule,
-    provided it costs no objective value.
-    """
-    w = np.asarray(w0, dtype=np.float64).copy()
-    resid = _separation_residual(stats, w)
-    trace = [resid]
-    for lam in _PENALTY_SCHEDULE:
-        cand = _ascend(stats, w, lam)
-        cand_resid = _separation_residual(stats, cand)
-        if cand_resid <= resid:
-            w, resid = cand, cand_resid
-        trace.append(resid)
-    snap = _round_vertex(w)
-    if not np.array_equal(snap, w):
-        snap_resid = _separation_residual(stats, snap)
-        if snap_resid <= resid and \
-                _mutual_info_ux(stats, snap) >= _mutual_info_ux(stats, w) - _IMPROVE_TOL:
-            w, resid = snap, snap_resid
-    trace.append(resid)
-    return w, tuple(trace)
-
-
-def _warm_start(components: int, aux_card: int) -> np.ndarray:
-    w = np.zeros((components, aux_card), dtype=np.float64)
-    w[np.arange(components), np.arange(components) % aux_card] = 1.0
-    return w
-
-
-def max_aux_info_outer(p: JointPmf):
+def max_aux_info_outer(p: JointPmf, cf: CommonFunction | None = None):
     """Largest I(U∧X) over auxiliaries extractable from Y and from Z alone.
 
-    Closed form: any extractable conditional law is constant on components
-    of the (Y, Z) support graph, so U→C→X caps the information at I(C∧X)
-    for the common-function label C, and U = C attains the cap.
+    Closed form: U→C→X caps the information at I(C∧X) for the
+    common-function label C, and U = C attains the cap. ``cf`` may carry a
+    precomputed maximal common function of (Y, Z).
 
     Returns the value in bits together with the Y-side component statistic.
     """
-    stats = _SourceStats.from_pmf(p)
+    stats = _SourceStats.from_pmf(p, cf)
     return stats.bound, stats.cf.stat_a
 
 
-def max_aux_info_thm3(p: JointPmf, aux_card: int | None = None,
-                      restarts: int = DEFAULT_RESTARTS, seed: int = DEFAULT_SEED,
-                      feas_tol: float = DEFAULT_FEAS_TOL) -> SolverReport:
+def max_aux_info_thm3(p: JointPmf, feas_tol: float = DEFAULT_FEAS_TOL,
+                      cf: CommonFunction | None = None) -> SolverReport:
     """Best I(U∧X) over extractable auxiliaries that also separate Y from Z.
 
-    Multi-start penalty search over channel matrices w(u|component),
-    maximizing I(U∧X) − λ·I(Y∧Z|U) with λ swept over {1, 10, 100, 1000}.
-    Start 0 is the deterministic assignment component c → symbol c mod
-    aux_card; the remaining starts are seeded Dirichlet channels. A start
-    counts as feasible when its final residual is at most ``feas_tol``.
-
-    ``aux_card`` defaults to the component count, which is never restrictive:
-    U is a channel from a component-valued variable, so larger alphabets
-    cannot push I(U∧X) past I(C∧X).
-
-    Infeasibility is a report state, not an error: the report then carries
-    ``converged=False`` and the attempt closest to feasibility (smallest
-    residual, ties to larger value, then lower start index). Among feasible
-    starts the winner has the largest value, ties to smaller residual, then
-    lower start index.
+    Closed form (see the module docstring): U = C is optimal, so the report
+    carries value I(C∧X), residual I(Y∧Z|C), and ``converged`` exactly when
+    the residual is at most ``feas_tol``. Infeasibility is a report state,
+    not an error. ``cf`` may carry a precomputed maximal common function of
+    (Y, Z).
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    stats = _SourceStats.from_pmf(p)
-    m = stats.cf.components
-    if aux_card is None:
-        aux_card = m
-    if aux_card < 1:
-        raise ValueError("aux_card must be >= 1")
-    attempts = []
-    executed = 0
-    for r in range(restarts):
-        if r == 0:
-            w0 = _warm_start(m, aux_card)
-        else:
-            w0 = sample_feasible_aux(stats.cf, aux_card, (seed, r)).matrix
-        w, _ = _run_start(stats, w0)
-        value = _mutual_info_ux(stats, w)
-        resid = _separation_residual(stats, w)
-        attempts.append((value, resid, r, w))
-        executed = r + 1
-        if resid <= feas_tol and value >= stats.bound - _IMPROVE_TOL:
-            break
-    feasible = [a for a in attempts if a[1] <= feas_tol]
-    if feasible:
-        value, resid, _, w = max(feasible, key=lambda a: (a[0], -a[1], -a[2]))
-        converged = True
-    else:
-        value, resid, _, w = min(attempts, key=lambda a: (a[1], -a[0], a[2]))
-        converged = False
-    return SolverReport(
-        value=value,
-        channel=AuxChannel(m, aux_card, w),
-        residual=resid,
-        restarts=executed,
-        converged=converged,
-        seed=int(seed),
-    )
+    _, y, z = source_roles(p)
+    stats = _SourceStats.from_pmf(p, cf)
+    pair = marginal(p, (y, z)).probs
+    # C is a function of Y and of Z: I(Y∧Z|C) = H(Y) + H(Z) − H(Y,Z) − H(C)
+    residual = _clip0(_entropy_of(pair.sum(axis=1))
+                      + _entropy_of(pair.sum(axis=0)) - _entropy_of(pair)
+                      - _entropy_of(stats.qcx.sum(axis=1)))
+    return SolverReport(value=stats.bound, residual=residual,
+                        converged=residual <= feas_tol)
 
 
 def dominance_oracle(p: JointPmf, trials: int, seed: int) -> float:

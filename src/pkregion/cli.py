@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from ._version import __version__
-from .auxsolver import DEFAULT_FEAS_TOL, DEFAULT_RESTARTS, DEFAULT_SEED
+from .auxsolver import DEFAULT_FEAS_TOL
 from .dist import DEFAULT_SUM_TOL
 from .errors import BudgetExceededError, PkRegionError
 from .ioformats import check_document, dumps_deterministic, \
@@ -48,11 +48,6 @@ _OPTIONS = (
      "per-component conditional-independence tolerance"),
     ("--tol-feas", "feas_tol", float, DEFAULT_FEAS_TOL,
      "separating-auxiliary feasibility tolerance"),
-    ("--seed", "seed", int, DEFAULT_SEED, "auxiliary search seed"),
-    ("--restarts", "restarts", int, DEFAULT_RESTARTS,
-     "auxiliary search restarts"),
-    ("--aux-card", "aux_card", int, None,
-     "auxiliary alphabet size override (default: component count)"),
     ("--budget", "budget", int, DEFAULT_BUDGET,
      "enumeration budget in table cells, simulate only"),
     ("--eps", "eps", float, 0.0,
@@ -70,9 +65,6 @@ class RunConfig:
     sum_tol: float
     ci_tol: float
     feas_tol: float
-    seed: int
-    restarts: int
-    aux_card: int | None
     budget: int
     eps: float
 
@@ -80,12 +72,6 @@ class RunConfig:
         for name in ("sum_tol", "ci_tol", "feas_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.aux_card is not None and self.aux_card < 1:
-            raise ValueError("aux-card must be at least 1")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if self.eps < 0.0:
@@ -100,9 +86,6 @@ class RunConfig:
             "tol_sum": self.sum_tol,
             "tol_ci": self.ci_tol,
             "tol_feas": self.feas_tol,
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "aux_card": self.aux_card,
             "budget": self.budget,
             "eps": self.eps,
         }
@@ -172,19 +155,15 @@ def _require_input(cfg: RunConfig) -> str:
 def cmd_compute(cfg: RunConfig) -> int:
     """Full pipeline: regions, tightness flags, gaps, named quantities."""
     p = read_pmf(_require_input(cfg), sum_tol=cfg.sum_tol)
-    report = compute_report(p, ci_tol=cfg.ci_tol, aux_card=cfg.aux_card,
-                            restarts=cfg.restarts, seed=cfg.seed,
-                            feas_tol=cfg.feas_tol)
+    report = compute_report(p, ci_tol=cfg.ci_tol, feas_tol=cfg.feas_tol)
     _deliver(regions_document(report, cfg.echo()), cfg.output)
     return 0
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    """Tightness conditions only: common part, correlation test, search."""
+    """Tightness conditions only: common part, correlation test, separation."""
     p = read_pmf(_require_input(cfg), sum_tol=cfg.sum_tol)
-    report = compute_report(p, ci_tol=cfg.ci_tol, aux_card=cfg.aux_card,
-                            restarts=cfg.restarts, seed=cfg.seed,
-                            feas_tol=cfg.feas_tol)
+    report = compute_report(p, ci_tol=cfg.ci_tol, feas_tol=cfg.feas_tol)
     _deliver(check_document(report, cfg.echo()), cfg.output)
     return 0
 

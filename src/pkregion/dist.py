@@ -30,6 +30,7 @@ from .errors import (
     DuplicateVariableError,
     LabelMissingError,
     NegativeEntryError,
+    NonFiniteEntryError,
     OverlappingGroupsError,
     ShapeMismatchError,
     SumOutOfToleranceError,
@@ -54,6 +55,10 @@ NUM_TOL = 1e-12
 # A variable group is a single name or an iterable of names; group order is
 # always normalized to the distribution's variable order.
 Group = "str | Iterable[str]"
+
+
+def _clip0(v: float) -> float:
+    return 0.0 if -NUM_TOL <= v < 0.0 else v
 
 
 def _entropy_of(table: np.ndarray) -> float:
@@ -159,13 +164,15 @@ def load_pmf(table, variables, cardinalities, sum_tol: float = DEFAULT_SUM_TOL,
 
     Raises
     ------
-    ShapeMismatchError, NegativeEntryError, SumOutOfToleranceError,
-    DuplicateVariableError
+    ShapeMismatchError, NonFiniteEntryError, NegativeEntryError,
+    SumOutOfToleranceError, DuplicateVariableError
     """
     arr = np.asarray(table, dtype=np.float64)
     expected = int(np.prod([int(c) for c in cardinalities])) if len(cardinalities) else 0
     if arr.size != expected:
         raise ShapeMismatchError(f"table has {arr.size} entries, expected {expected}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteEntryError("table entries must be finite numbers")
     if np.any(arr < 0.0):
         raise NegativeEntryError(f"minimum table entry is {float(arr.min())!r}")
     if prob_floor > 0.0:
@@ -224,10 +231,7 @@ def cond_mutual_info(p: JointPmf, a, b, c=()) -> float:
     h_bc = entropy(p, gb + gc)
     h_abc = entropy(p, ga + gb + gc)
     h_c = entropy(p, gc) if gc else 0.0
-    value = h_ac + h_bc - h_abc - h_c
-    if -NUM_TOL <= value < 0.0:
-        return 0.0
-    return value
+    return _clip0(h_ac + h_bc - h_abc - h_c)
 
 
 def source_roles(p: JointPmf) -> tuple:

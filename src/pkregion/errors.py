@@ -8,6 +8,7 @@ the CLI includes verbatim in diagnostics.
 __all__ = [
     "PkRegionError",
     "NegativeEntryError",
+    "NonFiniteEntryError",
     "SumOutOfToleranceError",
     "ShapeMismatchError",
     "DuplicateVariableError",
@@ -36,6 +37,12 @@ class NegativeEntryError(PkRegionError):
     """A probability table contains a negative entry."""
 
     code = "NEGATIVE_ENTRY"
+
+
+class NonFiniteEntryError(PkRegionError):
+    """A probability table contains a NaN or infinite entry."""
+
+    code = "NON_FINITE_ENTRY"
 
 
 class SumOutOfToleranceError(PkRegionError):

@@ -43,17 +43,19 @@ __all__ = [
 
 PMF_SCHEMA = "pkregion-pmf-v1"
 PROTOCOL_SCHEMA = "pkregion-protocol-v1"
-REGIONS_SCHEMA = "pkregion-regions-v1"
-CHECK_SCHEMA = "pkregion-check-v1"
+REGIONS_SCHEMA = "pkregion-regions-v2"
+CHECK_SCHEMA = "pkregion-check-v2"
 EVALUATION_SCHEMA = "pkregion-evaluation-v1"
 
 
 # -- reading ------------------------------------------------------------------
 
 def _load_json(path):
+    """The parsed document and its text."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        return json.loads(text), text
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -74,9 +76,16 @@ def _field(doc, key, path):
     return doc[key]
 
 
+def _int_field(doc, key, path) -> int:
+    value = _field(doc, key, path)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputFormatError(f"{path}: {key} must be an integer")
+    return value
+
+
 def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
     """Load a three-variable source distribution file."""
-    doc = _load_json(path)
+    doc, _ = _load_json(path)
     _expect_schema(doc, PMF_SCHEMA, path)
     variables = _field(doc, "variables", path)
     cardinalities = _field(doc, "cardinalities", path)
@@ -97,14 +106,22 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
 
 def read_protocol(path) -> ProtocolSpec:
     """Load a protocol file; tables are validated on construction."""
-    doc = _load_json(path)
+    doc, text = _load_json(path)
     _expect_schema(doc, PROTOCOL_SCHEMA, path)
-    ints = {}
-    for key in ("n", "rounds", "key_xy_size", "key_xz_size"):
-        value = _field(doc, key, path)
-        if not isinstance(value, int):
-            raise InputFormatError(f"{path}: {key} must be an integer")
-        ints[key] = value
+    # Without a true/false literal in the text no table cell is a boolean,
+    # so tables may reach the constructors as read-only arrays, which skips
+    # their per-cell boolean check and their copy.
+    has_bools = "true" in text or "false" in text
+
+    def table(obj, key):
+        raw = _field(obj, key, path)
+        if not has_bools:
+            raw = np.asarray(raw)
+            raw.flags.writeable = False
+        return raw
+
+    ints = {key: _int_field(doc, key, path)
+            for key in ("n", "rounds", "key_xy_size", "key_xz_size")}
     slots_raw = _field(doc, "slots", path)
     if not isinstance(slots_raw, list):
         raise InputFormatError(f"{path}: slots must be a list")
@@ -115,15 +132,16 @@ def read_protocol(path) -> ProtocolSpec:
                     or "table" not in entry:
                 raise InputFormatError(
                     f"{path}: slot {i + 1} needs alphabet_size and table")
-            slots.append(SlotSpec(int(entry["alphabet_size"]), entry["table"]))
+            slots.append(SlotSpec(_int_field(entry, "alphabet_size", path),
+                                  table(entry, "table")))
         return ProtocolSpec(
             n=ints["n"],
             rounds=ints["rounds"],
             slots=tuple(slots),
-            key_xy=_field(doc, "key_xy", path),
-            est_xy=_field(doc, "est_xy", path),
-            key_xz=_field(doc, "key_xz", path),
-            est_xz=_field(doc, "est_xz", path),
+            key_xy=table(doc, "key_xy"),
+            est_xy=table(doc, "est_xy"),
+            key_xz=table(doc, "key_xz"),
+            est_xz=table(doc, "est_xz"),
             key_xy_size=ints["key_xy_size"],
             key_xz_size=ints["key_xz_size"],
         )
@@ -179,10 +197,6 @@ def _solver_entry(solver) -> dict:
         "feasible": solver.converged,
         "value": solver.value,
         "residual": solver.residual,
-        "restarts": solver.restarts,
-        "seed": solver.seed,
-        "aux_card": solver.channel.aux_card,
-        "channel": solver.channel.matrix.tolist(),
     }
 
 

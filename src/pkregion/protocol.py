@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .dist import NUM_TOL, JointPmf, source_roles, _entropy_of
+from .dist import JointPmf, source_roles, _clip0, _entropy_of
 from .errors import BudgetExceededError, MalformedTableError
 
 __all__ = [
@@ -45,20 +46,35 @@ __all__ = [
 DEFAULT_BUDGET = 10 ** 7
 
 
-def _clip0(v: float) -> float:
-    return 0.0 if -NUM_TOL <= v < 0.0 else v
-
-
 def _int_table(name: str, raw, upper: int) -> np.ndarray:
-    table = np.asarray(raw, dtype=np.int64)
+    """Read-only int64 2-D lookup table with entries in [0, upper).
+
+    Booleans, fractions and non-numbers are rejected, never coerced; numpy
+    would upcast booleans mixed into a Python table of integers, so such a
+    table's cells are type-checked. A read-only int64 array is kept as it
+    is; any other table is copied.
+    """
+    table = np.asarray(raw)
     if table.ndim != 2:
         raise MalformedTableError(f"{name} must be 2-D, got {table.ndim}-D")
+    kind = table.dtype.kind
+    if kind == "f":
+        integral = bool(np.isfinite(table).all()
+                        and (table == np.floor(table)).all())
+    else:
+        integral = kind in "iu" and (
+            isinstance(raw, np.ndarray)
+            or bool not in map(type, chain.from_iterable(raw)))
+    if not integral:
+        raise MalformedTableError(
+            f"{name} entries must be integers, not booleans or fractions")
+    if table.flags.writeable or table.dtype != np.int64:
+        table = table.astype(np.int64)
     if table.size and (int(table.min()) < 0 or int(table.max()) >= upper):
         raise MalformedTableError(
             f"{name} entries must lie in [0, {upper}), got "
             f"[{int(table.min())}, {int(table.max())}]"
         )
-    table = table.copy()
     table.flags.writeable = False
     return table
 

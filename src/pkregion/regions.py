@@ -20,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxsolver import DEFAULT_FEAS_TOL, DEFAULT_RESTARTS, DEFAULT_SEED, \
-    SolverReport, max_aux_info_outer, max_aux_info_thm3
+from .auxsolver import DEFAULT_FEAS_TOL, SolverReport, max_aux_info_outer, \
+    max_aux_info_thm3
 from .dist import NUM_TOL, JointPmf, attach_statistic, cond_mutual_info, \
-    source_roles
+    source_roles, _clip0
 from .errors import DegenerateInputError
-from .structure import DEFAULT_CI_TOL, conditional_independence_residual, \
-    is_deterministically_correlated, minimal_sufficient_statistic
+from .structure import DEFAULT_CI_TOL, CommonFunction, \
+    conditional_independence_residual, maximal_common_function, \
+    minimal_sufficient_statistic
 
 __all__ = [
     "RateRegion",
@@ -45,10 +46,6 @@ _PROVENANCES = frozenset({"outer", "inner-hull", "exact-thm3", "exact-thm4"})
 # Hull coordinates are rounded to this many decimals before exact
 # comparisons; doubles as the duplicate-vertex threshold.
 _COORD_DECIMALS = 12
-
-
-def _clip0(v: float) -> float:
-    return 0.0 if -NUM_TOL <= v < 0.0 else v
 
 
 def _cross(o, a, b) -> float:
@@ -270,14 +267,16 @@ def _fresh_name(p: JointPmf, base: str) -> str:
     return name
 
 
-def _base_quantities(p: JointPmf):
-    """The three source information terms plus the common-part term."""
+def _info_terms(p: JointPmf):
+    """I(X∧Y|Z), I(X∧Z|Y) and I(X∧Y,Z)."""
     x, y, z = source_roles(p)
-    a = cond_mutual_info(p, x, y, z)
-    b = cond_mutual_info(p, x, z, y)
-    i_x_yz = cond_mutual_info(p, x, (y, z))
-    i_x_common, _ = max_aux_info_outer(p)
-    return a, b, i_x_yz, i_x_common
+    return (cond_mutual_info(p, x, y, z), cond_mutual_info(p, x, z, y),
+            cond_mutual_info(p, x, (y, z)))
+
+
+def _base_quantities(p: JointPmf, cf: CommonFunction | None = None):
+    """The three source information terms plus the common-part term."""
+    return _info_terms(p) + (max_aux_info_outer(p, cf)[0],)
 
 
 def outer_region(p: JointPmf) -> RateRegion:
@@ -290,7 +289,7 @@ def outer_region(p: JointPmf) -> RateRegion:
     return RateRegion.from_caps(a, b, _clip0(i_x_yz - i_x_common), "outer")
 
 
-def _inner_component_caps(p: JointPmf):
+def _inner_component_caps(p: JointPmf, a: float, b: float, i_x_yz: float):
     """Cap triples of the two achievable regions, plus their statistic terms.
 
     Region 1 conditions the XY cap on the minimal sufficient statistic of Y
@@ -298,7 +297,6 @@ def _inner_component_caps(p: JointPmf):
     I(U_mss∧X); region 2 swaps the roles of Y and Z.
     """
     x, y, z = source_roles(p)
-    a, b, i_x_yz, _ = _base_quantities(p)
     u_stat = minimal_sufficient_statistic(p, of=y, wrt=z)
     v_stat = minimal_sufficient_statistic(p, of=z, wrt=y)
     u_name, v_name = _fresh_name(p, "u_mss"), _fresh_name(p, "v_mss")
@@ -315,47 +313,20 @@ def _inner_component_caps(p: JointPmf):
 
 def inner_region(p: JointPmf) -> RateRegion:
     """Achievable region: the hull of the two sufficient-statistic regions."""
-    caps1, caps2, _, _ = _inner_component_caps(p)
+    caps1, caps2, _, _ = _inner_component_caps(p, *_info_terms(p))
     return RateRegion.from_hull(_cap_vertices(*caps1) + _cap_vertices(*caps2))
 
 
-def _exact_from_flags(p: JointPmf, det_correlated: bool,
-                      solver: SolverReport) -> RateRegion | None:
-    """Exact region when one of the two tightness conditions holds.
-
-    Under deterministic correlation the outer caps are tight as stated.
-    Otherwise, a feasible separating auxiliary gives the sum cap
-    I(X∧Y,Z) − value; the numeric value is a lower bound on the true
-    maximum, so the sum cap is additionally clamped at the outer sum cap to
-    keep the exact region inside the converse.
-    """
-    a, b, i_x_yz, i_x_common = _base_quantities(p)
-    s_outer = _clip0(i_x_yz - i_x_common)
-    if det_correlated:
-        return RateRegion.from_caps(a, b, s_outer, "exact-thm4")
-    if solver.converged:
-        s = _clip0(min(i_x_yz - solver.value, s_outer))
-        return RateRegion.from_caps(a, b, s, "exact-thm3")
-    return None
-
-
 def exact_region(p: JointPmf, ci_tol: float = DEFAULT_CI_TOL,
-                 aux_card: int | None = None,
-                 restarts: int = DEFAULT_RESTARTS, seed: int = DEFAULT_SEED,
                  feas_tol: float = DEFAULT_FEAS_TOL) -> RateRegion | None:
     """Exact capacity region, when the source admits one; ``None`` otherwise.
 
     Deterministically correlated sources use the outer caps directly
-    (provenance ``exact-thm4``). Failing that, a feasible separating
-    auxiliary found by the numeric search yields provenance ``exact-thm3``.
+    (provenance ``exact-thm4``). Failing that, a separating extractable
+    auxiliary yields provenance ``exact-thm3``. This is the ``exact`` entry
+    of :func:`compute_report`.
     """
-    _, y, z = source_roles(p)
-    det_correlated, _ = is_deterministically_correlated(p, y, z, ci_tol)
-    if det_correlated:
-        return _exact_from_flags(p, True, None)
-    solver = max_aux_info_thm3(p, aux_card=aux_card, restarts=restarts,
-                               seed=seed, feas_tol=feas_tol)
-    return _exact_from_flags(p, False, solver)
+    return compute_report(p, ci_tol, feas_tol).exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,8 +335,8 @@ class RegionReport:
 
     ``quantities`` maps names of the intermediate information terms (bits)
     to their values; ``components`` and ``ci_residual`` describe the common
-    part of (Y, Z); ``solver`` is the full separating-auxiliary search
-    report. ``area_gap`` and ``hausdorff_gap`` measure inner versus outer.
+    part of (Y, Z); ``solver`` is the separating-auxiliary report.
+    ``area_gap`` and ``hausdorff_gap`` measure inner versus outer.
     """
 
     outer: RateRegion
@@ -382,27 +353,33 @@ class RegionReport:
 
 
 def compute_report(p: JointPmf, ci_tol: float = DEFAULT_CI_TOL,
-                   aux_card: int | None = None,
-                   restarts: int = DEFAULT_RESTARTS, seed: int = DEFAULT_SEED,
                    feas_tol: float = DEFAULT_FEAS_TOL) -> RegionReport:
     """Run the full pipeline on one source and collect every artifact.
 
-    Computes the outer/inner regions, both tightness checks (the
-    deterministic-correlation test and the separating-auxiliary search are
+    One analysis pass: the maximal common function, the information terms
+    and the conditional-independence residual are computed once and feed
+    the outer/inner regions, both tightness checks (the
+    deterministic-correlation test and the separating-auxiliary test are
     performed independently and both reported), the exact region when
     either check passes, the inner-vs-outer gap metrics, and all named
     information quantities.
     """
     _, y, z = source_roles(p)
-    a, b, i_x_yz, i_x_common = _base_quantities(p)
-    caps1, caps2, i_x_mss_y, i_x_mss_z = _inner_component_caps(p)
+    cf = maximal_common_function(p, y, z)
+    a, b, i_x_yz, i_x_common = _base_quantities(p, cf)
+    caps1, caps2, i_x_mss_y, i_x_mss_z = _inner_component_caps(p, a, b, i_x_yz)
     outer = RateRegion.from_caps(a, b, _clip0(i_x_yz - i_x_common), "outer")
     inner = RateRegion.from_hull(_cap_vertices(*caps1) + _cap_vertices(*caps2))
-    det_correlated, cf = is_deterministically_correlated(p, y, z, ci_tol)
     ci_residual = conditional_independence_residual(p, y, z, cf)
-    solver = max_aux_info_thm3(p, aux_card=aux_card, restarts=restarts,
-                               seed=seed, feas_tol=feas_tol)
-    exact = _exact_from_flags(p, det_correlated, solver)
+    det_correlated = ci_residual <= ci_tol
+    solver = max_aux_info_thm3(p, feas_tol, cf)
+    # Either tightness condition makes the outer caps exact: a feasible
+    # separating auxiliary gives the sum cap I(X∧Y,Z) − I(C∧X), the outer one.
+    exact = None
+    if det_correlated or solver.converged:
+        exact = RateRegion.from_caps(
+            a, b, outer.cap_sum,
+            "exact-thm4" if det_correlated else "exact-thm3")
     area_gap, hausdorff_gap = gap_metrics(inner, outer)
     quantities = {
         "i_x_y_given_z": a,

@@ -188,6 +188,31 @@ def conditional_independence_residual_oracle(dist, pos_a, pos_b):
     return worst
 
 
+# -- separating auxiliaries ----------------------------------------------------------
+
+def separating_aux_oracle(dist, tol):
+    """Every deterministic channel from the common part of (Y, Z) to U.
+
+    Positions are (X, Y, Z). Each partition of the common-function classes
+    defines one U; for each, I(U;X) and I(Y;Z|U) come from ``oracle_cmi``.
+    Returns the smallest residual, whether any U has residual <= ``tol``,
+    and the best I(U;X) among those that do (None when none does).
+    """
+    classes_y, _ = finest_common_partition(dist, 1, 2)
+    classes_y = sorted(classes_y, key=min)
+    width = len(next(iter(dist)))
+    attempts = []
+    for groups in partitions(range(len(classes_y))):
+        merged = [set().union(*(classes_y[c] for c in group))
+                  for group in groups]
+        lifted = apply_partition(dist, 1, merged)
+        attempts.append((oracle_cmi(lifted, (0,), (width,)),
+                         oracle_cmi(lifted, (1,), (2,), (width,))))
+    feasible = [value for value, resid in attempts if resid <= tol]
+    return (min(resid for _, resid in attempts), bool(feasible),
+            max(feasible) if feasible else None)
+
+
 # -- the worked source ---------------------------------------------------------------
 
 def worked_source_dist():

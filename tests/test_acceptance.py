@@ -176,7 +176,7 @@ def test_criterion_7_solver_quality():
     for p in instances:
         bound, _ = max_aux_info_outer(p)
         start = time.perf_counter()
-        report = max_aux_info_thm3(p, restarts=64, seed=42)
+        report = max_aux_info_thm3(p)
         elapsed = time.perf_counter() - start
         slowest = max(slowest, elapsed)
         assert elapsed < 10.0
@@ -184,7 +184,7 @@ def test_criterion_7_solver_quality():
         assert report.residual <= 1e-7
         assert report.value >= bound - 1e-6
         assert report.value <= bound + 1e-9
-    counter = max_aux_info_thm3(bsc_pmf(), restarts=64, seed=42)
+    counter = max_aux_info_thm3(bsc_pmf())
     assert counter.converged is False
     return f"{len(instances)} instances, slowest {slowest:.2f}s"
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import pkregion
 from pkregion import __version__
 from pkregion.cli import main
 from pkregion.ioformats import (
@@ -38,7 +39,7 @@ def test_compute_success_emits_valid_document(tmp_path, capsys):
     code, out, err = run_cli(capsys, "compute", "--input", src)
     assert code == 0 and err == ""
     doc = json.loads(out)
-    assert validate_report(doc) == "pkregion-regions-v1"
+    assert validate_report(doc) == "pkregion-regions-v2"
     assert doc["regions"]["outer"]["vertices"] == [[0.0, 0.0], [1.0, 0.0],
                                                    [0.0, 1.0]]
     assert doc["det_correlated"] is True
@@ -50,7 +51,7 @@ def test_check_success(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", "--input", src)
     assert code == 0
     doc = json.loads(out)
-    assert validate_report(doc) == "pkregion-check-v1"
+    assert validate_report(doc) == "pkregion-check-v2"
     assert doc["det_correlated"] is False
     assert doc["separating_aux"]["feasible"] is False
     assert doc["mcf_components"] == 1
@@ -83,6 +84,40 @@ def test_invalid_input_exits_2_and_names_the_code(tmp_path, capsys):
     assert "SUM_OUT_OF_TOLERANCE" in err
 
 
+def test_nan_pmf_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({
+        "schema": "pkregion-pmf-v1", "variables": ["X", "Y", "Z"],
+        "cardinalities": [2, 2, 2],
+        "pmf": [0.25, float("nan"), 0, 0.25, 0.25, 0, 0, 0.25]}))
+    code, out, err = run_cli(capsys, "compute", "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "NON_FINITE_ENTRY" in err
+
+
+def test_non_integer_protocol_entry_exits_2(tmp_path, capsys, data_dir):
+    cases = ((("est_xy", 1), 0.7, "MALFORMED_TABLE"),
+             (("est_xy", 1), True, "MALFORMED_TABLE"),
+             (("key_xy_size",), True, "INPUT_FORMAT"),
+             (("key_xy_size",), 4.0, "INPUT_FORMAT"))
+    for where, bad, code_name in cases:
+        doc = json.loads(open(f"{data_dir}/direct_extraction_n2.json").read())
+        if len(where) == 2:
+            doc[where[0]][where[1]][0] = bad
+        else:
+            doc[where[0]] = bad
+        path = tmp_path / "protocol.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "simulate",
+            "--input", f"{data_dir}/xy_pair_source.json",
+            "--protocol", str(path))
+        assert code == 2
+        assert out == ""
+        assert code_name in err
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compute", "--input",
                            str(tmp_path / "absent.json"))
@@ -102,30 +137,32 @@ def test_budget_exceeded_exits_3(tmp_path, capsys, data_dir):
 
 def test_bad_flag_value_exits_2(tmp_path, capsys):
     src = write_pmf(tmp_path, worked_pmf())
-    code, _, err = run_cli(capsys, "compute", "--input", src, "--seed", "-1")
-    assert code == 2 and "seed" in err
+    code, _, err = run_cli(capsys, "compute", "--input", src,
+                           "--tol-feas", "-1")
+    assert code == 2 and "feas_tol" in err
 
 
 # -- configuration merging ---------------------------------------------------------
 
 def test_env_provides_defaults_and_flags_win(tmp_path, capsys, monkeypatch):
-    src = write_pmf(tmp_path, worked_pmf())
-    monkeypatch.setenv("PKREGION_SEED", "7")
-    monkeypatch.setenv("PKREGION_RESTARTS", "3")
-    code, out, _ = run_cli(capsys, "check", "--input", src, "--seed", "9")
+    src = write_pmf(tmp_path, bsc_pmf())
+    monkeypatch.setenv("PKREGION_TOL_FEAS", "1e-9")
+    monkeypatch.setenv("PKREGION_BUDGET", "123")
+    code, out, _ = run_cli(capsys, "check", "--input", src, "--tol-feas", "1")
     assert code == 0
     doc = json.loads(out)
-    assert doc["config"]["seed"] == 9       # flag beats environment
-    assert doc["config"]["restarts"] == 3   # environment beats default
-    assert doc["separating_aux"]["seed"] == 9
+    assert doc["config"]["tol_feas"] == 1.0  # flag beats environment
+    assert doc["config"]["budget"] == 123    # environment beats default
+    # I(Y;Z) of the noisy pair is about 0.53 bits, within the flag's tolerance
+    assert doc["separating_aux"]["feasible"] is True
 
 
 def test_invalid_env_value_exits_2(tmp_path, capsys, monkeypatch):
     src = write_pmf(tmp_path, worked_pmf())
-    monkeypatch.setenv("PKREGION_RESTARTS", "many")
+    monkeypatch.setenv("PKREGION_BUDGET", "many")
     code, _, err = run_cli(capsys, "compute", "--input", src)
     assert code == 2
-    assert "PKREGION_RESTARTS" in err
+    assert "PKREGION_BUDGET" in err
 
 
 def test_config_echo_lists_every_knob(tmp_path, capsys):
@@ -134,8 +171,7 @@ def test_config_echo_lists_every_knob(tmp_path, capsys):
     assert code == 0
     cfg = json.loads(out)["config"]
     assert set(cfg) == {"input", "output", "protocol", "tol_sum", "tol_ci",
-                        "tol_feas", "seed", "restarts", "aux_card", "budget",
-                        "eps"}
+                        "tol_feas", "budget", "eps"}
 
 
 # -- output handling -----------------------------------------------------------------
@@ -148,7 +184,7 @@ def test_output_flag_writes_file_and_quiets_stdout(tmp_path, capsys):
     assert code == 0
     assert out == ""
     doc = json.loads(out_path.read_text())
-    assert validate_report(doc) == "pkregion-regions-v1"
+    assert validate_report(doc) == "pkregion-regions-v2"
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
@@ -181,7 +217,12 @@ def test_failed_run_creates_no_output_file(tmp_path, capsys):
 # -- the installed entry point ---------------------------------------------------------
 
 def test_console_script_runs():
+    # the child imports the same package as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(pkregion.__file__))
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "pkregion", "version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"pkregion {__version__}"

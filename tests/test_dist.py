@@ -9,7 +9,8 @@ from pkregion import (
 )
 from pkregion.errors import (
     DuplicateVariableError, LabelMissingError, NegativeEntryError,
-    ShapeMismatchError, SumOutOfToleranceError, UnknownVariableError,
+    NonFiniteEntryError, ShapeMismatchError, SumOutOfToleranceError,
+    UnknownVariableError,
 )
 from pkregion.structure import Statistic
 
@@ -35,6 +36,16 @@ def test_load_pmf_rejects_bad_inputs():
         load_pmf([0.25] * 4, ("A", "A"), (2, 2))
     with pytest.raises(ShapeMismatchError):
         load_pmf([1.0], ("A", "B"), (1,))
+
+
+def test_load_pmf_rejects_non_finite_entries():
+    # a NaN used to pass the sum test (abs(nan - 1) > tol is False)
+    table = [0.25, float("nan"), 0.0, 0.25, 0.25, 0.0, 0.0, 0.25]
+    with pytest.raises(NonFiniteEntryError):
+        load_pmf(table, ("X", "Y", "Z"), (2, 2, 2))
+    for bad in (float("inf"), float("-inf")):
+        with pytest.raises(NonFiniteEntryError):
+            load_pmf([0.5, bad, 0.5, 0.0], ("A", "B"), (2, 2))
 
 
 def test_load_pmf_sum_tolerance_is_configurable():

@@ -269,6 +269,21 @@ def test_malformed_protocols_are_rejected():
         evaluate_protocol(p, spec)
 
 
+def test_non_integer_tables_are_rejected():
+    zeros = np.zeros((4, 1), dtype=int)
+    # fractions used to be truncated and booleans read as 0/1
+    for bad in ([[0.7]], [[True]], [[0], [True]], np.array([[False]]),
+                [[float("nan")]], [["1"]]):
+        with pytest.raises(MalformedTableError):
+            SlotSpec(alphabet_size=2, table=bad)
+        with pytest.raises(MalformedTableError):
+            no_message_protocol(zeros, bad, zeros, zeros, 2, 1, 1)
+    # integral floats carry no coercion and stay accepted
+    slot = SlotSpec(alphabet_size=2, table=[[1.0], [0.0]])
+    assert slot.table.dtype == np.int64
+    assert slot.table.tolist() == [[1], [0]]
+
+
 def test_check_eps_pk_rejects_negative_eps():
     p = worked_pmf()
     zeros = np.zeros((4, 1), dtype=int)
