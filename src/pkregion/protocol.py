@@ -49,12 +49,11 @@ DEFAULT_BUDGET = 10 ** 7
 def _int_table(name: str, raw, upper: int) -> np.ndarray:
     """Read-only int64 2-D lookup table with entries in [0, upper).
 
-    Booleans, fractions and non-numbers are rejected, never coerced; numpy
-    would upcast booleans mixed into a Python table of integers, so such a
-    table's cells are type-checked. A read-only int64 array is kept as it
-    is; any other table is copied.
+    The table is always a fresh copy. Booleans, fractions and non-numbers
+    are rejected, never coerced; numpy would upcast booleans mixed into a
+    Python table of integers, so such a table's cells are type-checked.
     """
-    table = np.asarray(raw)
+    table = np.array(raw)
     if table.ndim != 2:
         raise MalformedTableError(f"{name} must be 2-D, got {table.ndim}-D")
     kind = table.dtype.kind
@@ -64,12 +63,11 @@ def _int_table(name: str, raw, upper: int) -> np.ndarray:
     else:
         integral = kind in "iu" and (
             isinstance(raw, np.ndarray)
-            or bool not in map(type, chain.from_iterable(raw)))
+            or bool not in set(map(type, chain.from_iterable(raw))))
     if not integral:
         raise MalformedTableError(
             f"{name} entries must be integers, not booleans or fractions")
-    if table.flags.writeable or table.dtype != np.int64:
-        table = table.astype(np.int64)
+    table = table.astype(np.int64, copy=False)
     if table.size and (int(table.min()) < 0 or int(table.max()) >= upper):
         raise MalformedTableError(
             f"{name} entries must lie in [0, {upper}), got "

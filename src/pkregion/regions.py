@@ -317,16 +317,32 @@ def inner_region(p: JointPmf) -> RateRegion:
     return RateRegion.from_hull(_cap_vertices(*caps1) + _cap_vertices(*caps2))
 
 
+def _exact_caps(a: float, b: float, cap_sum: float,
+                det_correlated: bool) -> RateRegion:
+    """The outer caps, labelled exact; call only when a tightness test passed.
+
+    A feasible separating auxiliary gives the sum cap I(X∧Y,Z) − I(C∧X),
+    which is the outer one.
+    """
+    return RateRegion.from_caps(
+        a, b, cap_sum, "exact-thm4" if det_correlated else "exact-thm3")
+
+
 def exact_region(p: JointPmf, ci_tol: float = DEFAULT_CI_TOL,
                  feas_tol: float = DEFAULT_FEAS_TOL) -> RateRegion | None:
     """Exact capacity region, when the source admits one; ``None`` otherwise.
 
     Deterministically correlated sources use the outer caps directly
     (provenance ``exact-thm4``). Failing that, a separating extractable
-    auxiliary yields provenance ``exact-thm3``. This is the ``exact`` entry
-    of :func:`compute_report`.
+    auxiliary yields provenance ``exact-thm3``.
     """
-    return compute_report(p, ci_tol, feas_tol).exact
+    _, y, z = source_roles(p)
+    cf = maximal_common_function(p, y, z)
+    det_correlated = conditional_independence_residual(p, y, z, cf) <= ci_tol
+    if not (det_correlated or max_aux_info_thm3(p, feas_tol, cf).converged):
+        return None
+    a, b, i_x_yz, i_x_common = _base_quantities(p, cf)
+    return _exact_caps(a, b, _clip0(i_x_yz - i_x_common), det_correlated)
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,13 +389,9 @@ def compute_report(p: JointPmf, ci_tol: float = DEFAULT_CI_TOL,
     ci_residual = conditional_independence_residual(p, y, z, cf)
     det_correlated = ci_residual <= ci_tol
     solver = max_aux_info_thm3(p, feas_tol, cf)
-    # Either tightness condition makes the outer caps exact: a feasible
-    # separating auxiliary gives the sum cap I(X∧Y,Z) − I(C∧X), the outer one.
     exact = None
     if det_correlated or solver.converged:
-        exact = RateRegion.from_caps(
-            a, b, outer.cap_sum,
-            "exact-thm4" if det_correlated else "exact-thm3")
+        exact = _exact_caps(a, b, outer.cap_sum, det_correlated)
     area_gap, hausdorff_gap = gap_metrics(inner, outer)
     quantities = {
         "i_x_y_given_z": a,

@@ -284,6 +284,21 @@ def test_non_integer_tables_are_rejected():
     assert slot.table.tolist() == [[1], [0]]
 
 
+def test_tables_are_copied_from_read_only_views():
+    # a read-only view still tracks its writable base; the spec must not
+    base = np.zeros((4, 1), dtype=np.int64)
+    view = base.view()
+    view.flags.writeable = False
+    slot = SlotSpec(alphabet_size=2, table=view)
+    spec = no_message_protocol(view, np.broadcast_to(base, (4, 1)), base,
+                               base, 2, 1, 1)
+    base[:] = 7
+    assert slot.table.tolist() == [[0]] * 4
+    for table in (spec.key_xy, spec.est_xy, spec.key_xz, spec.est_xz):
+        assert table.tolist() == [[0]] * 4
+        assert not table.flags.writeable
+
+
 def test_check_eps_pk_rejects_negative_eps():
     p = worked_pmf()
     zeros = np.zeros((4, 1), dtype=int)

@@ -232,6 +232,23 @@ def test_exact_region_nests_between_inner_and_outer():
             assert contains(outer, v, tol=1e-9)
 
 
+def test_exact_region_matches_compute_report():
+    rng = rng_for(407)
+    sources = [random_pmf(rng) for _ in range(10)]
+    sources += [det_correlated_pmf(rng)[0] for _ in range(10)]
+    for p in sources:
+        # defaults, then tolerances that make every source feasible and
+        # leave only exactly independent pairs on the exact-thm4 route
+        for tols in ((), (0.0, 10.0)):
+            exact = exact_region(p, *tols)
+            expected = compute_report(p, *tols).exact
+            if expected is None:
+                assert exact is None
+            else:
+                assert exact.provenance == expected.provenance
+                assert exact.vertices == expected.vertices
+
+
 # -- the assembled report -----------------------------------------------------------
 
 def test_compute_report_worked_source(worked_source):
