@@ -21,6 +21,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -81,7 +82,8 @@ class JointPmf:
     cardinalities : tuple[int, ...]
         Alphabet size per variable; the product equals the table size.
     probs : numpy.ndarray
-        Read-only float64 array of shape ``cardinalities`` with entries >= 0.
+        Read-only float64 array of shape ``cardinalities`` with finite
+        entries >= 0.
     """
 
     variables: tuple
@@ -108,9 +110,12 @@ class JointPmf:
                     f"table has {arr.size} entries, expected {int(np.prod(cards))}"
                 )
             arr = arr.reshape(cards)
-        if np.any(arr < 0.0):
-            worst = float(arr.min())
-            raise NegativeEntryError(f"minimum table entry is {worst!r}")
+        # min and max propagate NaN: two reductions, no temporary arrays
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise NonFiniteEntryError("table entries must be finite numbers")
+        if lo < 0.0:
+            raise NegativeEntryError(f"minimum table entry is {lo!r}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "variables", names)
@@ -171,6 +176,8 @@ def load_pmf(table, variables, cardinalities, sum_tol: float = DEFAULT_SUM_TOL,
     expected = int(np.prod([int(c) for c in cardinalities])) if len(cardinalities) else 0
     if arr.size != expected:
         raise ShapeMismatchError(f"table has {arr.size} entries, expected {expected}")
+    # checked ahead of the sign and sum tests, so that ±inf is reported as
+    # non-finite, not as a negative entry or a sum out of tolerance
     if not np.all(np.isfinite(arr)):
         raise NonFiniteEntryError("table entries must be finite numbers")
     if np.any(arr < 0.0):

@@ -8,11 +8,17 @@ slot, each key pair is read off more tables: K_XY and K_XZ from X's
 sequence and the transcript, their estimates L_XY from Y's and L_XZ from
 Z's. No randomization anywhere.
 
-The evaluator enumerates every joint sequence triple with its exact product
-probability, so all reported figures — disagreement probabilities, leakage
-toward the respective helper, uniformity deficits, key rates — are exact up
-to float rounding, not estimates. The price is the enumeration budget,
-which bounds both the sequence space and the accumulated joint tables.
+The evaluator sums exact product probabilities over sequence tables, so
+all reported figures — disagreement probabilities, leakage toward the
+respective helper, uniformity deficits, key rates — are exact up to float
+rounding, not estimates. A protocol whose transcript carries information is
+run on every joint sequence triple. When the transcript is constant (every
+slot alphabet has size 1), each figure involves just two of the three
+sequences: the XY key against Z's, the XZ key against Y's. It is then
+computed from the pairwise marginals of Pⁿ, which costs |X|ⁿ|Y|ⁿ + |X|ⁿ|Z|ⁿ
++ |Y|ⁿ|Z|ⁿ cells instead of |X|ⁿ|Y|ⁿ|Z|ⁿ. The enumeration budget bounds
+the sequence tables the chosen path builds and the accumulated
+key/transcript/helper tables.
 
 Index conventions (also used by the file format): an n-sequence maps to
 ``sum_i s_i * card**(n-1-i)`` (first symbol most significant), and a
@@ -193,41 +199,114 @@ class EvaluationReport:
     rate_xz: float
 
 
-def _product_table(base: np.ndarray, n: int) -> np.ndarray:
-    """Joint table over sequence triples, i.i.d. product of ``base``."""
-    seqp = base
+def _kron_power(base: np.ndarray, n: int) -> np.ndarray:
+    """n-fold i.i.d. product of ``base``, in the sequence index convention.
+
+    Axis i of the result indexes the n-sequences of axis i of ``base``; each
+    cell is one multiply of a cell of the (n−1)-fold table by one of ``base``.
+    """
+    table = base
     for _ in range(n - 1):
-        grown = np.einsum("abc,def->adbecf", seqp, base)
-        seqp = grown.reshape(seqp.shape[0] * base.shape[0],
-                             seqp.shape[1] * base.shape[1],
-                             seqp.shape[2] * base.shape[2])
-    return seqp
+        table = np.kron(table, base)
+    return table
 
 
-def _joint3(weights: np.ndarray, codes, sizes) -> np.ndarray:
-    flat = (codes[0].reshape(-1) * sizes[1] + codes[1].reshape(-1)) * sizes[2] \
-        + codes[2].reshape(-1)
-    total = sizes[0] * sizes[1] * sizes[2]
-    return np.bincount(flat, weights=weights, minlength=total).reshape(sizes)
+def _pushforward(weights: np.ndarray, codes: np.ndarray, size: int) -> np.ndarray:
+    """Distribution of ``codes`` (one per cell of ``weights``) over [0, size)."""
+    return np.bincount(codes.reshape(-1), weights=weights.reshape(-1),
+                       minlength=size)
 
 
-def _leak_bits(weights, key_codes, tr_codes, helper_codes, sizes) -> float:
-    """I(key ∧ transcript, helper sequence) in bits (not yet per-symbol)."""
-    table = _joint3(weights, (key_codes, tr_codes, helper_codes), sizes)
-    h_key = _entropy_of(table.sum(axis=(1, 2)))
-    h_rest = _entropy_of(table.sum(axis=0))
-    return _clip0(h_key + h_rest - _entropy_of(table))
+def _info_bits(weights, a, a_size: int, b, b_size: int) -> float:
+    """I(A ∧ B) in bits, for codes A and B on the cells of ``weights``."""
+    table = _pushforward(weights, a * b_size + b, a_size * b_size)
+    table = table.reshape(a_size, b_size)
+    return _clip0(_entropy_of(table.sum(axis=1))
+                  + _entropy_of(table.sum(axis=0)) - _entropy_of(table))
+
+
+def _disagreement(weights, a, b) -> float:
+    return float(weights[a != b].sum())
+
+
+def _pairwise_figures(probs: np.ndarray, spec: ProtocolSpec, n: int):
+    """Errors, leaks (not yet per-symbol) and key entropies of a protocol
+    whose transcript is constant.
+
+    Each figure then involves two of the three sequences, so it is a
+    functional of one pairwise marginal of Pⁿ. The single-column key tables
+    broadcast against each other as (rows, 1) × (1, columns).
+    """
+    kxy, kxz = spec.key_xy_size, spec.key_xz_size
+    p_xy, p_xz, p_yz = (_kron_power(probs.sum(axis=axis), n)
+                        for axis in (2, 1, 0))
+    p_x = _kron_power(probs.sum(axis=(1, 2)), n)
+    ny, nz = p_yz.shape
+    y_row = np.arange(ny, dtype=np.int64).reshape(1, ny)
+    z_row = np.arange(nz, dtype=np.int64).reshape(1, nz)
+    return (
+        _disagreement(p_xy, spec.key_xy, spec.est_xy.T),
+        _disagreement(p_xz, spec.key_xz, spec.est_xz.T),
+        max(_info_bits(p_xz, spec.key_xy, kxy, z_row, nz),
+            _info_bits(p_yz, spec.est_xy, kxy, z_row, nz)),
+        max(_info_bits(p_xy, spec.key_xz, kxz, y_row, ny),
+            _info_bits(p_yz.T, spec.est_xz, kxz, y_row, ny)),
+        _entropy_of(_pushforward(p_x, spec.key_xy, kxy)),
+        _entropy_of(_pushforward(p_x, spec.key_xz, kxz)),
+    )
+
+
+def _joint_figures(probs: np.ndarray, spec: ProtocolSpec, n: int):
+    """The same figures as :func:`_pairwise_figures`, by running the
+    protocol on every joint sequence triple."""
+    weights = _kron_power(probs, n)
+    nx, ny, nz = weights.shape
+    xg = np.arange(nx, dtype=np.int64).reshape(nx, 1, 1)
+    yg = np.arange(ny, dtype=np.int64).reshape(1, ny, 1)
+    zg = np.arange(nz, dtype=np.int64).reshape(1, 1, nz)
+    own_grids = (xg, yg, zg)
+    transcript = np.zeros((1, 1, 1), dtype=np.int64)
+    for slot_no, slot in enumerate(spec.slots):
+        message = slot.table[own_grids[slot_no % 3], transcript]
+        transcript = transcript * slot.alphabet_size + message
+
+    k_xy, l_xy, k_xz, l_xz, transcript = (
+        np.broadcast_to(arr, weights.shape) for arr in (
+            spec.key_xy[xg, transcript], spec.est_xy[yg, transcript],
+            spec.key_xz[xg, transcript], spec.est_xz[zg, transcript],
+            transcript))
+    kxy, kxz = spec.key_xy_size, spec.key_xz_size
+    heard = spec.transcript_space()
+    # one code for the transcript together with the helper's sequence
+    tr_z = transcript * nz + zg
+    tr_y = transcript * ny + yg
+    return (
+        _disagreement(weights, k_xy, l_xy),
+        _disagreement(weights, k_xz, l_xz),
+        max(_info_bits(weights, k_xy, kxy, tr_z, heard * nz),
+            _info_bits(weights, l_xy, kxy, tr_z, heard * nz)),
+        max(_info_bits(weights, k_xz, kxz, tr_y, heard * ny),
+            _info_bits(weights, l_xz, kxz, tr_y, heard * ny)),
+        _entropy_of(_pushforward(weights, k_xy, kxy)),
+        _entropy_of(_pushforward(weights, k_xz, kxz)),
+    )
 
 
 def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
                       budget: int = DEFAULT_BUDGET) -> EvaluationReport:
-    """Run the protocol over every source sequence triple, exactly.
+    """Evaluate the protocol over every source sequence triple, exactly.
+
+    A protocol whose transcript is constant (every slot alphabet has size
+    1) is evaluated from the three pairwise marginals of Pⁿ; any other runs
+    over the joint table of all sequence triples.
 
     Raises
     ------
     BudgetExceededError
-        If the sequence space, or any accumulated joint table, would exceed
-        ``budget`` cells.
+        If the sequence tables the evaluation builds (the three pairwise
+        ones for a constant transcript, the joint one otherwise), or any
+        accumulated key/transcript/helper table, would exceed ``budget``
+        cells.
     MalformedTableError
         If a slot or key table does not match its domain (sequence count ×
         transcript count) for this source and blocklength.
@@ -236,10 +315,14 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
     cx, cy, cz = p.cardinalities
     n = spec.n
     nx, ny, nz = cx ** n, cy ** n, cz ** n
-    if nx * ny * nz > budget:
-        raise BudgetExceededError(
-            f"{nx * ny * nz} joint sequences exceed the budget of {budget}")
     num_tr_total = spec.transcript_space()
+    if num_tr_total == 1:
+        cells, what = nx * ny + nx * nz + ny * nz, "pairwise sequence cells"
+    else:
+        cells, what = nx * ny * nz, "joint sequences"
+    if cells > budget:
+        raise BudgetExceededError(
+            f"{cells} {what} exceed the budget of {budget}")
     for label, helper in (("Z", nz), ("Y", ny)):
         cells = max(spec.key_xy_size, spec.key_xz_size) * num_tr_total * helper
         if cells > budget:
@@ -247,26 +330,15 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
                 f"key/transcript/{label} joint table needs {cells} cells, "
                 f"over the budget of {budget}")
 
-    weights = _product_table(p.probs, n).reshape(-1)
-    xg = np.arange(nx, dtype=np.int64).reshape(nx, 1, 1)
-    yg = np.arange(ny, dtype=np.int64).reshape(1, ny, 1)
-    zg = np.arange(nz, dtype=np.int64).reshape(1, 1, nz)
-    own_grids = (xg, yg, zg)
     own_counts = (nx, ny, nz)
-
-    transcript = np.zeros((1, 1, 1), dtype=np.int64)
     heard = 1
     for slot_no, slot in enumerate(spec.slots):
-        side = slot_no % 3
-        expected = (own_counts[side], heard)
+        expected = (own_counts[slot_no % 3], heard)
         if slot.table.shape != expected:
             raise MalformedTableError(
                 f"slot {slot_no + 1} table has shape {slot.table.shape}, "
                 f"expected {expected}")
-        message = slot.table[own_grids[side], transcript]
-        transcript = transcript * slot.alphabet_size + message
         heard *= slot.alphabet_size
-
     for name, table, rows in (("key_xy", spec.key_xy, nx),
                               ("est_xy", spec.est_xy, ny),
                               ("key_xz", spec.key_xz, nx),
@@ -275,38 +347,14 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
             raise MalformedTableError(
                 f"{name} table has shape {table.shape}, expected {(rows, heard)}")
 
-    k_xy = spec.key_xy[xg, transcript]
-    l_xy = spec.est_xy[yg, transcript]
-    k_xz = spec.key_xz[xg, transcript]
-    l_xz = spec.est_xz[zg, transcript]
-    full = (nx, ny, nz)
-    k_xy, l_xy, k_xz, l_xz, transcript, y_full, z_full = (
-        np.broadcast_to(arr, full)
-        for arr in (k_xy, l_xy, k_xz, l_xz, transcript, yg, zg))
-
-    error_xy = float(weights[(k_xy != l_xy).reshape(-1)].sum())
-    error_xz = float(weights[(k_xz != l_xz).reshape(-1)].sum())
-    leak_xy = max(
-        _leak_bits(weights, k_xy, transcript, z_full,
-                   (spec.key_xy_size, heard, nz)),
-        _leak_bits(weights, l_xy, transcript, z_full,
-                   (spec.key_xy_size, heard, nz)),
-    ) / n
-    leak_xz = max(
-        _leak_bits(weights, k_xz, transcript, y_full,
-                   (spec.key_xz_size, heard, ny)),
-        _leak_bits(weights, l_xz, transcript, y_full,
-                   (spec.key_xz_size, heard, ny)),
-    ) / n
-    h_k_xy = _entropy_of(np.bincount(k_xy.reshape(-1), weights=weights,
-                                     minlength=spec.key_xy_size))
-    h_k_xz = _entropy_of(np.bincount(k_xz.reshape(-1), weights=weights,
-                                     minlength=spec.key_xz_size))
+    figures = _pairwise_figures if num_tr_total == 1 else _joint_figures
+    error_xy, error_xz, leak_xy, leak_xz, h_k_xy, h_k_xz = figures(
+        p.probs, spec, n)
     return EvaluationReport(
         error_xy=error_xy,
         error_xz=error_xz,
-        leak_xy=leak_xy,
-        leak_xz=leak_xz,
+        leak_xy=leak_xy / n,
+        leak_xz=leak_xz / n,
         unif_xy=_clip0((math.log2(spec.key_xy_size) - h_k_xy) / n),
         unif_xz=_clip0((math.log2(spec.key_xz_size) - h_k_xz) / n),
         rate_xy=h_k_xy / n,

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pkregion import load_pmf
 
 DATA = __file__.rsplit("/", 2)[0] + "/data"
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic; no deadline, since the time of one example on a busy
+# machine says nothing about the code.
+settings.register_profile("pkregion", derandomize=True, max_examples=100,
+                          deadline=None)
+settings.load_profile("pkregion")
 
 # one line per acceptance criterion, printed after the run (uncaptured)
 ACCEPTANCE_RESULTS = []

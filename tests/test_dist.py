@@ -172,3 +172,10 @@ def test_attach_statistic_rejects_off_support_label():
 def test_jointpmf_direct_construction_validates():
     with pytest.raises(ShapeMismatchError):
         JointPmf(variables=(), cardinalities=(), probs=np.ones(1))
+
+
+def test_jointpmf_rejects_non_finite_entries():
+    # only load_pmf used to check; a directly built table summed to nan
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(NonFiniteEntryError):
+            JointPmf(("A", "B"), (2, 2), [0.5, bad, 0.5, 0.0])

@@ -1,0 +1,150 @@
+"""Properties the maths guarantees, checked on hypothesis-drawn inputs.
+
+The draws follow the profile registered in ``conftest.py``: derandomized,
+with a fixed example count.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from pkregion import (
+    ProtocolSpec, SlotSpec, evaluate_protocol, exact_region, inner_region,
+    load_pmf, outer_region,
+)
+
+from conftest import pmf_as_dict
+from oracles import oracle_evaluate
+
+FIGURES = ("error", "leak", "unif", "rate")
+
+
+@st.composite
+def sources(draw, max_card=3):
+    """A source over small alphabets, zero cells included."""
+    cards = tuple(draw(st.integers(1, max_card)) for _ in range(3))
+    weights = draw(arrays(np.int64, cards, elements=st.integers(0, 4)))
+    if not weights.any():
+        weights[(0, 0, 0)] = 1
+    return load_pmf(weights / weights.sum(), ("X", "Y", "Z"), cards)
+
+
+def swap_yz(p):
+    return load_pmf(p.probs.transpose(0, 2, 1), ("X", "Z", "Y"),
+                    (p.cardinalities[0], p.cardinalities[2],
+                     p.cardinalities[1]))
+
+
+def null_slot(rows, heard):
+    return SlotSpec(alphabet_size=1, table=np.zeros((rows, heard), dtype=int))
+
+
+@st.composite
+def protocols(draw, cards, n, x_speaks):
+    """A protocol whose Y and Z slots are null. With ``x_speaks`` X sends a
+    binary message in each of one or two rounds; without it every slot is
+    null, so the transcript is constant."""
+    counts = tuple(c ** n for c in cards)
+    slots, heard = [], 1
+    for t in range(3 * draw(st.integers(int(x_speaks), 2))):
+        size = 2 if x_speaks and t % 3 == 0 else 1
+        slots.append(SlotSpec(alphabet_size=size, table=draw(arrays(
+            np.int64, (counts[t % 3], heard),
+            elements=st.integers(0, size - 1)))))
+        heard *= size
+    sizes = {"key_xy_size": draw(st.integers(1, 4)),
+             "key_xz_size": draw(st.integers(1, 4))}
+    tables = {
+        name: draw(arrays(np.int64, (counts[side], heard),
+                          elements=st.integers(0, sizes[size] - 1)))
+        for name, side, size in (("key_xy", 0, "key_xy_size"),
+                                 ("est_xy", 1, "key_xy_size"),
+                                 ("key_xz", 0, "key_xz_size"),
+                                 ("est_xz", 2, "key_xz_size"))}
+    return ProtocolSpec(n=n, rounds=len(slots) // 3, slots=tuple(slots),
+                        **sizes, **tables)
+
+
+def swap_protocol(spec, cards):
+    """The protocol run with Y and Z exchanged: X's slots stay, the null
+    slots take the other terminal's sequence count, the key pairs trade."""
+    counts = (cards[0] ** spec.n, cards[2] ** spec.n, cards[1] ** spec.n)
+    slots, heard = [], 1
+    for t, slot in enumerate(spec.slots):
+        slots.append(slot if t % 3 == 0 else null_slot(counts[t % 3], heard))
+        heard *= slot.alphabet_size
+    return ProtocolSpec(
+        n=spec.n, rounds=spec.rounds, slots=tuple(slots),
+        key_xy=spec.key_xz, est_xy=spec.est_xz,
+        key_xz=spec.key_xy, est_xz=spec.est_xy,
+        key_xy_size=spec.key_xz_size, key_xz_size=spec.key_xy_size)
+
+
+def as_oracle(spec):
+    return {"n": spec.n,
+            "slots": [(s.alphabet_size, s.table.tolist()) for s in spec.slots],
+            "key_xy_size": spec.key_xy_size, "key_xz_size": spec.key_xz_size,
+            **{name: getattr(spec, name).tolist()
+               for name in ("key_xy", "est_xy", "key_xz", "est_xz")}}
+
+
+def blocklength(draw, p, max_cells=4096):
+    """n ≤ 3, kept to at most ``max_cells`` joint sequence triples."""
+    cells = int(np.prod(p.cardinalities))
+    return draw(st.integers(1, max(n for n in (1, 2, 3)
+                                   if n == 1 or cells ** n <= max_cells)))
+
+
+@given(st.data())
+def test_constant_transcript_matches_oracle(data):
+    p = data.draw(sources())
+    n = blocklength(data.draw, p)
+    spec = data.draw(protocols(p.cardinalities, n, x_speaks=False))
+    assert spec.transcript_space() == 1
+    report = evaluate_protocol(p, spec)
+    want = oracle_evaluate(pmf_as_dict(p), p.cardinalities, as_oracle(spec))
+    for field, expected in want.items():
+        assert getattr(report, field) == pytest.approx(expected, abs=1e-12), \
+            field
+
+
+@pytest.mark.parametrize("x_speaks", (False, True))
+@given(data=st.data())
+def test_yz_swap_mirrors_evaluation(x_speaks, data):
+    p = data.draw(sources())
+    n = blocklength(data.draw, p)
+    spec = data.draw(protocols(p.cardinalities, n, x_speaks))
+    assert (spec.transcript_space() > 1) == x_speaks
+    report = evaluate_protocol(p, spec)
+    mirrored = evaluate_protocol(swap_yz(p),
+                                 swap_protocol(spec, p.cardinalities))
+    for figure in FIGURES:
+        for pair, other in (("xy", "xz"), ("xz", "xy")):
+            assert getattr(mirrored, f"{figure}_{pair}") == pytest.approx(
+                getattr(report, f"{figure}_{other}"), abs=1e-12), \
+                (figure, pair)
+
+
+def assert_mirrored(region, mirrored, tol=1e-9):
+    assert region.provenance == mirrored.provenance
+    if region.is_cap_form():
+        assert mirrored.cap_xy == pytest.approx(region.cap_xz, abs=tol)
+        assert mirrored.cap_xz == pytest.approx(region.cap_xy, abs=tol)
+        assert mirrored.cap_sum == pytest.approx(region.cap_sum, abs=tol)
+    # the two vertex sets are each other's reflection in r_xy = r_xz
+    ours = np.array(region.vertices)
+    theirs = np.array(mirrored.vertices)[:, ::-1]
+    gaps = np.abs(ours[:, None, :] - theirs[None, :, :]).max(axis=2)
+    assert gaps.min(axis=1).max() <= tol and gaps.min(axis=0).max() <= tol
+
+
+@given(sources(max_card=4))
+def test_yz_swap_mirrors_regions(p):
+    swapped = swap_yz(p)
+    assert_mirrored(outer_region(p), outer_region(swapped))
+    assert_mirrored(inner_region(p), inner_region(swapped))
+    exact, exact_swapped = exact_region(p), exact_region(swapped)
+    assert (exact is None) == (exact_swapped is None)
+    if exact is not None:
+        assert_mirrored(exact, exact_swapped)

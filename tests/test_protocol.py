@@ -243,6 +243,43 @@ def test_budget_guards():
                         key_xy_size=10 ** 9, key_xz_size=1)
     with pytest.raises(BudgetExceededError):
         evaluate_protocol(worked_pmf(), wide, budget=10 ** 6)
+    # a constant transcript builds the three pairwise tables, 3 · 16² cells,
+    # and never the 16³-cell joint one
+    with pytest.raises(BudgetExceededError):
+        evaluate_protocol(p, spec, budget=767)
+    assert evaluate_protocol(p, spec, budget=768).rate_xy == 0.0
+
+
+def symbol_power_table(symbol_map, card, n):
+    """Key column of the n-fold product of a per-symbol map onto {0, 1}."""
+    seqs = np.arange(card ** n)
+    symbol_map = np.asarray(symbol_map)
+    table = np.zeros(card ** n, dtype=np.int64)
+    for i in range(n):
+        table = table * 2 + symbol_map[seqs // card ** (n - 1 - i) % card]
+    return table.reshape(-1, 1)
+
+
+def test_constant_transcript_reaches_n10_against_closed_forms(bsc_source):
+    """The 2³⁰-cell joint table is over the default budget; the three
+    pairwise tables (3 · 2²⁰ cells) are not. For an n-fold product of a
+    per-symbol protocol the error is 1 − (1 − e₁)ⁿ and the per-symbol leak,
+    uniformity deficit and rate equal their n = 1 values."""
+    maps = {"key_xy": (0, 1), "est_xy": (0, 1),
+            "key_xz": (1, 0), "est_xz": (1, 0)}
+    one = oracle_evaluate(pmf_as_dict(bsc_source), (2, 2, 2), {
+        "n": 1, "slots": [], "key_xy_size": 2, "key_xz_size": 2,
+        **{name: [[k] for k in m] for name, m in maps.items()}})
+    n = 10
+    spec = ProtocolSpec(
+        n=n, rounds=0, slots=(), key_xy_size=2 ** n, key_xz_size=2 ** n,
+        **{name: symbol_power_table(m, 2, n) for name, m in maps.items()})
+    report = evaluate_protocol(bsc_source, spec)
+    for field, value in one.items():
+        if field.startswith("error"):
+            value = 1.0 - (1.0 - value) ** n
+        assert getattr(report, field) == pytest.approx(value, abs=1e-12), field
+    assert report.error_xz > 0.6 and report.leak_xy > 0.5
 
 
 def test_malformed_protocols_are_rejected():
@@ -267,6 +304,14 @@ def test_malformed_protocols_are_rejected():
                         key_xy_size=1, key_xz_size=1)
     with pytest.raises(MalformedTableError):
         evaluate_protocol(p, spec)
+    # null slots are shape-checked too, though they leave the transcript
+    # constant
+    silent = ProtocolSpec(n=1, rounds=1, slots=(null_slot(4), null_slot(3),
+                                                null_slot(4)),
+                          key_xy=zeros, est_xy=zeros, key_xz=zeros,
+                          est_xz=zeros, key_xy_size=1, key_xz_size=1)
+    with pytest.raises(MalformedTableError):
+        evaluate_protocol(p, silent)
 
 
 def test_non_integer_tables_are_rejected():
