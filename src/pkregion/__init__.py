@@ -5,9 +5,9 @@ The library computes, for any finite joint distribution of (X, Y, Z):
 
 * the converse (outer) region of simultaneously achievable key-rate pairs,
 * the achievable (inner) region built from minimal sufficient statistics,
-* the exact region whenever the source passes one of the two tightness
-  conditions (deterministic correlation of the helpers, or existence of a
-  separating extractable auxiliary),
+* the exact region whenever the helpers are deterministically correlated
+  (independent given their common part, which is also exactly when a
+  separating extractable auxiliary exists),
 
 and evaluates deterministic public-discussion protocols exactly against the
 ε agreement / secrecy / uniformity conditions at desk scale.
@@ -21,11 +21,10 @@ from .errors import BudgetExceededError, DegenerateInputError, \
     LabelMissingError, MalformedTableError, NegativeEntryError, \
     NonFiniteEntryError, OverlappingGroupsError, PkRegionError, \
     ShapeMismatchError, SumOutOfToleranceError, UnknownVariableError
-from .structure import DEFAULT_CI_TOL, AuxChannel, CommonFunction, Statistic, \
-    conditional_independence_residual, is_deterministically_correlated, \
-    maximal_common_function, minimal_sufficient_statistic, sample_feasible_aux
-from .auxsolver import DEFAULT_FEAS_TOL, SolverReport, dominance_oracle, \
-    max_aux_info_outer, max_aux_info_thm3
+from .structure import DEFAULT_CI_TOL, CommonFunction, Statistic, \
+    conditional_independence_residual, maximal_common_function, \
+    minimal_sufficient_statistic
+from .auxsolver import max_aux_info_outer
 from .regions import RateRegion, RegionReport, compute_report, contains, \
     exact_region, gap_metrics, hull, inner_region, outer_region
 from .protocol import DEFAULT_BUDGET, EvaluationReport, ProtocolSpec, \
@@ -46,13 +45,11 @@ __all__ = [
     "DegenerateInputError", "BudgetExceededError", "MalformedTableError",
     "InputFormatError",
     # structure
-    "DEFAULT_CI_TOL", "Statistic", "CommonFunction", "AuxChannel",
+    "DEFAULT_CI_TOL", "Statistic", "CommonFunction",
     "minimal_sufficient_statistic", "maximal_common_function",
-    "conditional_independence_residual", "is_deterministically_correlated",
-    "sample_feasible_aux",
+    "conditional_independence_residual",
     # extractable auxiliaries
-    "DEFAULT_FEAS_TOL", "SolverReport",
-    "max_aux_info_outer", "max_aux_info_thm3", "dominance_oracle",
+    "max_aux_info_outer",
     # regions
     "RateRegion", "RegionReport", "hull", "contains", "gap_metrics",
     "outer_region", "inner_region", "exact_region", "compute_report",

@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 
 from ._version import __version__
-from .auxsolver import DEFAULT_FEAS_TOL
 from .dist import DEFAULT_SUM_TOL
 from .errors import BudgetExceededError, PkRegionError
 from .ioformats import check_document, dumps_deterministic, \
@@ -45,9 +44,7 @@ _OPTIONS = (
     ("--tol-sum", "sum_tol", float, DEFAULT_SUM_TOL,
      "allowed deviation of the pmf total from 1"),
     ("--tol-ci", "ci_tol", float, DEFAULT_CI_TOL,
-     "per-component conditional-independence tolerance"),
-    ("--tol-feas", "feas_tol", float, DEFAULT_FEAS_TOL,
-     "separating-auxiliary feasibility tolerance"),
+     "max-abs conditional-independence tolerance of the tightness test"),
     ("--budget", "budget", int, DEFAULT_BUDGET,
      "enumeration budget in table cells, simulate only"),
     ("--eps", "eps", float, 0.0,
@@ -64,12 +61,11 @@ class RunConfig:
     protocol: str | None
     sum_tol: float
     ci_tol: float
-    feas_tol: float
     budget: int
     eps: float
 
     def __post_init__(self):
-        for name in ("sum_tol", "ci_tol", "feas_tol"):
+        for name in ("sum_tol", "ci_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.budget < 1:
@@ -85,7 +81,6 @@ class RunConfig:
             "protocol": self.protocol,
             "tol_sum": self.sum_tol,
             "tol_ci": self.ci_tol,
-            "tol_feas": self.feas_tol,
             "budget": self.budget,
             "eps": self.eps,
         }
@@ -155,15 +150,15 @@ def _require_input(cfg: RunConfig) -> str:
 def cmd_compute(cfg: RunConfig) -> int:
     """Full pipeline: regions, tightness flags, gaps, named quantities."""
     p = read_pmf(_require_input(cfg), sum_tol=cfg.sum_tol)
-    report = compute_report(p, ci_tol=cfg.ci_tol, feas_tol=cfg.feas_tol)
+    report = compute_report(p, ci_tol=cfg.ci_tol)
     _deliver(regions_document(report, cfg.echo()), cfg.output)
     return 0
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    """Tightness conditions only: common part, correlation test, separation."""
+    """Tightness test only: common part and conditional-independence residual."""
     p = read_pmf(_require_input(cfg), sum_tol=cfg.sum_tol)
-    report = compute_report(p, ci_tol=cfg.ci_tol, feas_tol=cfg.feas_tol)
+    report = compute_report(p, ci_tol=cfg.ci_tol)
     _deliver(check_document(report, cfg.echo()), cfg.output)
     return 0
 

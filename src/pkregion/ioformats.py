@@ -43,8 +43,8 @@ __all__ = [
 
 PMF_SCHEMA = "pkregion-pmf-v1"
 PROTOCOL_SCHEMA = "pkregion-protocol-v1"
-REGIONS_SCHEMA = "pkregion-regions-v2"
-CHECK_SCHEMA = "pkregion-check-v2"
+REGIONS_SCHEMA = "pkregion-regions-v3"
+CHECK_SCHEMA = "pkregion-check-v3"
 EVALUATION_SCHEMA = "pkregion-evaluation-v1"
 
 
@@ -194,14 +194,6 @@ def _region_entry(region):
     }
 
 
-def _solver_entry(solver) -> dict:
-    return {
-        "feasible": solver.converged,
-        "value": solver.value,
-        "residual": solver.residual,
-    }
-
-
 def regions_document(report: RegionReport, config: dict) -> dict:
     return {
         "schema": REGIONS_SCHEMA,
@@ -211,7 +203,6 @@ def regions_document(report: RegionReport, config: dict) -> dict:
         "mcf_components": report.components,
         "det_correlated": report.thm4_holds,
         "ci_residual": report.ci_residual,
-        "separating_aux": _solver_entry(report.solver),
         "regions": {
             "outer": _region_entry(report.outer),
             "inner": _region_entry(report.inner),
@@ -229,7 +220,6 @@ def check_document(report: RegionReport, config: dict) -> dict:
         "mcf_components": report.components,
         "det_correlated": report.thm4_holds,
         "ci_residual": report.ci_residual,
-        "separating_aux": _solver_entry(report.solver),
     }
 
 
@@ -261,11 +251,11 @@ def evaluation_document(report: EvaluationReport, eps: float, eps_pk,
 _REQUIRED_KEYS = {
     REGIONS_SCHEMA: frozenset({
         "schema", "tool", "config", "quantities", "mcf_components",
-        "det_correlated", "ci_residual", "separating_aux", "regions", "gaps",
+        "det_correlated", "ci_residual", "regions", "gaps",
     }),
     CHECK_SCHEMA: frozenset({
         "schema", "tool", "config", "mcf_components", "det_correlated",
-        "ci_residual", "separating_aux",
+        "ci_residual",
     }),
     EVALUATION_SCHEMA: frozenset({
         "schema", "tool", "config", "evaluation", "eps", "eps_pk",
@@ -318,12 +308,6 @@ def validate_report(doc) -> str:
             raise InputFormatError("regions must be an object")
         for slot in ("outer", "inner", "exact"):
             _check_region_entry(regions.get(slot), slot)
-    if schema in (REGIONS_SCHEMA, CHECK_SCHEMA):
-        aux = doc["separating_aux"]
-        if not isinstance(aux, dict) or not {"feasible", "value",
-                                             "residual"} <= aux.keys():
-            raise InputFormatError(
-                "separating_aux must carry feasible, value and residual")
     if schema == EVALUATION_SCHEMA:
         ev = doc["evaluation"]
         if not isinstance(ev, dict):

@@ -323,8 +323,10 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
     if cells > budget:
         raise BudgetExceededError(
             f"{cells} {what} exceed the budget of {budget}")
-    for label, helper in (("Z", nz), ("Y", ny)):
-        cells = max(spec.key_xy_size, spec.key_xz_size) * num_tr_total * helper
+    # each helper is paired with the key it must not learn
+    for label, key_size, helper in (("Z", spec.key_xy_size, nz),
+                                    ("Y", spec.key_xz_size, ny)):
+        cells = key_size * num_tr_total * helper
         if cells > budget:
             raise BudgetExceededError(
                 f"key/transcript/{label} joint table needs {cells} cells, "

@@ -8,9 +8,9 @@ them and carries vertices only.
 
 Geometry is closed-form throughout — a cap-form region has at most five
 vertices, hulls use the monotone chain on coordinates rounded to 12
-decimals, and the (approximate) Hausdorff gap is measured by dense edge
-sampling. No linear-programming machinery is involved, which keeps results
-deterministic to the bit across platforms.
+decimals, and the Hausdorff gap is the largest distance from a vertex of one
+region to the other. No linear-programming machinery is involved, which
+keeps results deterministic to the bit across platforms.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .auxsolver import DEFAULT_FEAS_TOL, SolverReport, max_aux_info_outer, \
-    max_aux_info_thm3
+from .auxsolver import max_aux_info_outer
 from .dist import NUM_TOL, JointPmf, attach_statistic, cond_mutual_info, \
     source_roles, _clip0
 from .errors import DegenerateInputError
@@ -41,7 +38,7 @@ __all__ = [
     "compute_report",
 ]
 
-_PROVENANCES = frozenset({"outer", "inner-hull", "exact-thm3", "exact-thm4"})
+_PROVENANCES = frozenset({"outer", "inner-hull", "exact-thm4"})
 
 # Hull coordinates are rounded to this many decimals before exact
 # comparisons; doubles as the duplicate-vertex threshold.
@@ -152,9 +149,6 @@ class RateRegion:
     def from_hull(cls, points, provenance: str = "inner-hull") -> "RateRegion":
         return cls(None, None, None, _start_at_origin(hull(points)), provenance)
 
-    def contains(self, point, tol: float = 0.0) -> bool:
-        return contains(self, point, tol)
-
     def is_cap_form(self) -> bool:
         return self.cap_xy is not None
 
@@ -218,44 +212,33 @@ def contains(region: RateRegion, point, tol: float = 0.0) -> bool:
     return True
 
 
-def _sample_boundary(verts: tuple, per_edge: int = 1000) -> np.ndarray:
-    chunks = []
-    for p0, p1 in _edge_list(verts):
-        t = np.linspace(0.0, 1.0, per_edge)
-        chunks.append(np.outer(1.0 - t, p0) + np.outer(t, p1))
-    return np.vstack(chunks)
+def _distance_to(verts: tuple, point) -> float:
+    """Euclidean distance from ``point`` to the convex polygon ``verts``.
 
-
-def _min_dist_to_boundary(points: np.ndarray, verts: tuple) -> np.ndarray:
-    best = np.full(len(points), np.inf)
-    for p0, p1 in _edge_list(verts):
-        p0 = np.asarray(p0, dtype=np.float64)
-        d = np.asarray(p1, dtype=np.float64) - p0
-        length2 = float(d @ d)
-        if length2 == 0.0:
-            closest = np.broadcast_to(p0, points.shape)
-        else:
-            t = np.clip((points - p0) @ d / length2, 0.0, 1.0)
-            closest = p0 + t[:, None] * d
-        best = np.minimum(best, np.linalg.norm(points - closest, axis=1))
-    return best
+    Zero inside it; otherwise the distance to its nearest edge. Points, and
+    segments, are their own (single-edge) boundary.
+    """
+    edges = _edge_list(verts)
+    if len(verts) > 2 and all(_cross(p0, p1, point) >= 0.0
+                              for p0, p1 in edges):
+        return 0.0
+    return min(_point_segment_distance(point, p0, p1) for p0, p1 in edges)
 
 
 def gap_metrics(inner: RateRegion, outer: RateRegion):
-    """(area difference, Hausdorff distance) between two regions.
+    """(area difference, Hausdorff distance) between two convex regions.
 
     The area difference is outer minus inner by the shoelace formula. The
-    Hausdorff distance is approximated on the boundaries with 1000 samples
-    per edge, each sample measured against the other boundary's edges; at
-    desk scale that is accurate to well below the tolerances used anywhere
-    in this package.
+    distance to a convex region is a convex function of the point, so over
+    the other region it peaks at a vertex: the Hausdorff distance is the
+    largest distance from a vertex of either region to the other region,
+    exactly. For nested regions it equals the distance between the two
+    boundaries.
     """
     area_gap = _polygon_area(outer.vertices) - _polygon_area(inner.vertices)
-    inner_pts = _sample_boundary(inner.vertices)
-    outer_pts = _sample_boundary(outer.vertices)
     hausdorff = max(
-        float(_min_dist_to_boundary(inner_pts, outer.vertices).max()),
-        float(_min_dist_to_boundary(outer_pts, inner.vertices).max()),
+        max(_distance_to(outer.vertices, v) for v in inner.vertices),
+        max(_distance_to(inner.vertices, v) for v in outer.vertices),
     )
     return _clip0(area_gap), hausdorff
 
@@ -317,32 +300,23 @@ def inner_region(p: JointPmf) -> RateRegion:
     return RateRegion.from_hull(_cap_vertices(*caps1) + _cap_vertices(*caps2))
 
 
-def _exact_caps(a: float, b: float, cap_sum: float,
-                det_correlated: bool) -> RateRegion:
-    """The outer caps, labelled exact; call only when a tightness test passed.
-
-    A feasible separating auxiliary gives the sum cap I(X∧Y,Z) − I(C∧X),
-    which is the outer one.
-    """
-    return RateRegion.from_caps(
-        a, b, cap_sum, "exact-thm4" if det_correlated else "exact-thm3")
-
-
-def exact_region(p: JointPmf, ci_tol: float = DEFAULT_CI_TOL,
-                 feas_tol: float = DEFAULT_FEAS_TOL) -> RateRegion | None:
+def exact_region(p: JointPmf,
+                 ci_tol: float = DEFAULT_CI_TOL) -> RateRegion | None:
     """Exact capacity region, when the source admits one; ``None`` otherwise.
 
-    Deterministically correlated sources use the outer caps directly
-    (provenance ``exact-thm4``). Failing that, a separating extractable
-    auxiliary yields provenance ``exact-thm3``.
+    A source whose helpers are deterministically correlated — Y and Z
+    independent given their common part, up to ``ci_tol`` on the max-abs
+    residual — has the outer caps as its exact region (provenance
+    ``exact-thm4``). A separating extractable auxiliary exists for exactly
+    these sources (see :mod:`pkregion.auxsolver`), so no other test is made.
     """
     _, y, z = source_roles(p)
     cf = maximal_common_function(p, y, z)
-    det_correlated = conditional_independence_residual(p, y, z, cf) <= ci_tol
-    if not (det_correlated or max_aux_info_thm3(p, feas_tol, cf).converged):
+    if conditional_independence_residual(p, y, z, cf) > ci_tol:
         return None
     a, b, i_x_yz, i_x_common = _base_quantities(p, cf)
-    return _exact_caps(a, b, _clip0(i_x_yz - i_x_common), det_correlated)
+    return RateRegion.from_caps(a, b, _clip0(i_x_yz - i_x_common),
+                                "exact-thm4")
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,34 +325,31 @@ class RegionReport:
 
     ``quantities`` maps names of the intermediate information terms (bits)
     to their values; ``components`` and ``ci_residual`` describe the common
-    part of (Y, Z); ``solver`` is the separating-auxiliary report.
-    ``area_gap`` and ``hausdorff_gap`` measure inner versus outer.
+    part of (Y, Z), and ``thm4_holds`` is the tightness verdict
+    ``ci_residual <= ci_tol``. ``area_gap`` and ``hausdorff_gap`` measure
+    inner versus outer.
     """
 
     outer: RateRegion
     inner: RateRegion
     exact: RateRegion | None
     thm4_holds: bool
-    thm3_feasible: bool
     components: int
     ci_residual: float
     area_gap: float
     hausdorff_gap: float
     quantities: dict
-    solver: SolverReport
 
 
-def compute_report(p: JointPmf, ci_tol: float = DEFAULT_CI_TOL,
-                   feas_tol: float = DEFAULT_FEAS_TOL) -> RegionReport:
+def compute_report(p: JointPmf,
+                   ci_tol: float = DEFAULT_CI_TOL) -> RegionReport:
     """Run the full pipeline on one source and collect every artifact.
 
     One analysis pass: the maximal common function, the information terms
     and the conditional-independence residual are computed once and feed
-    the outer/inner regions, both tightness checks (the
-    deterministic-correlation test and the separating-auxiliary test are
-    performed independently and both reported), the exact region when
-    either check passes, the inner-vs-outer gap metrics, and all named
-    information quantities.
+    the outer/inner regions, the tightness test (residual at most
+    ``ci_tol``), the exact region when it passes, the inner-vs-outer gap
+    metrics, and all named information quantities.
     """
     _, y, z = source_roles(p)
     cf = maximal_common_function(p, y, z)
@@ -388,10 +359,9 @@ def compute_report(p: JointPmf, ci_tol: float = DEFAULT_CI_TOL,
     inner = RateRegion.from_hull(_cap_vertices(*caps1) + _cap_vertices(*caps2))
     ci_residual = conditional_independence_residual(p, y, z, cf)
     det_correlated = ci_residual <= ci_tol
-    solver = max_aux_info_thm3(p, feas_tol, cf)
     exact = None
-    if det_correlated or solver.converged:
-        exact = _exact_caps(a, b, outer.cap_sum, det_correlated)
+    if det_correlated:
+        exact = RateRegion.from_caps(a, b, outer.cap_sum, "exact-thm4")
     area_gap, hausdorff_gap = gap_metrics(inner, outer)
     quantities = {
         "i_x_y_given_z": a,
@@ -400,18 +370,15 @@ def compute_report(p: JointPmf, ci_tol: float = DEFAULT_CI_TOL,
         "i_x_mss_y": i_x_mss_y,
         "i_x_mss_z": i_x_mss_z,
         "i_x_common": i_x_common,
-        "i_x_aux_separating": solver.value,
     }
     return RegionReport(
         outer=outer,
         inner=inner,
         exact=exact,
         thm4_holds=det_correlated,
-        thm3_feasible=solver.converged,
         components=cf.components,
         ci_residual=ci_residual,
         area_gap=area_gap,
         hausdorff_gap=hausdorff_gap,
         quantities=quantities,
-        solver=solver,
     )

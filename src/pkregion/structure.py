@@ -7,8 +7,8 @@ Three objects drive the region computations downstream:
 * the maximal common function of two variables (the finest random variable
   that is almost surely a deterministic function of each; its classes are
   the connected components of the support bipartite graph),
-* the deterministic-correlation test: whether conditioning on the maximal
-  common function renders the two variables independent.
+* the conditional-independence residual given the maximal common function,
+  whose vanishing (up to a tolerance) is the deterministic-correlation test.
 
 Zero-probability symbols carry no label and are excluded from every
 partition; the objects here are defined almost surely. Labelings are
@@ -30,12 +30,9 @@ __all__ = [
     "DEFAULT_CI_TOL",
     "Statistic",
     "CommonFunction",
-    "AuxChannel",
     "minimal_sufficient_statistic",
     "maximal_common_function",
     "conditional_independence_residual",
-    "is_deterministically_correlated",
-    "sample_feasible_aux",
 ]
 
 DEFAULT_CI_TOL = 1e-9
@@ -68,10 +65,6 @@ class Statistic:
             raise ShapeMismatchError("labels must be >= -1")
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def support(self) -> tuple:
-        return tuple(v >= 0 for v in self.labels)
-
     def classes(self) -> tuple:
         """Symbols grouped by label, label order."""
         out = [[] for _ in range(self.num_classes)]
@@ -83,20 +76,6 @@ class Statistic:
     def as_partition(self) -> frozenset:
         """Label-free view, for comparing partitions."""
         return frozenset(frozenset(cls) for cls in self.classes())
-
-    @classmethod
-    def identity(cls, variable: str, support_mask) -> "Statistic":
-        labels, nxt = [], 0
-        for on in support_mask:
-            labels.append(nxt if on else -1)
-            nxt += 1 if on else 0
-        return cls(variable, tuple(labels), nxt)
-
-    @classmethod
-    def constant(cls, variable: str, support_mask) -> "Statistic":
-        labels = tuple(0 if on else -1 for on in support_mask)
-        k = 1 if any(support_mask) else 0
-        return cls(variable, labels, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,36 +90,6 @@ class CommonFunction:
         if self.stat_a.num_classes != self.components or \
                 self.stat_b.num_classes != self.components:
             raise ShapeMismatchError("both sides must use the same component labels")
-
-
-@dataclass(frozen=True, eq=False)
-class AuxChannel:
-    """Conditional pmf w(u | component) generating an auxiliary variable.
-
-    Rows live on the probability simplex (within 1e-12). Any such channel
-    applied to the maximal-common-function label yields an auxiliary variable
-    whose conditional law given the source depends on the component alone,
-    hence is simultaneously a function of either side of the pair.
-    """
-
-    components: int
-    aux_card: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (self.components, self.aux_card):
-            raise ShapeMismatchError(
-                f"channel shape {m.shape} != ({self.components}, {self.aux_card})"
-            )
-        if np.any(m < 0.0):
-            raise ShapeMismatchError("channel entries must be nonnegative")
-        rows = m.sum(axis=1)
-        if self.components and np.max(np.abs(rows - 1.0)) > 1e-12:
-            raise ShapeMismatchError("channel rows must sum to 1 within 1e-12")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
 
 def _pair_table(p: JointPmf, a: str, b: str) -> np.ndarray:
@@ -265,29 +214,3 @@ def conditional_independence_residual(p: JointPmf, a: str, b: str,
         resid = np.abs(cond - np.outer(cond.sum(axis=1), cond.sum(axis=0)))
         worst = max(worst, float(resid.max()))
     return worst
-
-
-def is_deterministically_correlated(p: JointPmf, a: str, b: str,
-                                    ci_tol: float = DEFAULT_CI_TOL):
-    """Whether the maximal common function renders ``a`` and ``b`` independent.
-
-    Returns ``(verdict, common_function)``; the verdict is True iff the
-    conditional-independence residual is at most ``ci_tol`` in every
-    component.
-    """
-    cf = maximal_common_function(p, a, b)
-    return conditional_independence_residual(p, a, b, cf) <= ci_tol, cf
-
-
-def sample_feasible_aux(cf: CommonFunction, aux_card: int, seed) -> AuxChannel:
-    """Pseudorandom channel from component labels to an auxiliary alphabet.
-
-    Rows are Dirichlet(1, ..., 1) draws renormalized onto the simplex;
-    deterministic for a fixed seed.
-    """
-    if aux_card < 1:
-        raise ValueError("aux_card must be >= 1")
-    rng = np.random.default_rng(seed)
-    m = rng.dirichlet(np.ones(aux_card), size=cf.components)
-    m = m / m.sum(axis=1, keepdims=True)
-    return AuxChannel(cf.components, aux_card, m)

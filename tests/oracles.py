@@ -9,6 +9,7 @@ positions are referred to by index.
 """
 
 import math
+import random
 from itertools import product
 
 
@@ -188,7 +189,7 @@ def conditional_independence_residual_oracle(dist, pos_a, pos_b):
     return worst
 
 
-# -- separating auxiliaries ----------------------------------------------------------
+# -- extractable and separating auxiliaries ------------------------------------------
 
 def separating_aux_oracle(dist, tol):
     """Every deterministic channel from the common part of (Y, Z) to U.
@@ -211,6 +212,38 @@ def separating_aux_oracle(dist, tol):
     feasible = [value for value, resid in attempts if resid <= tol]
     return (min(resid for _, resid in attempts), bool(feasible),
             max(feasible) if feasible else None)
+
+
+def dominance_probe(dist, trials, seed):
+    """Largest I(U;X) over ``trials`` random extractable auxiliaries.
+
+    Positions are (X, Y, Z). Each U is a channel w(u | c) from the component
+    c of Y in the (Y, Z) support graph, with rows drawn uniformly from the
+    simplex (normalized exponentials) and |U| cycling through
+    1..components+2; ``seed`` fixes every draw.
+    """
+    classes_y, _, components = components_by_union_find(dist, 1, 2)
+    label = {sym: c for c, cls in enumerate(sorted(classes_y, key=min))
+             for sym in cls}
+    joint_xc = {}
+    for key, pr in dist.items():
+        if pr > 0.0:
+            cell = (key[0], label[key[1]])
+            joint_xc[cell] = joint_xc.get(cell, 0.0) + pr
+    rng = random.Random(seed)
+    best = 0.0
+    for t in range(trials):
+        card = 1 + t % (components + 2)
+        rows = []
+        for _ in range(components):
+            draws = [rng.expovariate(1.0) for _ in range(card)]
+            rows.append([d / sum(draws) for d in draws])
+        joint_xu = {}
+        for (x, c), pr in joint_xc.items():
+            for u, w in enumerate(rows[c]):
+                joint_xu[(x, u)] = joint_xu.get((x, u), 0.0) + pr * w
+        best = max(best, oracle_cmi(joint_xu, (0,), (1,)))
+    return best
 
 
 # -- the worked source ---------------------------------------------------------------

@@ -1,17 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from pkregion import (
-    DEFAULT_FEAS_TOL, attach_statistic, cond_mutual_info, dominance_oracle,
-    load_pmf, max_aux_info_outer, max_aux_info_thm3, maximal_common_function,
+    attach_statistic, compute_report, cond_mutual_info, exact_region,
+    load_pmf, max_aux_info_outer, maximal_common_function, outer_region,
 )
-from pkregion.auxsolver import SolverReport
 from pkregion.structure import Statistic
 
 from conftest import det_correlated_pmf, pmf_as_dict, random_pmf, rng_for, \
     square_pmf
-import itertools
 import oracles
+
+# Tolerance of the oracle's separating verdict, on I(Y;Z|U) in bits.
+SEPARATING_TOL = 1e-7
 
 
 # -- the closed-form ceiling ---------------------------------------------------------
@@ -62,95 +65,118 @@ def test_dominance_oracle_never_beats_ceiling():
     sources.append(square_pmf())
     for i, p in enumerate(sources):
         bound, _ = max_aux_info_outer(p)
-        assert dominance_oracle(p, trials=200, seed=500 + i) <= bound + 1e-9
+        probe = oracles.dominance_probe(pmf_as_dict(p), trials=200,
+                                        seed=500 + i)
+        assert probe <= bound + 1e-9
 
 
 def test_dominance_oracle_is_deterministic(worked_source):
-    a = dominance_oracle(worked_source, trials=50, seed=7)
-    b = dominance_oracle(worked_source, trials=50, seed=7)
+    dist = pmf_as_dict(worked_source)
+    a = oracles.dominance_probe(dist, trials=50, seed=7)
+    b = oracles.dominance_probe(dist, trials=50, seed=7)
     assert a == b
 
 
-# -- the restart solver ----------------------------------------------------------------
+# -- separating auxiliaries against the one tightness verdict ------------------------
+#
+# A separating extractable auxiliary exists exactly when the helpers are
+# deterministically correlated (proof in the auxsolver docstring), so the
+# brute-force oracle's verdict must match the package's single test.
+
+def separating(p):
+    """(smallest residual, feasible, best value) from the brute-force oracle."""
+    return oracles.separating_aux_oracle(pmf_as_dict(p), SEPARATING_TOL)
+
 
 def test_thm3_on_worked_source(worked_source):
-    report = max_aux_info_thm3(worked_source)
-    assert isinstance(report, SolverReport)
-    assert report.converged
-    assert report.value == pytest.approx(1.0, abs=1e-9)
-    assert report.residual <= 1e-7
+    report = compute_report(worked_source)
+    resid, feasible, best = separating(worked_source)
+    assert feasible and report.thm4_holds
+    assert resid <= 1e-12
+    assert best == pytest.approx(1.0, abs=1e-9)
+    assert report.quantities["i_x_common"] == pytest.approx(best, abs=1e-9)
+    assert report.exact.provenance == "exact-thm4"
 
 
 def test_thm3_square_source(square_source):
     # Y and Z are independent here, so the common part is trivial and the
     # best separating auxiliary carries nothing about X
-    report = max_aux_info_thm3(square_source)
-    assert report.converged
-    assert report.value == 0.0
+    report = compute_report(square_source)
+    _, feasible, best = separating(square_source)
+    assert feasible and best == pytest.approx(0.0, abs=1e-12)
+    assert report.thm4_holds
+    assert report.quantities["i_x_common"] == 0.0
+    assert report.exact.vertices == report.outer.vertices
 
 
 def test_thm3_trivial_when_independent(independent_source):
-    report = max_aux_info_thm3(independent_source)
-    assert report.converged
-    assert report.value == 0.0
-    assert report.residual <= 1e-12
+    report = compute_report(independent_source)
+    resid, feasible, best = separating(independent_source)
+    assert feasible and resid <= 1e-12
+    assert best == pytest.approx(0.0, abs=1e-12)
+    assert report.thm4_holds and report.ci_residual <= 1e-12
+    assert report.exact is not None
 
 
 def test_thm3_bsc_is_infeasible(bsc_source):
-    """One mixed component: no auxiliary variable separates Y from Z, and the
-    best-attempt residual equals the raw dependence I(Y;Z)."""
-    report = max_aux_info_thm3(bsc_source)
-    assert not report.converged
-    assert report.residual == pytest.approx(
+    """One mixed component: no auxiliary variable separates Y from Z, the
+    smallest residual is the raw dependence I(Y;Z), and there is no exact
+    region."""
+    resid, feasible, best = separating(bsc_source)
+    assert not feasible and best is None
+    assert resid == pytest.approx(
         cond_mutual_info(bsc_source, "Y", "Z"), abs=1e-9)
+    assert not compute_report(bsc_source).thm4_holds
+    assert exact_region(bsc_source) is None
 
 
 def test_thm3_never_exceeds_ceiling():
+    """On deterministically correlated sources the exact region is the
+    outer one, and no separating auxiliary beats the ceiling I(C∧X)."""
     rng = rng_for(303)
     for trial in range(8):
         p, _ = det_correlated_pmf(rng)
         bound, _ = max_aux_info_outer(p)
-        report = max_aux_info_thm3(p)
-        if report.converged:
-            assert report.value <= bound + 1e-9
+        _, feasible, best = separating(p)
+        assert feasible and best <= bound + 1e-9
+        exact, outer = exact_region(p), outer_region(p)
+        assert (exact.cap_xy, exact.cap_xz, exact.cap_sum) == (
+            outer.cap_xy, outer.cap_xz, outer.cap_sum)
 
 
 def test_thm3_report_is_bitwise_deterministic(worked_source, bsc_source):
     for p in (worked_source, bsc_source):
-        r1 = max_aux_info_thm3(p)
-        r2 = max_aux_info_thm3(p)
-        assert r1.value == r2.value
-        assert r1.residual == r2.residual
-        assert r1.converged == r2.converged
+        r1 = compute_report(p)
+        r2 = compute_report(p)
+        assert r1.thm4_holds == r2.thm4_holds
+        assert r1.ci_residual == r2.ci_residual
+        assert r1.quantities == r2.quantities
+        assert r1.outer.vertices == r2.outer.vertices
+        assert (r1.exact is None) == (r2.exact is None)
 
 
-def test_thm3_channel_is_reported_feasible(worked_source):
-    report = max_aux_info_thm3(worked_source)
-    assert report.residual >= 0.0
-    # reported value and residual match a recomputation from U = C
-    cf = maximal_common_function(worked_source, "Y", "Z")
-    q = attach_statistic(worked_source, cf.stat_a, new_name="U")
-    assert cond_mutual_info(q, "U", "X") == pytest.approx(report.value,
-                                                          abs=1e-12)
-    assert cond_mutual_info(q, "Y", "Z", "U") == pytest.approx(
-        report.residual, abs=1e-12)
-
-
-def test_solver_report_is_frozen(worked_source):
-    report = max_aux_info_thm3(worked_source)
-    with pytest.raises(AttributeError):
-        report.value = 0.0
+def test_thm3_channel_is_reported_feasible(worked_source, bsc_source):
+    """U = C separates the worked source's helpers and carries the reported
+    I(C∧X); on the noisy pair it leaves all of I(Y;Z)."""
+    for p, separates in ((worked_source, True), (bsc_source, False)):
+        report = compute_report(p)
+        cf = maximal_common_function(p, "Y", "Z")
+        q = attach_statistic(p, cf.stat_a, new_name="U")
+        assert cond_mutual_info(q, "U", "X") == pytest.approx(
+            report.quantities["i_x_common"], abs=1e-12)
+        resid = cond_mutual_info(q, "Y", "Z", "U")
+        assert (resid <= 1e-12) == separates == report.thm4_holds
 
 
 def test_thm3_against_oracle_best_over_channels():
     """On a tiny deterministically-correlated source, random channel search
-    (the oracle) should not beat the solver's reported optimum."""
+    (the oracle) should not beat the exact region's common-part term."""
     rng = rng_for(304)
     p, _ = det_correlated_pmf(rng, max_components=2, max_block=2, x_card=2)
-    report = max_aux_info_thm3(p)
-    assert report.converged
-    probe = dominance_oracle(p, trials=500, seed=21)
-    assert probe <= report.value + 1e-9
+    report = compute_report(p)
+    assert report.exact is not None
+    probe = oracles.dominance_probe(pmf_as_dict(p), trials=500, seed=21)
+    assert probe <= report.quantities["i_x_common"] + 1e-9
 
 
 def dependent_block_pmf(rng, components, x_card=2):
@@ -177,8 +203,10 @@ def dependent_block_pmf(rng, components, x_card=2):
 
 
 def test_thm3_matches_bruteforce_oracle():
-    """The closed form against every deterministic channel from the common
-    part: same smallest residual, same verdict, same best feasible value."""
+    """The package's one tightness verdict against every deterministic
+    channel from the common part: a separating auxiliary exists exactly when
+    the source is labelled deterministically correlated, and the best one
+    carries the reported I(C∧X)."""
     rng = rng_for(305)
     sources = [random_pmf(rng, cards=(2, 3, 3)) for _ in range(4)]
     sources += [det_correlated_pmf(rng, x_card=2)[0] for _ in range(6)]
@@ -186,13 +214,12 @@ def test_thm3_matches_bruteforce_oracle():
                 for _ in range(2)]
     verdicts = []
     for p in sources:
-        report = max_aux_info_thm3(p)
-        min_resid, feasible, best = oracles.separating_aux_oracle(
-            pmf_as_dict(p), DEFAULT_FEAS_TOL)
-        assert abs(report.residual - min_resid) <= 1e-9
-        assert report.converged == feasible
+        report = compute_report(p)
+        _, feasible, best = separating(p)
+        assert report.thm4_holds == feasible
+        assert (report.exact is not None) == feasible
         if feasible:
-            assert abs(report.value - best) <= 1e-9
+            assert abs(report.quantities["i_x_common"] - best) <= 1e-9
         verdicts.append(feasible)
     # both verdicts occur, and the block sources are all infeasible
     assert any(verdicts) and not all(verdicts)

@@ -136,11 +136,11 @@ def test_report_documents_validate(worked_source):
     cfg = {"seed": 42}
     regions = regions_document(report, cfg)
     check = check_document(report, cfg)
-    assert validate_report(regions) == "pkregion-regions-v2"
-    assert validate_report(check) == "pkregion-check-v2"
+    assert validate_report(regions) == "pkregion-regions-v3"
+    assert validate_report(check) == "pkregion-check-v3"
     # a serialization round trip must still validate
     assert validate_report(json.loads(dumps_deterministic(regions))) \
-        == "pkregion-regions-v2"
+        == "pkregion-regions-v3"
 
 
 def test_evaluation_document_validates(square_source):
@@ -179,7 +179,7 @@ def test_exact_entry_may_be_null(bsc_source):
     report = compute_report(bsc_source)
     doc = regions_document(report, {})
     assert doc["regions"]["exact"] is None
-    assert validate_report(doc) == "pkregion-regions-v2"
+    assert validate_report(doc) == "pkregion-regions-v3"
 
 
 # -- atomic writes ---------------------------------------------------------------------

@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pkregion import (
-    ProtocolSpec, SlotSpec, evaluate_protocol, exact_region, inner_region,
-    load_pmf, outer_region,
+    ProtocolSpec, RateRegion, SlotSpec, compute_report, contains,
+    evaluate_protocol, exact_region, gap_metrics, inner_region, load_pmf,
+    outer_region,
 )
 
 from conftest import pmf_as_dict
@@ -126,15 +127,22 @@ def test_yz_swap_mirrors_evaluation(x_speaks, data):
                 (figure, pair)
 
 
-def assert_mirrored(region, mirrored, tol=1e-9):
-    assert region.provenance == mirrored.provenance
+def assert_regions_match(region, other, mirrored=False, tol=1e-9):
+    """Same provenance, caps and vertex set within ``tol``; with
+    ``mirrored``, ``other`` is ``region`` reflected in r_xy = r_xz."""
+    assert region.provenance == other.provenance
     if region.is_cap_form():
-        assert mirrored.cap_xy == pytest.approx(region.cap_xz, abs=tol)
-        assert mirrored.cap_xz == pytest.approx(region.cap_xy, abs=tol)
-        assert mirrored.cap_sum == pytest.approx(region.cap_sum, abs=tol)
-    # the two vertex sets are each other's reflection in r_xy = r_xz
+        cap_xy, cap_xz = region.cap_xy, region.cap_xz
+        if mirrored:
+            cap_xy, cap_xz = cap_xz, cap_xy
+        assert other.cap_xy == pytest.approx(cap_xy, abs=tol)
+        assert other.cap_xz == pytest.approx(cap_xz, abs=tol)
+        assert other.cap_sum == pytest.approx(region.cap_sum, abs=tol)
+    # every vertex of each lies within tol of a vertex of the other
     ours = np.array(region.vertices)
-    theirs = np.array(mirrored.vertices)[:, ::-1]
+    theirs = np.array(other.vertices)
+    if mirrored:
+        theirs = theirs[:, ::-1]
     gaps = np.abs(ours[:, None, :] - theirs[None, :, :]).max(axis=2)
     assert gaps.min(axis=1).max() <= tol and gaps.min(axis=0).max() <= tol
 
@@ -142,9 +150,103 @@ def assert_mirrored(region, mirrored, tol=1e-9):
 @given(sources(max_card=4))
 def test_yz_swap_mirrors_regions(p):
     swapped = swap_yz(p)
-    assert_mirrored(outer_region(p), outer_region(swapped))
-    assert_mirrored(inner_region(p), inner_region(swapped))
+    assert_regions_match(outer_region(p), outer_region(swapped),
+                         mirrored=True)
+    assert_regions_match(inner_region(p), inner_region(swapped),
+                         mirrored=True)
     exact, exact_swapped = exact_region(p), exact_region(swapped)
     assert (exact is None) == (exact_swapped is None)
     if exact is not None:
-        assert_mirrored(exact, exact_swapped)
+        assert_regions_match(exact, exact_swapped, mirrored=True)
+
+
+def assert_same_report(got, want, tol=1e-9):
+    """Every figure of two region reports agrees within ``tol``; counts and
+    verdicts agree exactly."""
+    assert got.components == want.components
+    assert got.thm4_holds == want.thm4_holds
+    assert got.ci_residual == pytest.approx(want.ci_residual, abs=tol)
+    assert got.quantities.keys() == want.quantities.keys()
+    for name, value in want.quantities.items():
+        assert got.quantities[name] == pytest.approx(value, abs=tol), name
+    for name in ("outer", "inner", "exact"):
+        region, other = getattr(want, name), getattr(got, name)
+        assert (region is None) == (other is None), name
+        if region is not None:
+            assert_regions_match(region, other, tol=tol)
+    assert got.area_gap == pytest.approx(want.area_gap, abs=tol)
+    assert got.hausdorff_gap == pytest.approx(want.hausdorff_gap, abs=tol)
+
+
+@given(st.data())
+def test_symbol_permutations_leave_the_report_unchanged(data):
+    p = data.draw(sources(max_card=4))
+    perms = [data.draw(st.permutations(range(c))) for c in p.cardinalities]
+    probs = p.probs[np.ix_(*perms)]
+    permuted = load_pmf(probs, p.variables, p.cardinalities)
+    assert_same_report(compute_report(permuted), compute_report(p))
+
+
+@given(st.data())
+def test_zero_mass_padding_leaves_the_report_unchanged(data):
+    p = data.draw(sources())
+    axis = data.draw(st.integers(0, 2))
+    at = data.draw(st.integers(0, p.cardinalities[axis]))
+    probs = np.insert(p.probs, at, 0.0, axis=axis)
+    padded = load_pmf(probs, p.variables, probs.shape)
+    assert_same_report(compute_report(padded), compute_report(p))
+
+
+@given(sources(max_card=4))
+def test_inner_region_within_outer_region(p):
+    outer = outer_region(p)
+    for vertex in inner_region(p).vertices:
+        assert contains(outer, vertex, tol=1e-9)
+
+
+def _edges(verts):
+    if len(verts) < 3:
+        return [(verts[0], verts[-1])]
+    return list(zip(verts, verts[1:] + verts[:1]))
+
+
+def _boundary_samples(verts, per_edge=1000):
+    t = np.linspace(0.0, 1.0, per_edge)[:, None]
+    return np.vstack([(1.0 - t) * np.array(p0) + t * np.array(p1)
+                      for p0, p1 in _edges(verts)])
+
+
+def _distance_to_boundary(points, verts):
+    best = np.full(len(points), np.inf)
+    for p0, p1 in _edges(verts):
+        p0 = np.array(p0)
+        d = np.array(p1) - p0
+        t = np.clip((points - p0) @ d / max(float(d @ d), 1e-300), 0.0, 1.0)
+        best = np.minimum(best, np.linalg.norm(points - (p0 + t[:, None] * d),
+                                               axis=1))
+    return best
+
+
+def sampled_hausdorff(a, b):
+    """Reference: Hausdorff distance between the two boundaries, measured
+    from 1000 samples per edge (vertices included) to the other boundary."""
+    return max(
+        _distance_to_boundary(_boundary_samples(a.vertices), b.vertices).max(),
+        _distance_to_boundary(_boundary_samples(b.vertices), a.vertices).max())
+
+
+@st.composite
+def nested_cap_regions(draw):
+    """An outer cap-form region and one inside it (every cap no larger)."""
+    outer = [draw(st.floats(0.0, 2.0)) for _ in range(3)]
+    inner = [draw(st.floats(0.0, cap)) for cap in outer]
+    return (RateRegion.from_caps(*inner, provenance="inner-hull"),
+            RateRegion.from_caps(*outer, provenance="outer"))
+
+
+@given(nested_cap_regions())
+def test_hausdorff_gap_matches_dense_boundary_sampling(pair):
+    inner, outer = pair
+    _, hausdorff = gap_metrics(inner, outer)
+    assert hausdorff == pytest.approx(sampled_hausdorff(inner, outer),
+                                      abs=1e-12)

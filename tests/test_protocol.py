@@ -248,6 +248,19 @@ def test_budget_guards():
     with pytest.raises(BudgetExceededError):
         evaluate_protocol(p, spec, budget=767)
     assert evaluate_protocol(p, spec, budget=768).rate_xy == 0.0
+    # each helper's table holds only the key hidden from it: 1 · 8 cells
+    # for the XY key against Z, 10⁶ · 1 for the XZ key against Y
+    lopsided_source = load_pmf(np.full((2, 1, 8), 1 / 16), ("X", "Y", "Z"),
+                               (2, 1, 8))
+    lopsided = ProtocolSpec(
+        n=1, rounds=0, slots=(),
+        key_xy=np.zeros((2, 1), dtype=int), est_xy=np.zeros((1, 1), dtype=int),
+        key_xz=np.arange(2).reshape(2, 1), est_xz=np.zeros((8, 1), dtype=int),
+        key_xy_size=1, key_xz_size=10 ** 6)
+    report = evaluate_protocol(lopsided_source, lopsided, budget=5 * 10 ** 6)
+    assert report.rate_xz == 1.0
+    with pytest.raises(BudgetExceededError):
+        evaluate_protocol(lopsided_source, lopsided, budget=10 ** 6 - 1)
 
 
 def symbol_power_table(symbol_map, card, n):

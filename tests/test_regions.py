@@ -3,7 +3,7 @@ import pytest
 
 from pkregion import (
     RateRegion, compute_report, contains, exact_region, gap_metrics, hull,
-    inner_region, outer_region,
+    inner_region, load_pmf, outer_region,
 )
 from pkregion.errors import DegenerateInputError
 from pkregion.regions import _cap_vertices
@@ -152,7 +152,7 @@ def test_gap_metrics_known_triangle_pair():
     area, hausdorff = gap_metrics(inner, outer)
     assert area == pytest.approx(0.5, abs=1e-9)
     # farthest outer point from the inner triangle is the corner (1, 1)
-    assert hausdorff == pytest.approx(np.sqrt(0.5), abs=1e-6)
+    assert hausdorff == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
 
 # -- source-level regions ----------------------------------------------------------
@@ -237,9 +237,9 @@ def test_exact_region_matches_compute_report():
     sources = [random_pmf(rng) for _ in range(10)]
     sources += [det_correlated_pmf(rng)[0] for _ in range(10)]
     for p in sources:
-        # defaults, then tolerances that make every source feasible and
-        # leave only exactly independent pairs on the exact-thm4 route
-        for tols in ((), (0.0, 10.0)):
+        # the default tolerance, one that only exact independence passes,
+        # and one that every source passes
+        for tols in ((), (0.0,), (1.0,)):
             exact = exact_region(p, *tols)
             expected = compute_report(p, *tols).exact
             if expected is None:
@@ -254,7 +254,6 @@ def test_exact_region_matches_compute_report():
 def test_compute_report_worked_source(worked_source):
     report = compute_report(worked_source)
     assert report.thm4_holds
-    assert report.thm3_feasible
     assert report.components == 2
     assert report.ci_residual <= 1e-12
     assert report.exact is not None
@@ -266,32 +265,44 @@ def test_compute_report_worked_source(worked_source):
     assert q["i_x_z_given_y"] == pytest.approx(1.0, abs=1e-12)
     assert q["i_x_yz"] == pytest.approx(2.0, abs=1e-12)
     assert q["i_x_common"] == pytest.approx(1.0, abs=1e-12)
-    assert q["i_x_aux_separating"] == pytest.approx(1.0, abs=1e-9)
-    assert report.solver.converged
 
 
 def test_compute_report_bsc(bsc_source):
     report = compute_report(bsc_source)
     assert not report.thm4_holds
-    assert not report.thm3_feasible
     assert report.exact is None
     assert report.components == 1
     assert report.ci_residual == pytest.approx(0.2, abs=1e-12)
 
 
 def test_compute_report_exact_thm3_fallback(square_source):
-    """A solver-converged source that narrowly misses the equality pattern
-    still gets an exact region, labeled by the feasibility route."""
-    # nudge the square source off exact conditional independence
+    """A source that narrowly misses conditional independence gets no exact
+    region. Nudged by 0.003, the square source has a max-abs residual near
+    1e-5 but I(Y∧Z|C) near 1e-9 bits, so a bits test at 1e-7 labelled it
+    exact with the outer caps, 0.5 in area above its own inner region."""
     base = square_source.probs.copy()
     base[0, 0, 0] += 0.003
     base[3, 1, 1] -= 0.003
-    from pkregion import load_pmf
     p = load_pmf(base / base.sum(), ("X", "Y", "Z"), base.shape)
     report = compute_report(p)
+    assert report.ci_residual > 1e-6
     assert not report.thm4_holds
-    if report.thm3_feasible:
-        assert report.exact is not None
-        assert report.exact.provenance == "exact-thm3"
-        for v in report.exact.vertices:
-            assert contains(report.outer, v, tol=1e-9)
+    assert report.exact is None
+    assert exact_region(p) is None
+    assert report.area_gap == pytest.approx(0.5, abs=0.01)
+
+
+def test_residual_above_tolerance_has_no_exact_region():
+    """A generated 2x2x2 source whose max-abs residual, 3.0e-5, is far above
+    the 1e-9 tolerance while I(Y∧Z|C) is 1.1e-8 bits: not exact."""
+    table = np.array([
+        1.15729658140984515e-01, 2.31163295372887212e-01,
+        4.95995352317333063e-02, 5.86881226577014928e-02,
+        2.04284039213963070e-01, 8.66007311169119109e-02,
+        1.32197168440840007e-01, 1.21737449824978514e-01])
+    p = load_pmf(table, ("X", "Y", "Z"), (2, 2, 2))
+    report = compute_report(p)
+    assert report.ci_residual == pytest.approx(2.98e-5, abs=1e-7)
+    assert report.exact is None
+    assert exact_region(p) is None
+    assert report.hausdorff_gap == pytest.approx(0.0316, abs=1e-4)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from pkregion import (
-    conditional_independence_residual, is_deterministically_correlated,
-    load_pmf, maximal_common_function, minimal_sufficient_statistic,
-    sample_feasible_aux,
+    DEFAULT_CI_TOL, conditional_independence_residual, load_pmf,
+    maximal_common_function, minimal_sufficient_statistic,
 )
 from pkregion.errors import EmptySupportError, ShapeMismatchError
-from pkregion.structure import AuxChannel, CommonFunction, Statistic
+from pkregion.structure import CommonFunction, Statistic
 
 from conftest import (
     det_correlated_pmf, pmf_as_dict, random_pair_pmf, random_pmf, rng_for,
@@ -27,13 +26,8 @@ def test_statistic_requires_contiguous_labels():
 
 def test_statistic_views():
     stat = Statistic("Y", (1, -1, 0, 1), 2)
-    assert stat.support == (True, False, True, True)
     assert stat.classes() == ((2,), (0, 3))
     assert stat.as_partition() == frozenset({frozenset({2}), frozenset({0, 3})})
-    ident = Statistic.identity("Y", (True, False, True))
-    assert ident.labels == (0, -1, 1) and ident.num_classes == 2
-    const = Statistic.constant("Y", (True, True, False))
-    assert const.labels == (0, 0, -1) and const.num_classes == 1
 
 
 def test_common_function_checks_class_counts():
@@ -41,14 +35,6 @@ def test_common_function_checks_class_counts():
     b = Statistic("Z", (0, 0), 1)
     with pytest.raises(ShapeMismatchError):
         CommonFunction(a, b, 2)
-
-
-def test_aux_channel_rows_must_be_distributions():
-    AuxChannel(2, 2, np.array([[0.5, 0.5], [1.0, 0.0]]))
-    with pytest.raises(ShapeMismatchError):
-        AuxChannel(2, 2, np.array([[0.5, 0.4], [1.0, 0.0]]))
-    with pytest.raises(ShapeMismatchError):
-        AuxChannel(2, 2, np.array([[0.5, 0.5]]))
 
 
 # -- minimal sufficient statistic -------------------------------------------------
@@ -199,26 +185,17 @@ def test_residual_accepts_precomputed_common_function(bsc_source):
 
 
 def test_is_deterministically_correlated():
+    """The tightness test, residual <= DEFAULT_CI_TOL, on sources built
+    conditionally independent and on generic ones."""
     rng = rng_for(205)
     for trial in range(30):
         p, m = det_correlated_pmf(rng)
-        flag, cf = is_deterministically_correlated(p, "Y", "Z")
-        assert flag and cf.components == m
+        cf = maximal_common_function(p, "Y", "Z")
+        assert cf.components == m
+        assert conditional_independence_residual(p, "Y", "Z", cf) \
+            <= DEFAULT_CI_TOL
     for trial in range(30):
         p = random_pmf(rng)  # full support, continuous entries: never exact
-        flag, _ = is_deterministically_correlated(p, "Y", "Z")
-        assert not flag
+        assert conditional_independence_residual(p, "Y", "Z") \
+            > DEFAULT_CI_TOL
 
-
-# -- feasible auxiliary sampling ------------------------------------------------------
-
-def test_sample_feasible_aux_rows_and_determinism(worked_source):
-    cf = maximal_common_function(worked_source, "Y", "Z")
-    ch1 = sample_feasible_aux(cf, 3, seed=9)
-    ch2 = sample_feasible_aux(cf, 3, seed=9)
-    ch3 = sample_feasible_aux(cf, 3, seed=10)
-    assert ch1.matrix.shape == (2, 3)
-    assert np.array_equal(ch1.matrix, ch2.matrix)
-    assert not np.array_equal(ch1.matrix, ch3.matrix)
-    assert np.max(np.abs(ch1.matrix.sum(axis=1) - 1.0)) <= 1e-12
-    assert np.all(ch1.matrix >= 0.0)
