@@ -14,13 +14,13 @@ and evaluates deterministic public-discussion protocols exactly against the
 """
 
 from ._version import __version__
-from .dist import DEFAULT_SUM_TOL, NUM_TOL, JointPmf, attach_statistic, \
-    cond_mutual_info, entropy, load_pmf, marginal, source_roles
+from .dist import DEFAULT_SUM_TOL, NUM_TOL, JointPmf, cond_mutual_info, \
+    entropy, load_pmf, marginal, source_roles
 from .errors import BudgetExceededError, DegenerateInputError, \
     DuplicateVariableError, EmptySupportError, InputFormatError, \
-    LabelMissingError, MalformedTableError, NegativeEntryError, \
-    NonFiniteEntryError, OverlappingGroupsError, PkRegionError, \
-    ShapeMismatchError, SumOutOfToleranceError, UnknownVariableError
+    MalformedTableError, NegativeEntryError, NonFiniteEntryError, \
+    OverlappingGroupsError, PkRegionError, ShapeMismatchError, \
+    SumOutOfToleranceError, UnknownVariableError
 from .structure import DEFAULT_CI_TOL, CommonFunction, Statistic, \
     conditional_independence_residual, maximal_common_function, \
     minimal_sufficient_statistic
@@ -36,12 +36,12 @@ __all__ = [
     "__version__",
     # distributions
     "DEFAULT_SUM_TOL", "NUM_TOL", "JointPmf", "load_pmf", "marginal",
-    "entropy", "cond_mutual_info", "attach_statistic", "source_roles",
+    "entropy", "cond_mutual_info", "source_roles",
     # errors
     "PkRegionError", "NegativeEntryError", "NonFiniteEntryError",
     "SumOutOfToleranceError",
     "ShapeMismatchError", "DuplicateVariableError", "UnknownVariableError",
-    "OverlappingGroupsError", "LabelMissingError", "EmptySupportError",
+    "OverlappingGroupsError", "EmptySupportError",
     "DegenerateInputError", "BudgetExceededError", "MalformedTableError",
     "InputFormatError",
     # structure

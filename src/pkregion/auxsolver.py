@@ -46,11 +46,18 @@ def max_aux_info_outer(p: JointPmf, cf: CommonFunction | None = None):
     x, y, z = source_roles(p)
     if cf is None:
         cf = maximal_common_function(p, y, z)
-    txy = marginal(p, (x, y)).probs
+    return _common_info(marginal(p, (x, y)).probs, cf), cf.stat_a
+
+
+def _common_info(txy: np.ndarray, cf: CommonFunction) -> float:
+    """I(C∧X) from the (X, Y) table ``txy`` and the Y-side labels of ``cf``.
+
+    H(X) is taken from the row sums of ``txy``: the entropy of the source's
+    own X marginal, summed in another order, can differ in the last bit.
+    """
     qcx = np.zeros((cf.components, txy.shape[0]), dtype=np.float64)
     for sym, lab in enumerate(cf.stat_a.labels):
         if lab >= 0:
             qcx[lab] += txy[:, sym]
-    value = _clip0(_entropy_of(qcx.sum(axis=1))
-                   + _entropy_of(txy.sum(axis=1)) - _entropy_of(qcx))
-    return value, cf.stat_a
+    return _clip0(_entropy_of(qcx.sum(axis=1))
+                  + _entropy_of(txy.sum(axis=1)) - _entropy_of(qcx))

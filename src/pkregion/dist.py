@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import (
     DuplicateVariableError,
-    LabelMissingError,
     NegativeEntryError,
     NonFiniteEntryError,
     OverlappingGroupsError,
@@ -46,7 +45,6 @@ __all__ = [
     "marginal",
     "entropy",
     "cond_mutual_info",
-    "attach_statistic",
     "source_roles",
 ]
 
@@ -253,49 +251,3 @@ def source_roles(p: JointPmf) -> tuple:
         )
     return p.variables
 
-
-def attach_statistic(p: JointPmf, stat, of: str | None = None,
-                     new_name: str = "") -> JointPmf:
-    """Augment ``p`` with a new variable equal to ``stat`` applied pointwise.
-
-    The new variable is appended as the last axis, with cardinality equal to
-    the statistic's class count. The marginal over the original variables is
-    unchanged entrywise. Zero-probability symbols of ``of`` may be unlabeled;
-    their (all-zero) slices stay at label-free zero mass.
-
-    Raises
-    ------
-    LabelMissingError
-        If some positive-probability symbol of ``of`` carries no label.
-    """
-    if not new_name:
-        raise ValueError("new_name must be a nonempty variable name")
-    of = stat.variable if of is None else of
-    if of != stat.variable:
-        raise ValueError(
-            f"statistic is defined on {stat.variable!r}, not on {of!r}"
-        )
-    ax = p.axis(of)
-    if new_name in p.variables:
-        raise DuplicateVariableError(f"{new_name!r} already names a variable")
-    card = p.cardinalities[ax]
-    labels = stat.labels
-    if len(labels) != card:
-        raise ShapeMismatchError(
-            f"statistic labels {len(labels)} symbols, variable has {card}"
-        )
-    k = max(stat.num_classes, 1)
-    marg = marginal(p, of).probs
-    for sym in range(card):
-        if marg[sym] > 0.0 and labels[sym] < 0:
-            raise LabelMissingError(
-                f"symbol {sym} of {of!r} has positive probability but no label"
-            )
-    out = np.zeros(p.cardinalities + (k,), dtype=np.float64)
-    src = np.moveaxis(p.probs, ax, 0)
-    dst = np.moveaxis(out, ax, 0)
-    for sym in range(card):
-        lab = labels[sym]
-        if lab >= 0:
-            dst[sym, ..., lab] = src[sym]
-    return JointPmf(p.variables + (new_name,), p.cardinalities + (k,), out)

@@ -14,7 +14,6 @@ __all__ = [
     "DuplicateVariableError",
     "UnknownVariableError",
     "OverlappingGroupsError",
-    "LabelMissingError",
     "EmptySupportError",
     "DegenerateInputError",
     "BudgetExceededError",
@@ -73,12 +72,6 @@ class OverlappingGroupsError(PkRegionError):
     """Variable groups that must be disjoint share a variable."""
 
     code = "OVERLAPPING_GROUPS"
-
-
-class LabelMissingError(PkRegionError):
-    """A statistic does not label some positive-probability symbol."""
-
-    code = "LABEL_MISSING"
 
 
 class EmptySupportError(PkRegionError):

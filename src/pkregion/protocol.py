@@ -292,6 +292,22 @@ def _joint_figures(probs: np.ndarray, spec: ProtocolSpec, n: int):
     )
 
 
+def _sequence_count(label: str, card: int, n: int, budget: int) -> int:
+    """card ** n, the number of one terminal's length-n sequences.
+
+    Every table the evaluation builds has an axis of this many cells, so a
+    count over ``budget`` raises :class:`BudgetExceededError` at once. Since
+    card ** n ≥ 2 ** (n·(bits(card) − 1)), a count that far over is refused
+    before it is built: a large ``n`` costs no n-digit integer.
+    """
+    if n * (card.bit_length() - 1) < (budget + 1).bit_length():
+        count = card ** n
+        if count <= budget:
+            return count
+    raise BudgetExceededError(
+        f"{label} has {card}^{n} sequences, over the budget of {budget}")
+
+
 def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
                       budget: int = DEFAULT_BUDGET) -> EvaluationReport:
     """Evaluate the protocol over every source sequence triple, exactly.
@@ -312,9 +328,9 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
         transcript count) for this source and blocklength.
     """
     source_roles(p)
-    cx, cy, cz = p.cardinalities
     n = spec.n
-    nx, ny, nz = cx ** n, cy ** n, cz ** n
+    nx, ny, nz = (_sequence_count(label, card, n, budget)
+                  for label, card in zip("XYZ", p.cardinalities))
     num_tr_total = spec.transcript_space()
     if num_tr_total == 1:
         cells, what = nx * ny + nx * nz + ny * nz, "pairwise sequence cells"

@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .auxsolver import max_aux_info_outer
-from .dist import NUM_TOL, JointPmf, attach_statistic, cond_mutual_info, \
-    source_roles, _clip0
+import numpy as np
+
+from .auxsolver import _common_info
+from .dist import NUM_TOL, JointPmf, source_roles, _clip0, _entropy_of
 from .errors import DegenerateInputError
-from .structure import DEFAULT_CI_TOL, CommonFunction, \
-    conditional_independence_residual, maximal_common_function, \
-    minimal_sufficient_statistic
+from .structure import DEFAULT_CI_TOL, CommonFunction, Statistic, \
+    _ci_residual, _common_function, _sufficient_statistic
 
 __all__ = [
     "RateRegion",
@@ -243,23 +243,43 @@ def gap_metrics(inner: RateRegion, outer: RateRegion):
     return _clip0(area_gap), hausdorff
 
 
-def _fresh_name(p: JointPmf, base: str) -> str:
-    name = base
-    while name in p.variables:
-        name += "_"
-    return name
+# Marginal tables of the source by name, each with the axes of the
+# (X, Y, Z) table it sums out.
+_MARGINALS = {"x": (1, 2), "y": (0, 2), "z": (0, 1),
+              "xy": (2,), "xz": (1,), "yz": (0,)}
 
 
-def _info_terms(p: JointPmf):
-    """I(X∧Y|Z), I(X∧Z|Y) and I(X∧Y,Z)."""
-    x, y, z = source_roles(p)
-    return (cond_mutual_info(p, x, y, z), cond_mutual_info(p, x, z, y),
-            cond_mutual_info(p, x, (y, z)))
+def _marginals(probs: np.ndarray) -> dict:
+    """Every marginal table of the source table ``probs``, by name.
+
+    Each is summed once, over all dropped axes together as
+    :func:`~pkregion.dist.marginal` sums it.
+    """
+    return {name: probs.sum(axis=drop) for name, drop in _MARGINALS.items()}
 
 
-def _base_quantities(p: JointPmf, cf: CommonFunction | None = None):
-    """The three source information terms plus the common-part term."""
-    return _info_terms(p) + (max_aux_info_outer(p, cf)[0],)
+def _info_terms(probs: np.ndarray, tables: dict):
+    """Entropies of the source by name, each taken once, and the terms
+    I(X∧Y|Z), I(X∧Z|Y) and I(X∧Y,Z)."""
+    h = {name: _entropy_of(t) for name, t in tables.items()}
+    h["xyz"] = _entropy_of(probs)
+    terms = (_clip0(h["xz"] + h["yz"] - h["xyz"] - h["z"]),
+             _clip0(h["xy"] + h["yz"] - h["xyz"] - h["y"]),
+             _clip0(h["x"] + h["yz"] - h["xyz"]))
+    return h, terms
+
+
+def _common_function_of(p: JointPmf, tables: dict) -> CommonFunction:
+    """The maximal common function of the helpers Y and Z."""
+    _, y, z = source_roles(p)
+    return _common_function(y, z, tables["yz"])
+
+
+def _outer_caps(tables: dict, terms: tuple, cf: CommonFunction):
+    """The outer cap triple and I(C∧X), the common-part term."""
+    a, b, i_x_yz = terms
+    i_x_common = _common_info(tables["xy"], cf)
+    return (a, b, _clip0(i_x_yz - i_x_common)), i_x_common
 
 
 def outer_region(p: JointPmf) -> RateRegion:
@@ -268,35 +288,52 @@ def outer_region(p: JointPmf) -> RateRegion:
     a = I(X∧Y|Z), b = I(X∧Z|Y), and the sum cap is I(X∧Y,Z) minus the
     largest information an extractable auxiliary carries about X.
     """
-    a, b, i_x_yz, i_x_common = _base_quantities(p)
-    return RateRegion.from_caps(a, b, _clip0(i_x_yz - i_x_common), "outer")
+    tables = _marginals(p.probs)
+    _, terms = _info_terms(p.probs, tables)
+    caps, _ = _outer_caps(tables, terms, _common_function_of(p, tables))
+    return RateRegion.from_caps(*caps, "outer")
 
 
-def _inner_component_caps(p: JointPmf, a: float, b: float, i_x_yz: float):
+def _statistic_terms(probs: np.ndarray, axis: int, stat: Statistic, h: dict):
+    """I(X∧S) and I(X∧B|S,C) for a statistic S of the helper B on ``axis``
+    of the source table, C being the other helper.
+
+    S is a function of B, so H(X,B,S,C) = H(X,B,C) and H(B,S,C) = H(B,C):
+    I(X∧B|S,C) = H(X,S,C) + H(B,C) − H(X,B,C) − H(S,C). The tables of S
+    are pushforwards of the source along B → S: sums over each class of S.
+    """
+    xcs = np.stack([probs.take(cls, axis=axis).sum(axis=axis)
+                    for cls in stat.classes()], axis=-1)
+    xs = xcs.sum(axis=1)
+    i_x_s = _clip0(h["x"] + _entropy_of(xs.sum(axis=0)) - _entropy_of(xs))
+    i_x_b = _clip0(_entropy_of(xcs) + h["yz"] - h["xyz"]
+                   - _entropy_of(xcs.sum(axis=0)))
+    return i_x_s, i_x_b
+
+
+def _inner_component_caps(p: JointPmf, tables: dict, h: dict, terms: tuple):
     """Cap triples of the two achievable regions, plus their statistic terms.
 
-    Region 1 conditions the XY cap on the minimal sufficient statistic of Y
-    (attached as an extra variable) next to Z and charges the sum cap with
-    I(U_mss∧X); region 2 swaps the roles of Y and Z.
+    Region 1 conditions the XY cap on the minimal sufficient statistic U of
+    Y with respect to Z, next to Z, and charges the sum cap with I(X∧U);
+    region 2 swaps the roles of Y and Z.
     """
-    x, y, z = source_roles(p)
-    u_stat = minimal_sufficient_statistic(p, of=y, wrt=z)
-    v_stat = minimal_sufficient_statistic(p, of=z, wrt=y)
-    u_name, v_name = _fresh_name(p, "u_mss"), _fresh_name(p, "v_mss")
-    p_u = attach_statistic(p, u_stat, new_name=u_name)
-    p_v = attach_statistic(p, v_stat, new_name=v_name)
-    i_x_mss_y = cond_mutual_info(p_u, x, u_name)
-    i_x_mss_z = cond_mutual_info(p_v, x, v_name)
-    caps1 = (cond_mutual_info(p_u, x, y, (u_name, z)), b,
-             _clip0(i_x_yz - i_x_mss_y))
-    caps2 = (a, cond_mutual_info(p_v, x, z, (v_name, y)),
-             _clip0(i_x_yz - i_x_mss_z))
+    _, y, z = source_roles(p)
+    a, b, i_x_yz = terms
+    u_stat = _sufficient_statistic(y, tables["yz"])
+    v_stat = _sufficient_statistic(z, tables["yz"].T)
+    i_x_mss_y, cap1_xy = _statistic_terms(p.probs, 1, u_stat, h)
+    i_x_mss_z, cap2_xz = _statistic_terms(p.probs, 2, v_stat, h)
+    caps1 = (cap1_xy, b, _clip0(i_x_yz - i_x_mss_y))
+    caps2 = (a, cap2_xz, _clip0(i_x_yz - i_x_mss_z))
     return caps1, caps2, i_x_mss_y, i_x_mss_z
 
 
 def inner_region(p: JointPmf) -> RateRegion:
     """Achievable region: the hull of the two sufficient-statistic regions."""
-    caps1, caps2, _, _ = _inner_component_caps(p, *_info_terms(p))
+    tables = _marginals(p.probs)
+    h, terms = _info_terms(p.probs, tables)
+    caps1, caps2, _, _ = _inner_component_caps(p, tables, h, terms)
     return RateRegion.from_hull(_cap_vertices(*caps1) + _cap_vertices(*caps2))
 
 
@@ -310,13 +347,13 @@ def exact_region(p: JointPmf,
     ``exact-thm4``). A separating extractable auxiliary exists for exactly
     these sources (see :mod:`pkregion.auxsolver`), so no other test is made.
     """
-    _, y, z = source_roles(p)
-    cf = maximal_common_function(p, y, z)
-    if conditional_independence_residual(p, y, z, cf) > ci_tol:
+    tables = _marginals(p.probs)
+    cf = _common_function_of(p, tables)
+    if _ci_residual(tables["yz"], cf) > ci_tol:
         return None
-    a, b, i_x_yz, i_x_common = _base_quantities(p, cf)
-    return RateRegion.from_caps(a, b, _clip0(i_x_yz - i_x_common),
-                                "exact-thm4")
+    _, terms = _info_terms(p.probs, tables)
+    caps, _ = _outer_caps(tables, terms, cf)
+    return RateRegion.from_caps(*caps, "exact-thm4")
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,23 +382,26 @@ def compute_report(p: JointPmf,
                    ci_tol: float = DEFAULT_CI_TOL) -> RegionReport:
     """Run the full pipeline on one source and collect every artifact.
 
-    One analysis pass: the maximal common function, the information terms
-    and the conditional-independence residual are computed once and feed
-    the outer/inner regions, the tightness test (residual at most
-    ``ci_tol``), the exact region when it passes, the inner-vs-outer gap
-    metrics, and all named information quantities.
+    One analysis pass: the marginal tables of the source, their entropies,
+    the maximal common function and the conditional-independence residual
+    are computed once and feed the outer/inner regions, the tightness test
+    (residual at most ``ci_tol``), the exact region when it passes, the
+    inner-vs-outer gap metrics, and all named information quantities.
     """
-    _, y, z = source_roles(p)
-    cf = maximal_common_function(p, y, z)
-    a, b, i_x_yz, i_x_common = _base_quantities(p, cf)
-    caps1, caps2, i_x_mss_y, i_x_mss_z = _inner_component_caps(p, a, b, i_x_yz)
-    outer = RateRegion.from_caps(a, b, _clip0(i_x_yz - i_x_common), "outer")
+    tables = _marginals(p.probs)
+    h, terms = _info_terms(p.probs, tables)
+    cf = _common_function_of(p, tables)
+    caps, i_x_common = _outer_caps(tables, terms, cf)
+    caps1, caps2, i_x_mss_y, i_x_mss_z = _inner_component_caps(p, tables, h,
+                                                               terms)
+    a, b, i_x_yz = terms
+    outer = RateRegion.from_caps(*caps, "outer")
     inner = RateRegion.from_hull(_cap_vertices(*caps1) + _cap_vertices(*caps2))
-    ci_residual = conditional_independence_residual(p, y, z, cf)
+    ci_residual = _ci_residual(tables["yz"], cf)
     det_correlated = ci_residual <= ci_tol
     exact = None
     if det_correlated:
-        exact = RateRegion.from_caps(a, b, outer.cap_sum, "exact-thm4")
+        exact = RateRegion.from_caps(*caps, "exact-thm4")
     area_gap, hausdorff_gap = gap_metrics(inner, outer)
     quantities = {
         "i_x_y_given_z": a,

@@ -102,9 +102,12 @@ def _pair_table(p: JointPmf, a: str, b: str) -> np.ndarray:
 def minimal_sufficient_statistic(p: JointPmf, of: str, wrt) -> Statistic:
     """Coarsest labeling of ``of`` preserving the conditional law of ``wrt``.
 
-    Positive-probability symbols of ``of`` are merged exactly when their
-    conditional rows P(wrt | of = sym) agree after rounding each entry to 12
-    decimals. Canonical labeling by first appearance in symbol order.
+    Each conditional row P(wrt | of = sym) of a positive-probability symbol
+    is rounded to 12 decimals (``np.round``: half to even), and two symbols
+    merge exactly when their rounded rows are equal. Grouping is therefore
+    by rounding bucket, not by distance: rows 2e-13 apart that straddle a
+    rounding boundary split, while rows 9e-13 apart inside one bucket merge.
+    Canonical labeling by first appearance in symbol order.
 
     Parameters
     ----------
@@ -127,20 +130,21 @@ def minimal_sufficient_statistic(p: JointPmf, of: str, wrt) -> Statistic:
         raise ValueError("wrt must be a nonempty variable group")
     joint = marginal(p, (of,) + group)
     m = np.moveaxis(joint.probs, joint.axis(of), 0)
-    m = m.reshape(m.shape[0], -1)
+    return _sufficient_statistic(of, m.reshape(m.shape[0], -1))
+
+
+def _sufficient_statistic(of: str, m: np.ndarray) -> Statistic:
+    """The minimal sufficient statistic of ``of`` from its joint table ``m``
+    (one row per symbol of ``of``, one column per cell of the group)."""
     weights = m.sum(axis=1)
-    if not np.any(weights > 0.0):
+    support = np.flatnonzero(weights > 0.0)
+    if support.size == 0:
         raise EmptySupportError(f"{of!r} has empty support")
+    rows = np.round(m[support] / weights[support, None], _ROW_DECIMALS) + 0.0
     labels = [-1] * m.shape[0]
     seen: dict = {}
-    for sym in range(m.shape[0]):
-        if weights[sym] <= 0.0:
-            continue
-        row = np.round(m[sym] / weights[sym], _ROW_DECIMALS) + 0.0
-        key = row.tobytes()
-        if key not in seen:
-            seen[key] = len(seen)
-        labels[sym] = seen[key]
+    for sym, row in zip(support.tolist(), rows):
+        labels[sym] = seen.setdefault(row.tobytes(), len(seen))
     return Statistic(of, tuple(labels), len(seen))
 
 
@@ -158,7 +162,12 @@ def maximal_common_function(p: JointPmf, a: str, b: str) -> CommonFunction:
     """
     if a == b:
         raise ValueError("the two variables must be distinct")
-    t = _pair_table(p, a, b)
+    return _common_function(a, b, _pair_table(p, a, b))
+
+
+def _common_function(a: str, b: str, t: np.ndarray) -> CommonFunction:
+    """The maximal common function of ``a`` and ``b`` from their joint
+    table ``t`` (axes ``a``, ``b``)."""
     edges = t > 0.0
     if not edges.any():
         raise EmptySupportError(f"pair ({a!r}, {b!r}) has empty support")
@@ -201,7 +210,11 @@ def conditional_independence_residual(p: JointPmf, a: str, b: str,
     """
     if cf is None:
         cf = maximal_common_function(p, a, b)
-    t = _pair_table(p, a, b)
+    return _ci_residual(_pair_table(p, a, b), cf)
+
+
+def _ci_residual(t: np.ndarray, cf: CommonFunction) -> float:
+    """The residual from the joint table ``t`` of the pair (axes a, b)."""
     lab_a = np.asarray(cf.stat_a.labels)
     lab_b = np.asarray(cf.stat_b.labels)
     worst = 0.0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pkregion import (
-    attach_statistic, compute_report, cond_mutual_info, exact_region,
-    load_pmf, max_aux_info_outer, maximal_common_function, outer_region,
+    compute_report, cond_mutual_info, exact_region, load_pmf,
+    max_aux_info_outer, maximal_common_function, outer_region,
 )
 from pkregion.structure import Statistic
 
@@ -32,8 +32,10 @@ def test_outer_value_vanishes_without_common_part(bsc_source, independent_source
 
 def test_outer_statistic_reproduces_value(worked_source):
     value, stat = max_aux_info_outer(worked_source)
-    q = attach_statistic(worked_source, stat, new_name="U")
-    assert cond_mutual_info(q, "U", "X") == pytest.approx(value, abs=1e-12)
+    lifted = oracles.apply_partition(pmf_as_dict(worked_source), 1,
+                                     stat.classes())
+    assert oracles.oracle_cmi(lifted, (3,), (0,)) == pytest.approx(
+        value, abs=1e-12)
 
 
 def test_deterministic_separating_functions_respect_components():
@@ -44,14 +46,15 @@ def test_deterministic_separating_functions_respect_components():
         p = random_pmf(rng, cards=(2, 3, 3))
         cf = maximal_common_function(p, "Y", "Z")
         comp = cf.stat_a.labels
+        dist = pmf_as_dict(p)
         for labels in itertools.product(range(2), repeat=3):
             k = len(set(labels))
             canon, seen = [], {}
             for lab in labels:
                 canon.append(seen.setdefault(lab, len(seen)))
             stat = Statistic("Y", tuple(canon), k)
-            q = attach_statistic(p, stat, new_name="U")
-            if cond_mutual_info(q, "U", ("X", "Y"), "Z") <= 1e-12:
+            lifted = oracles.apply_partition(dist, 1, stat.classes())
+            if oracles.oracle_cmi(lifted, (3,), (0, 1), (2,)) <= 1e-12:
                 # recoverable from Z as well, hence constant per component
                 for y1 in range(3):
                     for y2 in range(3):
@@ -161,10 +164,11 @@ def test_thm3_channel_is_reported_feasible(worked_source, bsc_source):
     for p, separates in ((worked_source, True), (bsc_source, False)):
         report = compute_report(p)
         cf = maximal_common_function(p, "Y", "Z")
-        q = attach_statistic(p, cf.stat_a, new_name="U")
-        assert cond_mutual_info(q, "U", "X") == pytest.approx(
+        lifted = oracles.apply_partition(pmf_as_dict(p), 1,
+                                         cf.stat_a.classes())
+        assert oracles.oracle_cmi(lifted, (3,), (0,)) == pytest.approx(
             report.quantities["i_x_common"], abs=1e-12)
-        resid = cond_mutual_info(q, "Y", "Z", "U")
+        resid = oracles.oracle_cmi(lifted, (1,), (2,), (3,))
         assert (resid <= 1e-12) == separates == report.thm4_holds
 
 

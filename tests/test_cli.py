@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pkregion
 from pkregion import __version__
@@ -96,6 +97,26 @@ def test_nan_pmf_exits_2(tmp_path, capsys):
     assert "NON_FINITE_ENTRY" in err
 
 
+def test_pmf_entries_must_be_json_numbers(tmp_path, capsys):
+    # each table sums to 1 once coerced, so only the entry types are wrong
+    zeros = [0] * 6
+    cases = (["0.5", "0.5"] + ["0"] * 6,
+             [0.5, "0.5"] + zeros,
+             [True] + [0] * 7,
+             [0.5, 0.5, False] + [0] * 5,
+             [1.0, None] + zeros,
+             [[0.5, 0.5, 0, 0], [0, 0, 0, 0]],
+             [10 ** 400] + [0] * 7)
+    for table in cases:
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps({
+            "schema": "pkregion-pmf-v1", "variables": ["X", "Y", "Z"],
+            "cardinalities": [2, 2, 2], "pmf": table}))
+        code, out, err = run_cli(capsys, "compute", "--input", str(bad))
+        assert (code, out) == (2, ""), table
+        assert "INPUT_FORMAT" in err, table
+
+
 def test_non_integer_protocol_entry_exits_2(tmp_path, capsys, data_dir):
     cases = ((("est_xy", 1), 0.7, "MALFORMED_TABLE"),
              (("est_xy", 1), True, "MALFORMED_TABLE"),
@@ -133,6 +154,22 @@ def test_budget_exceeded_exits_3(tmp_path, capsys, data_dir):
         "--budget", "10")
     assert code == 3
     assert "BUDGET_EXCEEDED" in err
+
+
+def test_huge_blocklength_exits_3_at_once(tmp_path, capsys, data_dir):
+    doc = json.loads(open(f"{data_dir}/direct_extraction_n2.json").read())
+    for n in (10 ** 5, 10 ** 6):
+        doc["n"] = n
+        path = tmp_path / "protocol.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "simulate",
+            "--input", f"{data_dir}/xy_pair_source.json",
+            "--protocol", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (3, "")
+        assert "BUDGET_EXCEEDED" in err
 
 
 def test_bad_flag_value_exits_2(tmp_path, capsys):

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from pkregion import (
-    JointPmf, attach_statistic, cond_mutual_info, entropy, load_pmf, marginal,
-    source_roles,
+    JointPmf, cond_mutual_info, entropy, load_pmf, marginal, source_roles,
 )
 from pkregion.errors import (
-    DuplicateVariableError, LabelMissingError, NegativeEntryError,
-    NonFiniteEntryError, ShapeMismatchError, SumOutOfToleranceError,
-    UnknownVariableError,
+    DuplicateVariableError, NegativeEntryError, NonFiniteEntryError,
+    ShapeMismatchError, SumOutOfToleranceError, UnknownVariableError,
 )
-from pkregion.structure import Statistic
 
 from conftest import pmf_as_dict, random_pmf, rng_for
 from oracles import oracle_cmi, oracle_entropy
@@ -142,31 +139,6 @@ def test_source_roles_on_three_variables():
     assert source_roles(p) == ("P", "Q", "R")
     with pytest.raises(ShapeMismatchError):
         source_roles(load_pmf([0.5, 0.5], ("A",), (2,)))
-
-
-def test_attach_statistic_appends_label_axis(worked_source):
-    stat = Statistic(variable="Y", labels=(0, 0, 1, 1), num_classes=2)
-    q = attach_statistic(worked_source, stat, new_name="U")
-    assert q.variables == ("X", "Y", "Z", "U")
-    assert q.cardinality("U") == 2
-    assert q.total() == pytest.approx(1.0, abs=1e-12)
-    # the label is a function of Y: no mass off the graph of the map
-    for y, lab in enumerate(stat.labels):
-        for u in range(2):
-            mass = float(q.probs[:, y, :, u].sum())
-            if u != lab:
-                assert mass == 0.0
-
-
-def test_attach_statistic_rejects_off_support_label():
-    p = load_pmf([0.5, 0.5, 0.0, 0.0], ("A", "B"), (2, 2))
-    stat = Statistic(variable="A", labels=(0, -1), num_classes=1)
-    # symbol 1 of A carries no mass, so the missing label is fine
-    q = attach_statistic(p, stat, new_name="U")
-    assert q.cardinality("U") == 1
-    bad = Statistic(variable="B", labels=(0, -1), num_classes=1)
-    with pytest.raises(LabelMissingError):
-        attach_statistic(p, bad, new_name="V")
 
 
 def test_jointpmf_direct_construction_validates():

@@ -12,11 +12,12 @@ from hypothesis.extra.numpy import arrays
 from pkregion import (
     ProtocolSpec, RateRegion, SlotSpec, compute_report, contains,
     evaluate_protocol, exact_region, gap_metrics, inner_region, load_pmf,
-    outer_region,
+    minimal_sufficient_statistic, outer_region,
 )
+from pkregion import regions
 
 from conftest import pmf_as_dict
-from oracles import oracle_evaluate
+from oracles import apply_partition, oracle_cmi, oracle_evaluate
 
 FIGURES = ("error", "leak", "unif", "rate")
 
@@ -26,6 +27,23 @@ def sources(draw, max_card=3):
     """A source over small alphabets, zero cells included."""
     cards = tuple(draw(st.integers(1, max_card)) for _ in range(3))
     weights = draw(arrays(np.int64, cards, elements=st.integers(0, 4)))
+    if not weights.any():
+        weights[(0, 0, 0)] = 1
+    return load_pmf(weights / weights.sum(), ("X", "Y", "Z"), cards)
+
+
+@st.composite
+def block_sources(draw, max_components=3, max_block=2):
+    """A source whose (Y, Z) support lies in diagonal blocks, so that the
+    common part has up to ``max_components`` components."""
+    k = draw(st.integers(1, max_components))
+    comp_y = np.repeat(np.arange(k), [draw(st.integers(1, max_block))
+                                      for _ in range(k)])
+    comp_z = np.repeat(np.arange(k), [draw(st.integers(1, max_block))
+                                      for _ in range(k)])
+    cards = (draw(st.integers(1, 3)), comp_y.size, comp_z.size)
+    weights = draw(arrays(np.int64, cards, elements=st.integers(0, 4)))
+    weights *= comp_y[:, None] == comp_z[None, :]
     if not weights.any():
         weights[(0, 0, 0)] = 1
     return load_pmf(weights / weights.sum(), ("X", "Y", "Z"), cards)
@@ -158,6 +176,34 @@ def test_yz_swap_mirrors_regions(p):
     assert (exact is None) == (exact_swapped is None)
     if exact is not None:
         assert_regions_match(exact, exact_swapped, mirrored=True)
+
+
+@given(st.one_of(sources(max_card=4), block_sources()))
+def test_inner_terms_match_oracle(p):
+    """I(X∧U), I(X∧V) and both inner cap triples, from the pushforward
+    tables, against the oracle on the source with U (V) appended."""
+    tables = regions._marginals(p.probs)
+    h, terms = regions._info_terms(p.probs, tables)
+    caps1, caps2, i_x_u, i_x_v = regions._inner_component_caps(p, tables, h,
+                                                               terms)
+    report = compute_report(p)
+    assert report.quantities["i_x_mss_y"] == i_x_u
+    assert report.quantities["i_x_mss_z"] == i_x_v
+    dist = pmf_as_dict(p)
+    a = oracle_cmi(dist, (0,), (1,), (2,))
+    b = oracle_cmi(dist, (0,), (2,), (1,))
+    i_x_yz = oracle_cmi(dist, (0,), (1, 2))
+    u = minimal_sufficient_statistic(p, of="Y", wrt="Z")
+    v = minimal_sufficient_statistic(p, of="Z", wrt="Y")
+    with_u = apply_partition(dist, 1, u.classes())
+    with_v = apply_partition(dist, 2, v.classes())
+    want_u = oracle_cmi(with_u, (0,), (3,))
+    want_v = oracle_cmi(with_v, (0,), (3,))
+    want1 = (oracle_cmi(with_u, (0,), (1,), (2, 3)), b, i_x_yz - want_u)
+    want2 = (a, oracle_cmi(with_v, (0,), (2,), (1, 3)), i_x_yz - want_v)
+    assert (i_x_u, i_x_v) == pytest.approx((want_u, want_v), abs=1e-12)
+    assert caps1 == pytest.approx(want1, abs=1e-12)
+    assert caps2 == pytest.approx(want2, abs=1e-12)
 
 
 def assert_same_report(got, want, tol=1e-9):

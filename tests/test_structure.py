@@ -106,6 +106,18 @@ def test_mss_merges_proportional_rows_built_by_construction():
     assert stat.labels == (0, 0, 1)
 
 
+def test_mss_groups_rows_by_12_decimal_rounding_bucket():
+    """Rows merge when they round to the same 12 decimals, whatever their
+    distance: 2e-13 apart across a rounding boundary they split, 9e-13
+    apart inside one bucket they merge."""
+    for a, b, labels in ((0.3000000000004, 0.3000000000006, (0, 1)),
+                         (0.29999999999955, 0.30000000000045, (0, 0))):
+        table = 0.5 * np.array([[a, 1.0 - a], [b, 1.0 - b]])
+        p = load_pmf(table, ("Y", "Z"), (2, 2))
+        assert minimal_sufficient_statistic(p, of="Y", wrt="Z").labels \
+            == labels, (a, b)
+
+
 # -- maximal common function -------------------------------------------------------
 
 def test_mcf_on_worked_source(worked_source):
