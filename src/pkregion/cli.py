@@ -11,6 +11,7 @@ enumeration budget is exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -110,7 +111,15 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later :func:`main` call in the process.
+
+    Parsing leaves the parser unchanged, and it holds neither environment
+    values nor handler functions: :func:`_merge_config` reads ``PKREGION_*``
+    and :func:`main` looks up each ``cmd_*`` on every call.
+    """
     parser = argparse.ArgumentParser(
         prog="pkregion",
         description="Key-pair rate regions and exact protocol evaluation "
@@ -184,6 +193,7 @@ def main(argv=None) -> int:
     if args.command == "version":
         print(f"pkregion {__version__}")
         return 0
+    # looked up on every call, so that a rebound cmd_* takes effect
     handlers = {"compute": cmd_compute, "check": cmd_check,
                 "simulate": cmd_simulate}
     try:

@@ -148,8 +148,8 @@ class JointPmf:
         return float(self.probs.sum())
 
 
-def load_pmf(table, variables, cardinalities, sum_tol: float = DEFAULT_SUM_TOL,
-             prob_floor: float = 0.0) -> JointPmf:
+def load_pmf(table, variables, cardinalities,
+             sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
     """Validate a raw probability table and wrap it as a :class:`JointPmf`.
 
     Parameters
@@ -161,9 +161,6 @@ def load_pmf(table, variables, cardinalities, sum_tol: float = DEFAULT_SUM_TOL,
         Names and alphabet sizes, in axis order.
     sum_tol : float
         Maximum allowed deviation of the total mass from 1.
-    prob_floor : float
-        Entries strictly below this value are snapped to exact 0 before
-        validation; the default 0.0 keeps every entry untouched.
 
     Raises
     ------
@@ -180,8 +177,6 @@ def load_pmf(table, variables, cardinalities, sum_tol: float = DEFAULT_SUM_TOL,
         raise NonFiniteEntryError("table entries must be finite numbers")
     if np.any(arr < 0.0):
         raise NegativeEntryError(f"minimum table entry is {float(arr.min())!r}")
-    if prob_floor > 0.0:
-        arr = np.where(arr < prob_floor, 0.0, arr)
     total = float(arr.sum())
     if abs(total - 1.0) > sum_tol:
         raise SumOutOfToleranceError(

@@ -58,8 +58,9 @@ def _load_json(path):
         return json.loads(text), text
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+    # bad syntax, an integer too long to read, or nesting too deep to read
+    except (ValueError, RecursionError) as exc:
+        raise InputFormatError(f"cannot parse {path} as JSON: {exc}") from exc
 
 
 def _expect_schema(doc, schema, path):

@@ -203,11 +203,17 @@ def _kron_power(base: np.ndarray, n: int) -> np.ndarray:
     """n-fold i.i.d. product of ``base``, in the sequence index convention.
 
     Axis i of the result indexes the n-sequences of axis i of ``base``; each
-    cell is one multiply of a cell of the (n−1)-fold table by one of ``base``.
+    cell is one multiply of a cell of the (n−1)-fold table by one of ``base``,
+    in that order, as in ``np.kron``. Each step is that outer product with
+    the axes of the two factors interleaved, so a single reshape merges
+    them; it gives the bits of ``np.kron`` without its per-call set-up.
     """
     table = base
+    right = base.reshape([s for b in base.shape for s in (1, b)])
     for _ in range(n - 1):
-        table = np.kron(table, base)
+        left = table.reshape([s for a in table.shape for s in (a, 1)])
+        table = (left * right).reshape(
+            [a * b for a, b in zip(table.shape, base.shape)])
     return table
 
 
@@ -308,6 +314,19 @@ def _sequence_count(label: str, card: int, n: int, budget: int) -> int:
         f"{label} has {card}^{n} sequences, over the budget of {budget}")
 
 
+def _over_budget(budget: int, *factors: int) -> bool:
+    """Whether the product of ``factors``, each at least 1, exceeds ``budget``.
+
+    Factors of b₁, b₂, … bits multiply to at least 2 ** Σ(bᵢ − 1), so, as in
+    :func:`_sequence_count`, a product that far over is refused from the bit
+    lengths alone: key and message alphabets as large as a JSON integer
+    cost no product of their size.
+    """
+    if sum(f.bit_length() - 1 for f in factors) >= (budget + 1).bit_length():
+        return True
+    return math.prod(factors) > budget
+
+
 def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
                       budget: int = DEFAULT_BUDGET) -> EvaluationReport:
     """Evaluate the protocol over every source sequence triple, exactly.
@@ -332,21 +351,22 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
     nx, ny, nz = (_sequence_count(label, card, n, budget)
                   for label, card in zip("XYZ", p.cardinalities))
     num_tr_total = spec.transcript_space()
+    # the messages name only factors at most the budget, never their product
     if num_tr_total == 1:
-        cells, what = nx * ny + nx * nz + ny * nz, "pairwise sequence cells"
-    else:
-        cells, what = nx * ny * nz, "joint sequences"
-    if cells > budget:
+        if nx * ny + nx * nz + ny * nz > budget:
+            raise BudgetExceededError(
+                f"{nx}*{ny} + {nx}*{nz} + {ny}*{nz} pairwise sequence cells "
+                f"exceed the budget of {budget}")
+    elif nx * ny * nz > budget:
         raise BudgetExceededError(
-            f"{cells} {what} exceed the budget of {budget}")
+            f"{nx}*{ny}*{nz} joint sequences exceed the budget of {budget}")
     # each helper is paired with the key it must not learn
     for label, key_size, helper in (("Z", spec.key_xy_size, nz),
                                     ("Y", spec.key_xz_size, ny)):
-        cells = key_size * num_tr_total * helper
-        if cells > budget:
+        if _over_budget(budget, key_size, num_tr_total, helper):
             raise BudgetExceededError(
-                f"key/transcript/{label} joint table needs {cells} cells, "
-                f"over the budget of {budget}")
+                f"key/transcript/{label} joint table needs more than "
+                f"{budget} cells")
 
     own_counts = (nx, ny, nz)
     heard = 1

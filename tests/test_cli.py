@@ -21,7 +21,12 @@ def write_pmf(tmp_path, p, name="source.json"):
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one in-process call; a parser error's
+    ``SystemExit`` gives its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -172,6 +177,44 @@ def test_huge_blocklength_exits_3_at_once(tmp_path, capsys, data_dir):
         assert "BUDGET_EXCEEDED" in err
 
 
+def write_protocol_with_key_size(tmp_path, data_dir, digits):
+    """The direct-extraction protocol with a ``digits``-digit XY key size."""
+    text = open(f"{data_dir}/direct_extraction_n2.json").read()
+    doc = json.loads(text)
+    text = text.replace(f'"key_xy_size": {doc["key_xy_size"]}',
+                        f'"key_xy_size": {"9" * digits}')
+    path = tmp_path / "protocol.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_huge_key_size_exits_3(tmp_path, capsys, data_dir):
+    # as many digits as Python turns into an int by default
+    protocol = write_protocol_with_key_size(tmp_path, data_dir, 4300)
+    code, out, err = run_cli(capsys, "simulate",
+                             "--input", f"{data_dir}/xy_pair_source.json",
+                             "--protocol", protocol)
+    assert (code, out) == (3, "")
+    assert "BUDGET_EXCEEDED" in err
+
+
+def test_unreadably_long_integer_exits_2(tmp_path, capsys, data_dir):
+    protocol = write_protocol_with_key_size(tmp_path, data_dir, 4401)
+    code, out, err = run_cli(capsys, "simulate",
+                             "--input", f"{data_dir}/xy_pair_source.json",
+                             "--protocol", protocol)
+    assert (code, out) == (2, "")
+    assert "INPUT_FORMAT" in err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "compute", "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert "INPUT_FORMAT" in err
+
+
 def test_bad_flag_value_exits_2(tmp_path, capsys):
     src = write_pmf(tmp_path, worked_pmf())
     code, _, err = run_cli(capsys, "compute", "--input", src,
@@ -209,6 +252,48 @@ def test_config_echo_lists_every_knob(tmp_path, capsys):
     cfg = json.loads(out)["config"]
     assert set(cfg) == {"input", "output", "protocol", "tol_sum", "tol_ci",
                         "budget", "eps"}
+
+
+def run_fresh_process(*argv):
+    """Exit code, stdout and stderr of ``python -m pkregion`` run in a new
+    process with this process's environment; the child imports the same
+    package as this process, installed or not."""
+    package_root = os.path.dirname(os.path.dirname(pkregion.__file__))
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pkregion", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_calls_match_fresh_processes(tmp_path, capsys, monkeypatch,
+                                              data_dir):
+    """One process serves a parser error, two calls whose configuration
+    comes from the environment, and a call with explicit flags, each
+    exactly as a fresh process would."""
+    src = write_pmf(tmp_path, bsc_pmf())
+    monkeypatch.setenv("COLUMNS", "80")  # the width of the usage message
+    steps = [(None, ("compute", "--input", src, "--budget", "many")),
+             ("1", ("compute", "--input", src)),
+             ("1e-9", ("compute", "--input", src)),
+             (None, ("simulate", "--input", f"{data_dir}/xy_pair_source.json",
+                     "--protocol", f"{data_dir}/direct_extraction_n2.json",
+                     "--eps", "0.5", "--budget", "1000"))]
+    results = []
+    for tol_ci, argv in steps:
+        if tol_ci is None:
+            monkeypatch.delenv("PKREGION_TOL_CI", raising=False)
+        else:
+            monkeypatch.setenv("PKREGION_TOL_CI", tol_ci)
+        got = run_cli(capsys, *argv)
+        assert got == run_fresh_process(*argv), argv
+        results.append(got)
+    assert [code for code, _, _ in results] == [2, 0, 0, 0]
+    # the environment is read on every call: the noisy pair is tight only
+    # within the looser tolerance
+    verdicts = [json.loads(out)["det_correlated"] for _, out, _ in results[1:3]]
+    assert verdicts == [True, False]
 
 
 # -- output handling -----------------------------------------------------------------
@@ -254,15 +339,9 @@ def test_failed_run_creates_no_output_file(tmp_path, capsys):
 # -- the installed entry point ---------------------------------------------------------
 
 def test_console_script_runs():
-    # the child imports the same package as this process, installed or not
-    package_root = os.path.dirname(os.path.dirname(pkregion.__file__))
-    path = os.pathsep.join(filter(None, [package_root,
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "pkregion", "version"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == f"pkregion {__version__}"
+    code, out, _ = run_fresh_process("version")
+    assert code == 0
+    assert out.strip() == f"pkregion {__version__}"
 
 
 def test_layer_modules_load_with_the_package():

@@ -53,12 +53,6 @@ def test_load_pmf_sum_tolerance_is_configurable():
     assert p.total() == pytest.approx(0.9999)
 
 
-def test_load_pmf_prob_floor_zeroes_dust():
-    table = [0.5, 0.5 - 1e-13, 1e-13, 0.0]
-    p = load_pmf(table, ("A", "B"), (2, 2), prob_floor=1e-12)
-    assert p.probs[1, 0] == 0.0
-
-
 def test_probs_are_read_only():
     p = load_pmf([0.25] * 4, ("A", "B"), (2, 2))
     with pytest.raises(ValueError):

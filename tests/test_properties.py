@@ -7,14 +7,14 @@ with a fixed example count.
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from pkregion import (
     ProtocolSpec, RateRegion, SlotSpec, compute_report, contains,
     evaluate_protocol, exact_region, gap_metrics, inner_region, load_pmf,
     minimal_sufficient_statistic, outer_region,
 )
-from pkregion import regions
+from pkregion import protocol, regions
 
 from conftest import pmf_as_dict
 from oracles import apply_partition, oracle_cmi, oracle_evaluate
@@ -143,6 +143,18 @@ def test_yz_swap_mirrors_evaluation(x_speaks, data):
             assert getattr(mirrored, f"{figure}_{pair}") == pytest.approx(
                 getattr(report, f"{figure}_{other}"), abs=1e-12), \
                 (figure, pair)
+
+
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=3),
+              elements=st.floats(0.0, 1.0)),
+       st.integers(1, 4))
+def test_kron_power_equals_folded_kron(base, n):
+    want = base
+    for _ in range(n - 1):
+        want = np.kron(want, base)
+    got = protocol._kron_power(base, n)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def assert_regions_match(region, other, mirrored=False, tol=1e-9):
