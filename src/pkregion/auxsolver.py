@@ -34,18 +34,16 @@ from .structure import CommonFunction, maximal_common_function
 __all__ = ["max_aux_info_outer"]
 
 
-def max_aux_info_outer(p: JointPmf, cf: CommonFunction | None = None):
+def max_aux_info_outer(p: JointPmf):
     """Largest I(U∧X) over auxiliaries extractable from Y and from Z alone.
 
     Closed form: U→C→X caps the information at I(C∧X) for the
-    common-function label C, and U = C attains the cap. ``cf`` may carry a
-    precomputed maximal common function of (Y, Z).
+    common-function label C, and U = C attains the cap.
 
     Returns the value in bits together with the Y-side component statistic.
     """
     x, y, z = source_roles(p)
-    if cf is None:
-        cf = maximal_common_function(p, y, z)
+    cf = maximal_common_function(p, y, z)
     return _common_info(marginal(p, (x, y)).probs, cf), cf.stat_a
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .ioformats import check_document, dumps_deterministic, \
     write_atomic
 from .protocol import DEFAULT_BUDGET, check_eps_pk, evaluate_protocol, \
     rate_point
-from .regions import compute_report, contains, outer_region
+from .regions import RegionReport, compute_report, contains, outer_region
 from .structure import DEFAULT_CI_TOL
 
 __all__ = ["RunConfig", "main", "run", "cmd_compute", "cmd_check", "cmd_simulate"]
@@ -66,13 +67,14 @@ class RunConfig:
     eps: float
 
     def __post_init__(self):
+        # a NaN fails every comparison, so each range test rejects it
         for name in ("sum_tol", "ci_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
-        if self.eps < 0.0:
-            raise ValueError("eps must be nonnegative")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError("eps must be nonnegative and finite")
 
     def echo(self) -> dict:
         """Config entry embedded in every report."""
@@ -165,9 +167,12 @@ def cmd_compute(cfg: RunConfig) -> int:
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    """Tightness test only: common part and conditional-independence residual."""
+    """Tightness test only: common part and conditional-independence residual.
+
+    The analysis derives only what the document reads.
+    """
     p = read_pmf(_require_input(cfg), sum_tol=cfg.sum_tol)
-    report = compute_report(p, ci_tol=cfg.ci_tol)
+    report = RegionReport(p, ci_tol=cfg.ci_tol)
     _deliver(check_document(report, cfg.echo()), cfg.output)
     return 0
 

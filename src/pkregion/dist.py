@@ -167,22 +167,13 @@ def load_pmf(table, variables, cardinalities,
     ShapeMismatchError, NonFiniteEntryError, NegativeEntryError,
     SumOutOfToleranceError, DuplicateVariableError
     """
-    arr = np.asarray(table, dtype=np.float64)
-    expected = int(np.prod([int(c) for c in cardinalities])) if len(cardinalities) else 0
-    if arr.size != expected:
-        raise ShapeMismatchError(f"table has {arr.size} entries, expected {expected}")
-    # checked ahead of the sign and sum tests, so that ±inf is reported as
-    # non-finite, not as a negative entry or a sum out of tolerance
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteEntryError("table entries must be finite numbers")
-    if np.any(arr < 0.0):
-        raise NegativeEntryError(f"minimum table entry is {float(arr.min())!r}")
-    total = float(arr.sum())
+    p = JointPmf(tuple(variables), tuple(cardinalities), table)
+    total = p.total()
     if abs(total - 1.0) > sum_tol:
         raise SumOutOfToleranceError(
             f"table sums to {total!r}, outside 1 +/- {sum_tol!r}"
         )
-    return JointPmf(tuple(variables), tuple(cardinalities), arr)
+    return p
 
 
 def marginal(p: JointPmf, group) -> JointPmf:

@@ -16,15 +16,16 @@ keeps results deterministic to the bit across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .auxsolver import _common_info
 from .dist import NUM_TOL, JointPmf, source_roles, _clip0, _entropy_of
 from .errors import DegenerateInputError
-from .structure import DEFAULT_CI_TOL, CommonFunction, Statistic, \
-    _ci_residual, _common_function, _sufficient_statistic
+from .structure import DEFAULT_CI_TOL, CommonFunction, _ci_residual, \
+    _common_function, _sufficient_statistic
 
 __all__ = [
     "RateRegion",
@@ -249,37 +250,141 @@ _MARGINALS = {"x": (1, 2), "y": (0, 2), "z": (0, 1),
               "xy": (2,), "xz": (1,), "yz": (0,)}
 
 
-def _marginals(probs: np.ndarray) -> dict:
-    """Every marginal table of the source table ``probs``, by name.
+@dataclass(frozen=True, eq=False)
+class RegionReport:
+    """The analysis of one source: everything the pipeline knows about it.
 
-    Each is summed once, over all dropped axes together as
-    :func:`~pkregion.dist.marginal` sums it.
+    Construction sums the six marginal tables of ``p`` (each over all its
+    dropped axes at once, as :func:`~pkregion.dist.marginal` sums it) and
+    builds the maximal common function C of the helpers (Y, Z). Every other
+    attribute is derived once, on first read.
+
+    ``quantities`` maps names of the intermediate information terms (bits)
+    to their values; ``components`` and ``ci_residual`` describe the common
+    part of (Y, Z), and ``thm4_holds`` is the tightness verdict
+    ``ci_residual <= ci_tol``. ``area_gap`` and ``hausdorff_gap`` measure
+    inner versus outer.
     """
-    return {name: probs.sum(axis=drop) for name, drop in _MARGINALS.items()}
 
+    p: JointPmf
+    ci_tol: float = DEFAULT_CI_TOL
+    tables: dict = field(init=False, repr=False)
+    common: CommonFunction = field(init=False, repr=False)
 
-def _info_terms(probs: np.ndarray, tables: dict):
-    """Entropies of the source by name, each taken once, and the terms
-    I(X∧Y|Z), I(X∧Z|Y) and I(X∧Y,Z)."""
-    h = {name: _entropy_of(t) for name, t in tables.items()}
-    h["xyz"] = _entropy_of(probs)
-    terms = (_clip0(h["xz"] + h["yz"] - h["xyz"] - h["z"]),
-             _clip0(h["xy"] + h["yz"] - h["xyz"] - h["y"]),
-             _clip0(h["x"] + h["yz"] - h["xyz"]))
-    return h, terms
+    def __post_init__(self):
+        _, y, z = source_roles(self.p)
+        tables = {name: self.p.probs.sum(axis=drop)
+                  for name, drop in _MARGINALS.items()}
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "common",
+                           _common_function(y, z, tables["yz"]))
 
+    def complete(self) -> "RegionReport":
+        """Derive every attribute now; returns the analysis itself."""
+        for name, attr in vars(type(self)).items():
+            if isinstance(attr, cached_property):
+                getattr(self, name)
+        return self
 
-def _common_function_of(p: JointPmf, tables: dict) -> CommonFunction:
-    """The maximal common function of the helpers Y and Z."""
-    _, y, z = source_roles(p)
-    return _common_function(y, z, tables["yz"])
+    @cached_property
+    def entropies(self) -> dict:
+        """Entropies of the marginal tables by name, and ``xyz``."""
+        h = {name: _entropy_of(t) for name, t in self.tables.items()}
+        h["xyz"] = _entropy_of(self.p.probs)
+        return h
 
+    @cached_property
+    def info_terms(self) -> tuple:
+        """I(X∧Y|Z), I(X∧Z|Y) and I(X∧Y,Z)."""
+        h = self.entropies
+        return (_clip0(h["xz"] + h["yz"] - h["xyz"] - h["z"]),
+                _clip0(h["xy"] + h["yz"] - h["xyz"] - h["y"]),
+                _clip0(h["x"] + h["yz"] - h["xyz"]))
 
-def _outer_caps(tables: dict, terms: tuple, cf: CommonFunction):
-    """The outer cap triple and I(C∧X), the common-part term."""
-    a, b, i_x_yz = terms
-    i_x_common = _common_info(tables["xy"], cf)
-    return (a, b, _clip0(i_x_yz - i_x_common)), i_x_common
+    @cached_property
+    def i_x_common(self) -> float:
+        """I(C∧X), the common-part term of the outer sum cap."""
+        return _common_info(self.tables["xy"], self.common)
+
+    def _statistic_caps(self, axis: int):
+        """I(X∧S) and the cap triple of the achievable region of S, the
+        minimal sufficient statistic of the helper B on ``axis`` with
+        respect to the other helper C.
+
+        The region conditions B's key cap on S next to C and charges the
+        sum cap with I(X∧S). S is a function of B, so H(X,B,S,C) = H(X,B,C)
+        and H(B,S,C) = H(B,C): I(X∧B|S,C) = H(X,S,C) + H(B,C) − H(X,B,C) −
+        H(S,C). The tables of S are pushforwards of the source along B → S:
+        sums over each class of S.
+        """
+        h = self.entropies
+        a, b, i_x_yz = self.info_terms
+        yz = self.tables["yz"]
+        stat = _sufficient_statistic(self.p.variables[axis],
+                                     yz if axis == 1 else yz.T)
+        xcs = np.stack([self.p.probs.take(cls, axis=axis).sum(axis=axis)
+                        for cls in stat.classes()], axis=-1)
+        xs = xcs.sum(axis=1)
+        i_x_s = _clip0(h["x"] + _entropy_of(xs.sum(axis=0)) - _entropy_of(xs))
+        cap = _clip0(_entropy_of(xcs) + h["yz"] - h["xyz"]
+                     - _entropy_of(xcs.sum(axis=0)))
+        caps = (cap, b) if axis == 1 else (a, cap)
+        return i_x_s, caps + (_clip0(i_x_yz - i_x_s),)
+
+    @cached_property
+    def mss_y(self) -> tuple:
+        """I(X∧U) and region 1's caps, U = mss(Y|Z) next to Z."""
+        return self._statistic_caps(1)
+
+    @cached_property
+    def mss_z(self) -> tuple:
+        """I(X∧V) and region 2's caps, V = mss(Z|Y) next to Y."""
+        return self._statistic_caps(2)
+
+    @cached_property
+    def ci_residual(self) -> float:
+        return _ci_residual(self.tables["yz"], self.common)
+
+    @cached_property
+    def thm4_holds(self) -> bool:
+        return self.ci_residual <= self.ci_tol
+
+    @cached_property
+    def outer(self) -> RateRegion:
+        a, b, i_x_yz = self.info_terms
+        return RateRegion.from_caps(a, b, _clip0(i_x_yz - self.i_x_common),
+                                    "outer")
+
+    @cached_property
+    def inner(self) -> RateRegion:
+        return RateRegion.from_hull(_cap_vertices(*self.mss_y[1])
+                                    + _cap_vertices(*self.mss_z[1]))
+
+    @cached_property
+    def exact(self) -> RateRegion | None:
+        return replace(self.outer, provenance="exact-thm4") \
+            if self.thm4_holds else None
+
+    @cached_property
+    def gaps(self) -> tuple:
+        """(area, Hausdorff) gap of inner against outer."""
+        return gap_metrics(self.inner, self.outer)
+
+    area_gap = property(lambda self: self.gaps[0])
+    hausdorff_gap = property(lambda self: self.gaps[1])
+    components = property(lambda self: self.common.components)
+
+    @cached_property
+    def quantities(self) -> dict:
+        a, b, i_x_yz = self.info_terms
+        return {
+            "i_x_y_given_z": a,
+            "i_x_z_given_y": b,
+            "i_x_yz": i_x_yz,
+            "i_x_mss_y": self.mss_y[0],
+            "i_x_mss_z": self.mss_z[0],
+            "i_x_common": self.i_x_common,
+        }
 
 
 def outer_region(p: JointPmf) -> RateRegion:
@@ -288,53 +393,12 @@ def outer_region(p: JointPmf) -> RateRegion:
     a = I(X∧Y|Z), b = I(X∧Z|Y), and the sum cap is I(X∧Y,Z) minus the
     largest information an extractable auxiliary carries about X.
     """
-    tables = _marginals(p.probs)
-    _, terms = _info_terms(p.probs, tables)
-    caps, _ = _outer_caps(tables, terms, _common_function_of(p, tables))
-    return RateRegion.from_caps(*caps, "outer")
-
-
-def _statistic_terms(probs: np.ndarray, axis: int, stat: Statistic, h: dict):
-    """I(X∧S) and I(X∧B|S,C) for a statistic S of the helper B on ``axis``
-    of the source table, C being the other helper.
-
-    S is a function of B, so H(X,B,S,C) = H(X,B,C) and H(B,S,C) = H(B,C):
-    I(X∧B|S,C) = H(X,S,C) + H(B,C) − H(X,B,C) − H(S,C). The tables of S
-    are pushforwards of the source along B → S: sums over each class of S.
-    """
-    xcs = np.stack([probs.take(cls, axis=axis).sum(axis=axis)
-                    for cls in stat.classes()], axis=-1)
-    xs = xcs.sum(axis=1)
-    i_x_s = _clip0(h["x"] + _entropy_of(xs.sum(axis=0)) - _entropy_of(xs))
-    i_x_b = _clip0(_entropy_of(xcs) + h["yz"] - h["xyz"]
-                   - _entropy_of(xcs.sum(axis=0)))
-    return i_x_s, i_x_b
-
-
-def _inner_component_caps(p: JointPmf, tables: dict, h: dict, terms: tuple):
-    """Cap triples of the two achievable regions, plus their statistic terms.
-
-    Region 1 conditions the XY cap on the minimal sufficient statistic U of
-    Y with respect to Z, next to Z, and charges the sum cap with I(X∧U);
-    region 2 swaps the roles of Y and Z.
-    """
-    _, y, z = source_roles(p)
-    a, b, i_x_yz = terms
-    u_stat = _sufficient_statistic(y, tables["yz"])
-    v_stat = _sufficient_statistic(z, tables["yz"].T)
-    i_x_mss_y, cap1_xy = _statistic_terms(p.probs, 1, u_stat, h)
-    i_x_mss_z, cap2_xz = _statistic_terms(p.probs, 2, v_stat, h)
-    caps1 = (cap1_xy, b, _clip0(i_x_yz - i_x_mss_y))
-    caps2 = (a, cap2_xz, _clip0(i_x_yz - i_x_mss_z))
-    return caps1, caps2, i_x_mss_y, i_x_mss_z
+    return RegionReport(p).outer
 
 
 def inner_region(p: JointPmf) -> RateRegion:
     """Achievable region: the hull of the two sufficient-statistic regions."""
-    tables = _marginals(p.probs)
-    h, terms = _info_terms(p.probs, tables)
-    caps1, caps2, _, _ = _inner_component_caps(p, tables, h, terms)
-    return RateRegion.from_hull(_cap_vertices(*caps1) + _cap_vertices(*caps2))
+    return RegionReport(p).inner
 
 
 def exact_region(p: JointPmf,
@@ -347,78 +411,16 @@ def exact_region(p: JointPmf,
     ``exact-thm4``). A separating extractable auxiliary exists for exactly
     these sources (see :mod:`pkregion.auxsolver`), so no other test is made.
     """
-    tables = _marginals(p.probs)
-    cf = _common_function_of(p, tables)
-    if _ci_residual(tables["yz"], cf) > ci_tol:
-        return None
-    _, terms = _info_terms(p.probs, tables)
-    caps, _ = _outer_caps(tables, terms, cf)
-    return RateRegion.from_caps(*caps, "exact-thm4")
-
-
-@dataclass(frozen=True, eq=False)
-class RegionReport:
-    """Everything the pipeline knows about one source.
-
-    ``quantities`` maps names of the intermediate information terms (bits)
-    to their values; ``components`` and ``ci_residual`` describe the common
-    part of (Y, Z), and ``thm4_holds`` is the tightness verdict
-    ``ci_residual <= ci_tol``. ``area_gap`` and ``hausdorff_gap`` measure
-    inner versus outer.
-    """
-
-    outer: RateRegion
-    inner: RateRegion
-    exact: RateRegion | None
-    thm4_holds: bool
-    components: int
-    ci_residual: float
-    area_gap: float
-    hausdorff_gap: float
-    quantities: dict
+    return RegionReport(p, ci_tol).exact
 
 
 def compute_report(p: JointPmf,
                    ci_tol: float = DEFAULT_CI_TOL) -> RegionReport:
     """Run the full pipeline on one source and collect every artifact.
 
-    One analysis pass: the marginal tables of the source, their entropies,
-    the maximal common function and the conditional-independence residual
-    are computed once and feed the outer/inner regions, the tightness test
-    (residual at most ``ci_tol``), the exact region when it passes, the
-    inner-vs-outer gap metrics, and all named information quantities.
+    The analysis of ``p``, with every attribute derived here rather than
+    when a report document reads it: the outer/inner regions, the tightness
+    test (residual at most ``ci_tol``), the exact region when it passes, the
+    inner-vs-outer gap metrics and all named information quantities.
     """
-    tables = _marginals(p.probs)
-    h, terms = _info_terms(p.probs, tables)
-    cf = _common_function_of(p, tables)
-    caps, i_x_common = _outer_caps(tables, terms, cf)
-    caps1, caps2, i_x_mss_y, i_x_mss_z = _inner_component_caps(p, tables, h,
-                                                               terms)
-    a, b, i_x_yz = terms
-    outer = RateRegion.from_caps(*caps, "outer")
-    inner = RateRegion.from_hull(_cap_vertices(*caps1) + _cap_vertices(*caps2))
-    ci_residual = _ci_residual(tables["yz"], cf)
-    det_correlated = ci_residual <= ci_tol
-    exact = None
-    if det_correlated:
-        exact = RateRegion.from_caps(*caps, "exact-thm4")
-    area_gap, hausdorff_gap = gap_metrics(inner, outer)
-    quantities = {
-        "i_x_y_given_z": a,
-        "i_x_z_given_y": b,
-        "i_x_yz": i_x_yz,
-        "i_x_mss_y": i_x_mss_y,
-        "i_x_mss_z": i_x_mss_z,
-        "i_x_common": i_x_common,
-    }
-    return RegionReport(
-        outer=outer,
-        inner=inner,
-        exact=exact,
-        thm4_holds=det_correlated,
-        components=cf.components,
-        ci_residual=ci_residual,
-        area_gap=area_gap,
-        hausdorff_gap=hausdorff_gap,
-        quantities=quantities,
-    )
+    return RegionReport(p, ci_tol).complete()

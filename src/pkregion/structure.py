@@ -200,17 +200,14 @@ def _common_function(a: str, b: str, t: np.ndarray) -> CommonFunction:
     )
 
 
-def conditional_independence_residual(p: JointPmf, a: str, b: str,
-                                      cf: CommonFunction | None = None) -> float:
+def conditional_independence_residual(p: JointPmf, a: str, b: str) -> float:
     """Worst-case deviation of P(a,b | component) from product form.
 
     The max over components u and cells (a,b) in u of
     ``|P(a,b|u) - P(a|u) P(b|u)|``, including zero-probability cells inside
     the component block (support holes count as dependence).
     """
-    if cf is None:
-        cf = maximal_common_function(p, a, b)
-    return _ci_residual(_pair_table(p, a, b), cf)
+    return _ci_residual(_pair_table(p, a, b), maximal_common_function(p, a, b))
 
 
 def _ci_residual(t: np.ndarray, cf: CommonFunction) -> float:

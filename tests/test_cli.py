@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pkregion
 from pkregion import __version__
@@ -220,6 +221,47 @@ def test_bad_flag_value_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compute", "--input", src,
                            "--tol-ci", "-1")
     assert code == 2 and "ci_tol" in err
+
+
+def test_non_finite_option_exits_2_before_reading(tmp_path, capsys,
+                                                 monkeypatch):
+    """A non-finite tolerance is an option error, raised before the input is
+    read: the input path here does not exist."""
+    missing = str(tmp_path / "missing.json")
+    for argv, name in ((("--eps", "nan"), "eps"),
+                       (("--tol-ci", "inf"), "ci_tol")):
+        code, out, err = run_cli(capsys, "compute", "--input", missing, *argv)
+        assert (code, out) == (2, "")
+        assert name in err and "INPUT_FORMAT" not in err
+    monkeypatch.setenv("PKREGION_EPS", "inf")
+    code, out, err = run_cli(capsys, "compute", "--input", missing)
+    assert (code, out) == (2, "")
+    assert "eps" in err and "INPUT_FORMAT" not in err
+
+
+def test_check_diagnostics_match_compute(capsys, data_dir):
+    """check's three lines are byte-identical to compute's on every source
+    file, at the default tolerance and at one every source passes."""
+    keys = ("mcf_components", "det_correlated", "ci_residual")
+
+    def lines(text):
+        rows = [row.rstrip(",") for row in text.splitlines()]
+        return [row for row in rows
+                if row.startswith(tuple(f'  "{key}": ' for key in keys))]
+
+    sources = [path for path in sorted(Path(data_dir).glob("*.json"))
+               if json.loads(path.read_text())["schema"] == "pkregion-pmf-v1"]
+    assert len(sources) >= 4
+    for path in sources:
+        for tol in ((), ("--tol-ci", "1")):
+            code, computed, _ = run_cli(capsys, "compute", "--input",
+                                        str(path), *tol)
+            assert code == 0
+            code, checked, _ = run_cli(capsys, "check", "--input",
+                                       str(path), *tol)
+            assert code == 0
+            assert len(lines(checked)) == len(keys)
+            assert lines(checked) == lines(computed), path.name
 
 
 # -- configuration merging ---------------------------------------------------------

@@ -101,6 +101,13 @@ def test_read_pmf_error_paths(tmp_path):
     unnorm.write_text(json.dumps(doc))
     with pytest.raises(SumOutOfToleranceError):
         read_pmf(unnorm)
+    # a JSON boolean is no cardinality, though Python counts true as 1
+    boolean = tmp_path / "boolean.json"
+    boolean.write_text(json.dumps({
+        "schema": "pkregion-pmf-v1", "variables": ["X", "Y", "Z"],
+        "cardinalities": [True, 2, 2], "pmf": [0.25] * 4}))
+    with pytest.raises(InputFormatError, match="cardinalities"):
+        read_pmf(boolean)
 
 
 def test_protocol_roundtrip(tmp_path):

@@ -14,7 +14,7 @@ from pkregion import (
     evaluate_protocol, exact_region, gap_metrics, inner_region, load_pmf,
     minimal_sufficient_statistic, outer_region,
 )
-from pkregion import protocol, regions
+from pkregion import protocol
 
 from conftest import pmf_as_dict
 from oracles import apply_partition, oracle_cmi, oracle_evaluate
@@ -194,11 +194,8 @@ def test_yz_swap_mirrors_regions(p):
 def test_inner_terms_match_oracle(p):
     """I(X∧U), I(X∧V) and both inner cap triples, from the pushforward
     tables, against the oracle on the source with U (V) appended."""
-    tables = regions._marginals(p.probs)
-    h, terms = regions._info_terms(p.probs, tables)
-    caps1, caps2, i_x_u, i_x_v = regions._inner_component_caps(p, tables, h,
-                                                               terms)
     report = compute_report(p)
+    (i_x_u, caps1), (i_x_v, caps2) = report.mss_y, report.mss_z
     assert report.quantities["i_x_mss_y"] == i_x_u
     assert report.quantities["i_x_mss_z"] == i_x_v
     dist = pmf_as_dict(p)

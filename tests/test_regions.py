@@ -232,11 +232,23 @@ def test_exact_region_nests_between_inner_and_outer():
             assert contains(outer, v, tol=1e-9)
 
 
+def assert_same_region(got, want):
+    assert (got.cap_xy, got.cap_xz, got.cap_sum) \
+        == (want.cap_xy, want.cap_xz, want.cap_sum)
+    assert got.vertices == want.vertices
+    assert got.provenance == want.provenance
+
+
 def test_exact_region_matches_compute_report():
+    """Each public region function equals the matching field of the full
+    report exactly: caps, vertices and provenance."""
     rng = rng_for(407)
     sources = [random_pmf(rng) for _ in range(10)]
     sources += [det_correlated_pmf(rng)[0] for _ in range(10)]
     for p in sources:
+        report = compute_report(p)
+        assert_same_region(outer_region(p), report.outer)
+        assert_same_region(inner_region(p), report.inner)
         # the default tolerance, one that only exact independence passes,
         # and one that every source passes
         for tols in ((), (0.0,), (1.0,)):
@@ -245,8 +257,7 @@ def test_exact_region_matches_compute_report():
             if expected is None:
                 assert exact is None
             else:
-                assert exact.provenance == expected.provenance
-                assert exact.vertices == expected.vertices
+                assert_same_region(exact, expected)
 
 
 # -- the assembled report -----------------------------------------------------------

@@ -189,13 +189,6 @@ def test_residual_matches_oracle():
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_residual_accepts_precomputed_common_function(bsc_source):
-    cf = maximal_common_function(bsc_source, "Y", "Z")
-    direct = conditional_independence_residual(bsc_source, "Y", "Z")
-    reused = conditional_independence_residual(bsc_source, "Y", "Z", cf=cf)
-    assert direct == reused
-
-
 def test_is_deterministically_correlated():
     """The tightness test, residual <= DEFAULT_CI_TOL, on sources built
     conditionally independent and on generic ones."""
@@ -204,7 +197,7 @@ def test_is_deterministically_correlated():
         p, m = det_correlated_pmf(rng)
         cf = maximal_common_function(p, "Y", "Z")
         assert cf.components == m
-        assert conditional_independence_residual(p, "Y", "Z", cf) \
+        assert conditional_independence_residual(p, "Y", "Z") \
             <= DEFAULT_CI_TOL
     for trial in range(30):
         p = random_pmf(rng)  # full support, continuous entries: never exact
