@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dist import JointPmf, marginal, source_roles, _clip0, _entropy_of
-from .structure import CommonFunction, maximal_common_function
+from .dist import JointPmf, source_roles, _clip0, _entropy_of
+from .structure import CommonFunction, maximal_common_function, _pair_table
 
 __all__ = ["max_aux_info_outer"]
 
@@ -44,7 +44,7 @@ def max_aux_info_outer(p: JointPmf):
     """
     x, y, z = source_roles(p)
     cf = maximal_common_function(p, y, z)
-    return _common_info(marginal(p, (x, y)).probs, cf), cf.stat_a
+    return _common_info(_pair_table(p, x, y), cf), cf.stat_a
 
 
 def _common_info(txy: np.ndarray, cf: CommonFunction) -> float:

@@ -169,7 +169,7 @@ def load_pmf(table, variables, cardinalities,
     """
     p = JointPmf(tuple(variables), tuple(cardinalities), table)
     total = p.total()
-    if abs(total - 1.0) > sum_tol:
+    if not abs(total - 1.0) <= sum_tol:
         raise SumOutOfToleranceError(
             f"table sums to {total!r}, outside 1 +/- {sum_tol!r}"
         )

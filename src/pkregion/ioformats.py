@@ -375,13 +375,21 @@ def dumps_deterministic(doc) -> str:
 
 
 def write_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a same-directory temp file."""
+    """Write ``text`` to ``path`` through a same-directory temp file.
+
+    The file gets the mode a plain ``open`` would give it, 0o666 less the
+    umask, not the 0o600 of the temp file.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pkregion-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        # setting the umask is the portable way to read it; restore at once
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -11,13 +11,14 @@ Z's. No randomization anywhere.
 The evaluator sums exact product probabilities over sequence tables, so
 all reported figures — disagreement probabilities, leakage toward the
 respective helper, uniformity deficits, key rates — are exact up to float
-rounding, not estimates. A protocol whose transcript carries information is
-run on every joint sequence triple. When the transcript is constant (every
-slot alphabet has size 1), each figure involves just two of the three
-sequences: the XY key against Z's, the XZ key against Y's. It is then
-computed from the pairwise marginals of Pⁿ, which costs |X|ⁿ|Y|ⁿ + |X|ⁿ|Z|ⁿ
-+ |Y|ⁿ|Z|ⁿ cells instead of |X|ⁿ|Y|ⁿ|Z|ⁿ. The enumeration budget bounds
-the sequence tables the chosen path builds and the accumulated
+rounding, not estimates. One rule decides which table each figure sums
+over: the n-fold product of the marginal of just the terminals its codes
+read. A figure reads two terminals (a key against its estimate, or either
+against the helper it is hidden from) plus every terminal that speaks,
+since the transcript varies along their sequences; a null slot (alphabet
+size 1) always sends 0. With no speaker this costs |X|ⁿ|Y|ⁿ + |X|ⁿ|Z|ⁿ +
+|Y|ⁿ|Z|ⁿ cells, with all three speaking |X|ⁿ|Y|ⁿ|Z|ⁿ. The enumeration
+budget bounds these sequence tables and the accumulated
 key/transcript/helper tables.
 
 Index conventions (also used by the file format): an n-sequence maps to
@@ -217,84 +218,67 @@ def _kron_power(base: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
-def _pushforward(weights: np.ndarray, codes: np.ndarray, size: int) -> np.ndarray:
-    """Distribution of ``codes`` (one per cell of ``weights``) over [0, size)."""
-    return np.bincount(codes.reshape(-1), weights=weights.reshape(-1),
-                       minlength=size)
+def _figures(probs: np.ndarray, spec: ProtocolSpec, n: int):
+    """Errors, leaks (not yet per-symbol) and key entropies of a protocol.
 
-
-def _info_bits(weights, a, a_size: int, b, b_size: int) -> float:
-    """I(A ∧ B) in bits, for codes A and B on the cells of ``weights``."""
-    table = _pushforward(weights, a * b_size + b, a_size * b_size)
-    table = table.reshape(a_size, b_size)
-    return _clip0(_entropy_of(table.sum(axis=1))
-                  + _entropy_of(table.sum(axis=0)) - _entropy_of(table))
-
-
-def _disagreement(weights, a, b) -> float:
-    return float(weights[a != b].sum())
-
-
-def _pairwise_figures(probs: np.ndarray, spec: ProtocolSpec, n: int):
-    """Errors, leaks (not yet per-symbol) and key entropies of a protocol
-    whose transcript is constant.
-
-    Each figure then involves two of the three sequences, so it is a
-    functional of one pairwise marginal of Pⁿ. The single-column key tables
-    broadcast against each other as (rows, 1) × (1, columns).
+    A null slot always sends 0, so the transcript varies only along the
+    axes of the terminals that speak. Each key, estimate and helper code is
+    a lookup over the sequence grids, broadcast only along the axes it
+    reads. Each figure sums over the n-fold product of the marginal of the
+    terminals its codes vary along; that table is built once per call and
+    kept by its broadcast shape.
     """
-    kxy, kxz = spec.key_xy_size, spec.key_xz_size
-    p_xy, p_xz, p_yz = (_kron_power(probs.sum(axis=axis), n)
-                        for axis in (2, 1, 0))
-    p_x = _kron_power(probs.sum(axis=(1, 2)), n)
-    ny, nz = p_yz.shape
-    y_row = np.arange(ny, dtype=np.int64).reshape(1, ny)
-    z_row = np.arange(nz, dtype=np.int64).reshape(1, nz)
-    return (
-        _disagreement(p_xy, spec.key_xy, spec.est_xy.T),
-        _disagreement(p_xz, spec.key_xz, spec.est_xz.T),
-        max(_info_bits(p_xz, spec.key_xy, kxy, z_row, nz),
-            _info_bits(p_yz, spec.est_xy, kxy, z_row, nz)),
-        max(_info_bits(p_xy, spec.key_xz, kxz, y_row, ny),
-            _info_bits(p_yz.T, spec.est_xz, kxz, y_row, ny)),
-        _entropy_of(_pushforward(p_x, spec.key_xy, kxy)),
-        _entropy_of(_pushforward(p_x, spec.key_xz, kxz)),
-    )
-
-
-def _joint_figures(probs: np.ndarray, spec: ProtocolSpec, n: int):
-    """The same figures as :func:`_pairwise_figures`, by running the
-    protocol on every joint sequence triple."""
-    weights = _kron_power(probs, n)
-    nx, ny, nz = weights.shape
-    xg = np.arange(nx, dtype=np.int64).reshape(nx, 1, 1)
-    yg = np.arange(ny, dtype=np.int64).reshape(1, ny, 1)
-    zg = np.arange(nz, dtype=np.int64).reshape(1, 1, nz)
-    own_grids = (xg, yg, zg)
-    transcript = np.zeros((1, 1, 1), dtype=np.int64)
+    nx, ny, nz = len(spec.key_xy), len(spec.est_xy), len(spec.est_xz)
+    grids = xg, yg, zg = (np.arange(nx, dtype=np.int64).reshape(nx, 1, 1),
+                          np.arange(ny, dtype=np.int64).reshape(1, ny, 1),
+                          np.arange(nz, dtype=np.int64).reshape(1, 1, nz))
+    transcript = 0
     for slot_no, slot in enumerate(spec.slots):
-        message = slot.table[own_grids[slot_no % 3], transcript]
-        transcript = transcript * slot.alphabet_size + message
+        if slot.alphabet_size > 1:
+            message = slot.table[grids[slot_no % 3], transcript]
+            transcript = transcript * slot.alphabet_size + message
+    k_xy, l_xy = spec.key_xy[xg, transcript], spec.est_xy[yg, transcript]
+    k_xz, l_xz = spec.key_xz[xg, transcript], spec.est_xz[zg, transcript]
+    # one code for the transcript together with the helper's sequence
+    tr_z, tr_y = transcript * nz + zg, transcript * ny + yg
+    tables = {}
 
-    k_xy, l_xy, k_xz, l_xz, transcript = (
-        np.broadcast_to(arr, weights.shape) for arr in (
-            spec.key_xy[xg, transcript], spec.est_xy[yg, transcript],
-            spec.key_xz[xg, transcript], spec.est_xz[zg, transcript],
-            transcript))
+    def mass(codes):
+        """Pⁿ summed over every axis along which ``codes`` is constant,
+        in the shape of ``codes``."""
+        table = tables.get(codes.shape)
+        if table is None:
+            drop = tuple(axis for axis, size in enumerate(codes.shape)
+                         if size == 1)
+            table = tables[codes.shape] = _kron_power(
+                probs.sum(axis=drop), n).reshape(codes.shape)
+        return table
+
+    def pushforward(codes, size):
+        return np.bincount(codes.reshape(-1), weights=mass(codes).reshape(-1),
+                           minlength=size)
+
+    def info_bits(a, a_size, b, b_size):
+        table = pushforward(a * b_size + b, a_size * b_size)
+        table = table.reshape(a_size, b_size)
+        return _clip0(_entropy_of(table.sum(axis=1))
+                      + _entropy_of(table.sum(axis=0)) - _entropy_of(table))
+
+    def disagreement(a, b):
+        differ = a != b
+        return float(mass(differ)[differ].sum())
+
     kxy, kxz = spec.key_xy_size, spec.key_xz_size
     heard = spec.transcript_space()
-    # one code for the transcript together with the helper's sequence
-    tr_z = transcript * nz + zg
-    tr_y = transcript * ny + yg
     return (
-        _disagreement(weights, k_xy, l_xy),
-        _disagreement(weights, k_xz, l_xz),
-        max(_info_bits(weights, k_xy, kxy, tr_z, heard * nz),
-            _info_bits(weights, l_xy, kxy, tr_z, heard * nz)),
-        max(_info_bits(weights, k_xz, kxz, tr_y, heard * ny),
-            _info_bits(weights, l_xz, kxz, tr_y, heard * ny)),
-        _entropy_of(_pushforward(weights, k_xy, kxy)),
-        _entropy_of(_pushforward(weights, k_xz, kxz)),
+        disagreement(k_xy, l_xy),
+        disagreement(k_xz, l_xz),
+        max(info_bits(k_xy, kxy, tr_z, heard * nz),
+            info_bits(l_xy, kxy, tr_z, heard * nz)),
+        max(info_bits(k_xz, kxz, tr_y, heard * ny),
+            info_bits(l_xz, kxz, tr_y, heard * ny)),
+        _entropy_of(pushforward(k_xy, kxy)),
+        _entropy_of(pushforward(k_xz, kxz)),
     )
 
 
@@ -331,35 +315,40 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
                       budget: int = DEFAULT_BUDGET) -> EvaluationReport:
     """Evaluate the protocol over every source sequence triple, exactly.
 
-    A protocol whose transcript is constant (every slot alphabet has size
-    1) is evaluated from the three pairwise marginals of Pⁿ; any other runs
-    over the joint table of all sequence triples.
+    Each figure sums over the n-fold product of the marginal of just the
+    terminals its codes read: the key's and the estimate's, or one of them
+    and the helper's, plus every terminal that speaks, since the transcript
+    varies along its sequences. A protocol in which no terminal speaks is
+    thus evaluated from the three pairwise marginals of Pⁿ, one in which
+    all three speak from the joint table of all sequence triples.
 
     Raises
     ------
     BudgetExceededError
-        If the sequence tables the evaluation builds (the three pairwise
-        ones for a constant transcript, the joint one otherwise), or any
-        accumulated key/transcript/helper table, would exceed ``budget``
-        cells.
+        If the sequence tables the evaluation builds (for each pair of
+        terminals, one over that pair plus every terminal that speaks), or
+        any accumulated key/transcript/helper table, would exceed
+        ``budget`` cells.
     MalformedTableError
         If a slot or key table does not match its domain (sequence count ×
         transcript count) for this source and blocklength.
     """
     source_roles(p)
     n = spec.n
-    nx, ny, nz = (_sequence_count(label, card, n, budget)
-                  for label, card in zip("XYZ", p.cardinalities))
+    counts = nx, ny, nz = tuple(_sequence_count(label, card, n, budget)
+                                for label, card in zip("XYZ", p.cardinalities))
     num_tr_total = spec.transcript_space()
-    # the messages name only factors at most the budget, never their product
-    if num_tr_total == 1:
-        if nx * ny + nx * nz + ny * nz > budget:
-            raise BudgetExceededError(
-                f"{nx}*{ny} + {nx}*{nz} + {ny}*{nz} pairwise sequence cells "
-                f"exceed the budget of {budget}")
-    elif nx * ny * nz > budget:
+    speakers = {slot_no % 3 for slot_no, slot in enumerate(spec.slots)
+                if slot.alphabet_size > 1}
+    # the key entropies' table, over X and the speakers, is a marginal of
+    # the XY one; the message names only factors at most the budget
+    tables = sorted({tuple(sorted({*pair, *speakers}))
+                     for pair in ((0, 1), (0, 2), (1, 2))})
+    if sum(math.prod(counts[axis] for axis in axes) for axes in tables) > budget:
         raise BudgetExceededError(
-            f"{nx}*{ny}*{nz} joint sequences exceed the budget of {budget}")
+            " + ".join("*".join(str(counts[axis]) for axis in axes)
+                       for axes in tables)
+            + f" sequence cells exceed the budget of {budget}")
     # each helper is paired with the key it must not learn
     for label, key_size, helper in (("Z", spec.key_xy_size, nz),
                                     ("Y", spec.key_xz_size, ny)):
@@ -368,10 +357,9 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
                 f"key/transcript/{label} joint table needs more than "
                 f"{budget} cells")
 
-    own_counts = (nx, ny, nz)
     heard = 1
     for slot_no, slot in enumerate(spec.slots):
-        expected = (own_counts[slot_no % 3], heard)
+        expected = (counts[slot_no % 3], heard)
         if slot.table.shape != expected:
             raise MalformedTableError(
                 f"slot {slot_no + 1} table has shape {slot.table.shape}, "
@@ -385,8 +373,7 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
             raise MalformedTableError(
                 f"{name} table has shape {table.shape}, expected {(rows, heard)}")
 
-    figures = _pairwise_figures if num_tr_total == 1 else _joint_figures
-    error_xy, error_xz, leak_xy, leak_xz, h_k_xy, h_k_xz = figures(
+    error_xy, error_xz, leak_xy, leak_xz, h_k_xy, h_k_xz = _figures(
         p.probs, spec, n)
     return EvaluationReport(
         error_xy=error_xy,
@@ -406,7 +393,7 @@ def check_eps_pk(report: EvaluationReport, eps: float):
     Returns ``(xy_ok, xz_ok)``: agreement error, per-symbol leakage and
     uniformity deficit each at most ``eps`` for the respective pair.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
     xy_ok = (report.error_xy <= eps and report.leak_xy <= eps
              and report.unif_xy <= eps)

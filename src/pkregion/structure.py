@@ -93,10 +93,14 @@ class CommonFunction:
 
 
 def _pair_table(p: JointPmf, a: str, b: str) -> np.ndarray:
-    """Joint table of (a, b) with axis order (a, b)."""
-    joint = marginal(p, (a, b))
-    t = joint.probs
-    return t if joint.variables == (a, b) else t.T
+    """Joint table of the distinct variables (a, b) with axis order (a, b),
+    summed from ``p.probs`` as :func:`~pkregion.dist.marginal` sums it."""
+    if a == b:
+        raise ValueError("the two variables must be distinct")
+    ia, ib = p.axis(a), p.axis(b)
+    drop = tuple(i for i in range(len(p.variables)) if i not in (ia, ib))
+    t = p.probs.sum(axis=drop) if drop else p.probs
+    return t if ia < ib else t.T
 
 
 def minimal_sufficient_statistic(p: JointPmf, of: str, wrt) -> Statistic:
@@ -160,8 +164,6 @@ def maximal_common_function(p: JointPmf, a: str, b: str) -> CommonFunction:
     EmptySupportError
         If the pair has no positive-probability cell.
     """
-    if a == b:
-        raise ValueError("the two variables must be distinct")
     return _common_function(a, b, _pair_table(p, a, b))
 
 
@@ -207,7 +209,8 @@ def conditional_independence_residual(p: JointPmf, a: str, b: str) -> float:
     ``|P(a,b|u) - P(a|u) P(b|u)|``, including zero-probability cells inside
     the component block (support holes count as dependence).
     """
-    return _ci_residual(_pair_table(p, a, b), maximal_common_function(p, a, b))
+    t = _pair_table(p, a, b)
+    return _ci_residual(t, _common_function(a, b, t))
 
 
 def _ci_residual(t: np.ndarray, cf: CommonFunction) -> float:

@@ -129,7 +129,7 @@ def test_non_integer_protocol_entry_exits_2(tmp_path, capsys, data_dir):
              (("key_xy_size",), True, "INPUT_FORMAT"),
              (("key_xy_size",), 4.0, "INPUT_FORMAT"))
     for where, bad, code_name in cases:
-        doc = json.loads(open(f"{data_dir}/direct_extraction_n2.json").read())
+        doc = json.loads(Path(data_dir, "direct_extraction_n2.json").read_text())
         if len(where) == 2:
             doc[where[0]][where[1]][0] = bad
         else:
@@ -163,7 +163,7 @@ def test_budget_exceeded_exits_3(tmp_path, capsys, data_dir):
 
 
 def test_huge_blocklength_exits_3_at_once(tmp_path, capsys, data_dir):
-    doc = json.loads(open(f"{data_dir}/direct_extraction_n2.json").read())
+    doc = json.loads(Path(data_dir, "direct_extraction_n2.json").read_text())
     for n in (10 ** 5, 10 ** 6):
         doc["n"] = n
         path = tmp_path / "protocol.json"
@@ -180,7 +180,7 @@ def test_huge_blocklength_exits_3_at_once(tmp_path, capsys, data_dir):
 
 def write_protocol_with_key_size(tmp_path, data_dir, digits):
     """The direct-extraction protocol with a ``digits``-digit XY key size."""
-    text = open(f"{data_dir}/direct_extraction_n2.json").read()
+    text = Path(data_dir, "direct_extraction_n2.json").read_text()
     doc = json.loads(text)
     text = text.replace(f'"key_xy_size": {doc["key_xy_size"]}',
                         f'"key_xy_size": {"9" * digits}')

@@ -27,6 +27,10 @@ def test_load_pmf_rejects_bad_inputs():
         load_pmf([0.5, 0.6, -0.1, 0.0], ("A", "B"), (2, 2))
     with pytest.raises(SumOutOfToleranceError):
         load_pmf([0.5, 0.4, 0.0, 0.0], ("A", "B"), (2, 2))
+    # a NaN tolerance admits no table, least of all one summing to 4.8
+    with pytest.raises(SumOutOfToleranceError):
+        load_pmf(np.full(8, 0.6), ("X", "Y", "Z"), (2, 2, 2),
+                 sum_tol=float("nan"))
     with pytest.raises(ShapeMismatchError):
         load_pmf([0.5, 0.5], ("A", "B"), (2, 2))
     with pytest.raises(DuplicateVariableError):

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -199,6 +200,17 @@ def test_write_atomic_writes_exact_bytes(tmp_path):
     assert json.loads(path.read_text()) == {"replaced": True}
     # no stray temporary files stay behind
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_write_atomic_gives_the_umask_mode(tmp_path):
+    # the temp file is created 0o600; the report must not keep that mode
+    path = tmp_path / "out.json"
+    old = os.umask(0o022)
+    try:
+        write_atomic(path, "{}\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 def test_write_atomic_failure_leaves_no_file(tmp_path):

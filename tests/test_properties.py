@@ -60,14 +60,15 @@ def null_slot(rows, heard):
 
 
 @st.composite
-def protocols(draw, cards, n, x_speaks):
-    """A protocol whose Y and Z slots are null. With ``x_speaks`` X sends a
-    binary message in each of one or two rounds; without it every slot is
-    null, so the transcript is constant."""
+def protocols(draw, cards, n, speakers):
+    """A protocol in which the terminals in ``speakers`` (0 = X, 1 = Y,
+    2 = Z) each send a binary message in each of one or two rounds and
+    every other slot is null. With no speaker the rounds may be zero and
+    the transcript is constant."""
     counts = tuple(c ** n for c in cards)
     slots, heard = [], 1
-    for t in range(3 * draw(st.integers(int(x_speaks), 2))):
-        size = 2 if x_speaks and t % 3 == 0 else 1
+    for t in range(3 * draw(st.integers(int(bool(speakers)), 2))):
+        size = 2 if t % 3 in speakers else 1
         slots.append(SlotSpec(alphabet_size=size, table=draw(arrays(
             np.int64, (counts[t % 3], heard),
             elements=st.integers(0, size - 1)))))
@@ -115,12 +116,7 @@ def blocklength(draw, p, max_cells=4096):
                                    if n == 1 or cells ** n <= max_cells)))
 
 
-@given(st.data())
-def test_constant_transcript_matches_oracle(data):
-    p = data.draw(sources())
-    n = blocklength(data.draw, p)
-    spec = data.draw(protocols(p.cardinalities, n, x_speaks=False))
-    assert spec.transcript_space() == 1
+def assert_matches_oracle(p, spec):
     report = evaluate_protocol(p, spec)
     want = oracle_evaluate(pmf_as_dict(p), p.cardinalities, as_oracle(spec))
     for field, expected in want.items():
@@ -128,12 +124,33 @@ def test_constant_transcript_matches_oracle(data):
             field
 
 
+@given(st.data())
+def test_constant_transcript_matches_oracle(data):
+    p = data.draw(sources())
+    n = blocklength(data.draw, p)
+    spec = data.draw(protocols(p.cardinalities, n, speakers=set()))
+    assert spec.transcript_space() == 1
+    assert_matches_oracle(p, spec)
+
+
+@given(st.data())
+def test_any_speaking_terminals_match_oracle(data):
+    """Each figure sums over the terminals its codes read plus the
+    speakers: every subset of speakers, from one to all three."""
+    p = data.draw(sources())
+    n = blocklength(data.draw, p)
+    speakers = data.draw(st.sets(st.integers(0, 2), min_size=1))
+    spec = data.draw(protocols(p.cardinalities, n, speakers))
+    assert spec.transcript_space() > 1
+    assert_matches_oracle(p, spec)
+
+
 @pytest.mark.parametrize("x_speaks", (False, True))
 @given(data=st.data())
 def test_yz_swap_mirrors_evaluation(x_speaks, data):
     p = data.draw(sources())
     n = blocklength(data.draw, p)
-    spec = data.draw(protocols(p.cardinalities, n, x_speaks))
+    spec = data.draw(protocols(p.cardinalities, n, {0} if x_speaks else set()))
     assert (spec.transcript_space() > 1) == x_speaks
     report = evaluate_protocol(p, spec)
     mirrored = evaluate_protocol(swap_yz(p),

@@ -263,6 +263,23 @@ def test_budget_guards():
         evaluate_protocol(lopsided_source, lopsided, budget=10 ** 6 - 1)
 
 
+def test_budget_boundary_when_only_z_speaks():
+    """The transcript varies along Z alone, so the XY figures need the
+    joint table (2·3·4 cells) and the XZ and YZ ones their pair tables
+    (2·4 and 3·4): 44 cells in all."""
+    p = load_pmf(np.full((2, 3, 4), 1 / 24), ("X", "Y", "Z"), (2, 3, 4))
+    spec = ProtocolSpec(
+        n=1, rounds=1,
+        slots=(null_slot(2), null_slot(3),
+               SlotSpec(alphabet_size=2, table=np.arange(4).reshape(4, 1) % 2)),
+        key_xy=np.zeros((2, 2), dtype=int), est_xy=np.zeros((3, 2), dtype=int),
+        key_xz=np.zeros((2, 2), dtype=int), est_xz=np.zeros((4, 2), dtype=int),
+        key_xy_size=1, key_xz_size=1)
+    with pytest.raises(BudgetExceededError):
+        evaluate_protocol(p, spec, budget=43)
+    assert evaluate_protocol(p, spec, budget=44).error_xy == 0.0
+
+
 def symbol_power_table(symbol_map, card, n):
     """Key column of the n-fold product of a per-symbol map onto {0, 1}."""
     seqs = np.arange(card ** n)
@@ -362,5 +379,6 @@ def test_check_eps_pk_rejects_negative_eps():
     zeros = np.zeros((4, 1), dtype=int)
     spec = no_message_protocol(zeros, zeros, zeros, zeros, 1, 1, 1)
     report = evaluate_protocol(p, spec)
-    with pytest.raises(ValueError):
-        check_eps_pk(report, -0.1)
+    for eps in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            check_eps_pk(report, eps)
