@@ -26,10 +26,8 @@ not.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .dist import JointPmf, source_roles, _clip0, _entropy_of
-from .structure import CommonFunction, maximal_common_function, _pair_table
+from .dist import JointPmf
+from .regions import RegionReport
 
 __all__ = ["max_aux_info_outer"]
 
@@ -38,24 +36,10 @@ def max_aux_info_outer(p: JointPmf):
     """Largest I(U∧X) over auxiliaries extractable from Y and from Z alone.
 
     Closed form: U→C→X caps the information at I(C∧X) for the
-    common-function label C, and U = C attains the cap.
+    common-function label C, and U = C attains the cap. The value is the
+    per-source analysis's :attr:`~pkregion.regions.RegionReport.i_x_common`.
 
     Returns the value in bits together with the Y-side component statistic.
     """
-    x, y, z = source_roles(p)
-    cf = maximal_common_function(p, y, z)
-    return _common_info(_pair_table(p, x, y), cf), cf.stat_a
-
-
-def _common_info(txy: np.ndarray, cf: CommonFunction) -> float:
-    """I(C∧X) from the (X, Y) table ``txy`` and the Y-side labels of ``cf``.
-
-    H(X) is taken from the row sums of ``txy``: the entropy of the source's
-    own X marginal, summed in another order, can differ in the last bit.
-    """
-    qcx = np.zeros((cf.components, txy.shape[0]), dtype=np.float64)
-    for sym, lab in enumerate(cf.stat_a.labels):
-        if lab >= 0:
-            qcx[lab] += txy[:, sym]
-    return _clip0(_entropy_of(qcx.sum(axis=1))
-                  + _entropy_of(txy.sum(axis=1)) - _entropy_of(qcx))
+    report = RegionReport(p)
+    return report.i_x_common, report.common.stat_a

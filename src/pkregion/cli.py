@@ -4,8 +4,8 @@ Reports go to --output (written atomically) or to stdout. Every option can
 also be set through an environment variable with the ``PKREGION_`` prefix
 (``--tol-sum`` becomes ``PKREGION_TOL_SUM`` and so on); explicit flags win.
 
-Exit codes: 0 on success, 2 on parsing or validation failure, 3 when the
-enumeration budget is exceeded.
+Exit codes: 0 on success, 2 on parsing or validation failure or an
+unreadable or unwritable path, 3 when the enumeration budget is exceeded.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PkRegionError, ValueError) as exc:
+    except (PkRegionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

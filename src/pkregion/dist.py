@@ -22,7 +22,6 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +49,6 @@ __all__ = [
 
 DEFAULT_SUM_TOL = 1e-9
 NUM_TOL = 1e-12
-
-# A variable group is a single name or an iterable of names; group order is
-# always normalized to the distribution's variable order.
-Group = "str | Iterable[str]"
 
 
 def _clip0(v: float) -> float:
@@ -103,9 +98,10 @@ class JointPmf:
             raise ShapeMismatchError(f"cardinalities must be positive, got {cards}")
         arr = np.asarray(self.probs, dtype=np.float64)
         if arr.shape != cards:
-            if arr.size != int(np.prod(cards)):
+            # math.prod: exact, where an int64 product of large sizes wraps
+            if arr.size != math.prod(cards):
                 raise ShapeMismatchError(
-                    f"table has {arr.size} entries, expected {int(np.prod(cards))}"
+                    f"table has {arr.size} entries, expected {math.prod(cards)}"
                 )
             arr = arr.reshape(cards)
         # min and max propagate NaN: two reductions, no temporary arrays
@@ -176,15 +172,35 @@ def load_pmf(table, variables, cardinalities,
     return p
 
 
+def _table(p: JointPmf, names) -> np.ndarray:
+    """Table of the distinct variables ``names``, with axes in that order.
+
+    Summed from ``p.probs`` over every other axis in one ``sum`` call; a
+    read-only view of ``p.probs`` when nothing is summed out.
+
+    Raises
+    ------
+    ValueError
+        If a name repeats.
+    UnknownVariableError
+    """
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise ValueError(f"the variables {names} must be distinct")
+    axes = [p.axis(name) for name in names]
+    drop = tuple(i for i in range(p.num_variables) if i not in axes)
+    t = p.probs.sum(axis=drop) if drop else p.probs
+    kept = sorted(axes)
+    return t.transpose([kept.index(i) for i in axes])
+
+
 def marginal(p: JointPmf, group) -> JointPmf:
     """Sum out every variable not in ``group``; keeps the original order."""
     keep = p.normalize_group(group)
     if not keep:
         raise ValueError("marginal needs a nonempty variable group")
-    drop_axes = tuple(i for i, v in enumerate(p.variables) if v not in keep)
-    out = p.probs.sum(axis=drop_axes) if drop_axes else p.probs
-    cards = tuple(p.cardinalities[p.axis(v)] for v in keep)
-    return JointPmf(keep, cards, out)
+    t = _table(p, keep)
+    return JointPmf(keep, t.shape, t)
 
 
 def entropy(p: JointPmf, group) -> float:
@@ -192,7 +208,7 @@ def entropy(p: JointPmf, group) -> float:
     keep = p.normalize_group(group)
     if not keep:
         raise ValueError("entropy needs a nonempty variable group")
-    return _entropy_of(marginal(p, keep).probs)
+    return _entropy_of(_table(p, keep))
 
 
 def cond_mutual_info(p: JointPmf, a, b, c=()) -> float:

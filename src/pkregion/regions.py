@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .auxsolver import _common_info
 from .dist import NUM_TOL, JointPmf, source_roles, _clip0, _entropy_of
 from .errors import DegenerateInputError
 from .structure import DEFAULT_CI_TOL, CommonFunction, _ci_residual, \
@@ -191,9 +190,10 @@ def contains(region: RateRegion, point, tol: float = 0.0) -> bool:
     """Whether ``point`` lies in the region, with ``tol`` slack.
 
     Cap-form regions allow ``tol`` of slack on each half-plane inequality;
-    hull-form regions allow ``tol`` of signed distance beyond each edge of
-    the counterclockwise boundary (degenerate hulls fall back to
-    point/segment distance).
+    hull-form regions allow ``tol`` of Euclidean distance from the hull
+    (from the point or segment, for degenerate hulls), as measured by
+    :func:`gap_metrics`. A point with a NaN coordinate, or a NaN ``tol``, is
+    never contained.
     """
     r1, r2 = float(point[0]), float(point[1])
     if region.is_cap_form():
@@ -201,16 +201,7 @@ def contains(region: RateRegion, point, tol: float = 0.0) -> bool:
                 and r1 <= region.cap_xy + tol
                 and r2 <= region.cap_xz + tol
                 and r1 + r2 <= region.cap_sum + tol)
-    verts = region.vertices
-    if len(verts) == 1:
-        return math.hypot(r1 - verts[0][0], r2 - verts[0][1]) <= tol
-    if len(verts) == 2:
-        return _point_segment_distance((r1, r2), verts[0], verts[1]) <= tol
-    for p0, p1 in _edge_list(verts):
-        norm = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-        if _cross(p0, p1, (r1, r2)) < -tol * norm:
-            return False
-    return True
+    return _distance_to(region.vertices, (r1, r2)) <= tol
 
 
 def _distance_to(verts: tuple, point) -> float:
@@ -303,8 +294,19 @@ class RegionReport:
 
     @cached_property
     def i_x_common(self) -> float:
-        """I(C∧X), the common-part term of the outer sum cap."""
-        return _common_info(self.tables["xy"], self.common)
+        """I(C∧X), the common-part term of the outer sum cap.
+
+        Summed from the (X, Y) table and the Y-side labels of C. H(X) is
+        taken from that table's row sums: the entropy of the source's own X
+        marginal, summed in another order, can differ in the last bit.
+        """
+        txy, cf = self.tables["xy"], self.common
+        qcx = np.zeros((cf.components, txy.shape[0]), dtype=np.float64)
+        for sym, lab in enumerate(cf.stat_a.labels):
+            if lab >= 0:
+                qcx[lab] += txy[:, sym]
+        return _clip0(_entropy_of(qcx.sum(axis=1))
+                      + _entropy_of(txy.sum(axis=1)) - _entropy_of(qcx))
 
     def _statistic_caps(self, axis: int):
         """I(X∧S) and the cap triple of the achievable region of S, the

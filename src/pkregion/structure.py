@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import JointPmf, marginal
+from .dist import JointPmf, _table
 from .errors import EmptySupportError, ShapeMismatchError
 
 __all__ = [
@@ -92,17 +92,6 @@ class CommonFunction:
             raise ShapeMismatchError("both sides must use the same component labels")
 
 
-def _pair_table(p: JointPmf, a: str, b: str) -> np.ndarray:
-    """Joint table of the distinct variables (a, b) with axis order (a, b),
-    summed from ``p.probs`` as :func:`~pkregion.dist.marginal` sums it."""
-    if a == b:
-        raise ValueError("the two variables must be distinct")
-    ia, ib = p.axis(a), p.axis(b)
-    drop = tuple(i for i in range(len(p.variables)) if i not in (ia, ib))
-    t = p.probs.sum(axis=drop) if drop else p.probs
-    return t if ia < ib else t.T
-
-
 def minimal_sufficient_statistic(p: JointPmf, of: str, wrt) -> Statistic:
     """Coarsest labeling of ``of`` preserving the conditional law of ``wrt``.
 
@@ -132,8 +121,7 @@ def minimal_sufficient_statistic(p: JointPmf, of: str, wrt) -> Statistic:
         raise ValueError(f"{of!r} cannot appear in its own conditioning group")
     if not group:
         raise ValueError("wrt must be a nonempty variable group")
-    joint = marginal(p, (of,) + group)
-    m = np.moveaxis(joint.probs, joint.axis(of), 0)
+    m = _table(p, (of,) + group)
     return _sufficient_statistic(of, m.reshape(m.shape[0], -1))
 
 
@@ -163,8 +151,10 @@ def maximal_common_function(p: JointPmf, a: str, b: str) -> CommonFunction:
     ------
     EmptySupportError
         If the pair has no positive-probability cell.
+    ValueError
+        If ``a`` and ``b`` are the same variable.
     """
-    return _common_function(a, b, _pair_table(p, a, b))
+    return _common_function(a, b, _table(p, (a, b)))
 
 
 def _common_function(a: str, b: str, t: np.ndarray) -> CommonFunction:
@@ -209,7 +199,7 @@ def conditional_independence_residual(p: JointPmf, a: str, b: str) -> float:
     ``|P(a,b|u) - P(a|u) P(b|u)|``, including zero-probability cells inside
     the component block (support holes count as dependence).
     """
-    t = _pair_table(p, a, b)
+    t = _table(p, (a, b))
     return _ci_residual(t, _common_function(a, b, t))
 
 

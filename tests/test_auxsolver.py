@@ -140,6 +140,7 @@ def test_thm3_never_exceeds_ceiling():
     for trial in range(8):
         p, _ = det_correlated_pmf(rng)
         bound, _ = max_aux_info_outer(p)
+        assert bound == compute_report(p).quantities["i_x_common"]
         _, feasible, best = separating(p)
         assert feasible and best <= bound + 1e-9
         exact, outer = exact_region(p), outer_region(p)

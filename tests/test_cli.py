@@ -378,6 +378,17 @@ def test_failed_run_creates_no_output_file(tmp_path, capsys):
     assert leftovers == []
 
 
+def test_unwritable_output_exits_2_and_leaves_no_file(tmp_path, capsys):
+    source = write_pmf(tmp_path, bsc_pmf())
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "compute", "--input", source,
+                             "--output", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert os.listdir(tmp_path) == ["source.json"]
+
+
 # -- the installed entry point ---------------------------------------------------------
 
 def test_console_script_runs():

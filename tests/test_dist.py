@@ -142,6 +142,11 @@ def test_source_roles_on_three_variables():
 def test_jointpmf_direct_construction_validates():
     with pytest.raises(ShapeMismatchError):
         JointPmf(variables=(), cardinalities=(), probs=np.ones(1))
+    # table sizes whose int64 product wraps around: 4 and 0
+    with pytest.raises(ShapeMismatchError):
+        JointPmf(("A", "B", "C"), (2**62 + 1, 4, 1), np.full(4, 0.25))
+    with pytest.raises(ShapeMismatchError, match="expected 18446744073709551616"):
+        JointPmf(("A", "B", "C"), (2**32, 2**32, 1), np.full(4, 0.25))
 
 
 def test_jointpmf_rejects_non_finite_entries():

@@ -123,6 +123,12 @@ def test_hull_form_contains():
     seg = RateRegion.from_hull([(0, 0), (1, 0)])
     assert contains(seg, (0.5, 0.0))
     assert not contains(seg, (0.5, 1e-6))
+    # NaN fails every edge test, so it is never contained
+    nan = float("nan")
+    for hull_region in (region, point, seg):
+        assert not contains(hull_region, (nan, nan))
+        assert not contains(hull_region, (nan, 0.0), tol=1.0)
+        assert not contains(hull_region, (0.0, 0.0), tol=nan)
 
 
 def test_down_set_property_of_cap_regions():

@@ -132,6 +132,13 @@ def test_mcf_single_component_for_full_support(bsc_source):
     assert cf.components == 1
 
 
+def test_pair_functions_reject_a_repeated_variable(worked_source):
+    with pytest.raises(ValueError, match="distinct"):
+        maximal_common_function(worked_source, "Y", "Y")
+    with pytest.raises(ValueError, match="distinct"):
+        conditional_independence_residual(worked_source, "Z", "Z")
+
+
 def test_mcf_labels_are_canonical():
     # blocks appear in a scrambled symbol order; labels must follow the
     # smallest contained symbol of the first variable
