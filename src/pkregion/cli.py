@@ -15,7 +15,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .dist import DEFAULT_SUM_TOL
@@ -35,21 +35,22 @@ _ENV_PREFIX = "PKREGION_"
 # Slack used for the rate-point containment verdict in `simulate`.
 _CONTAIN_TOL = 1e-9
 
-# flag, destination, parser, default (None = no default, stays optional)
+# flag, parser, default (None = no default, stays optional), help; the
+# flag in snake case names its RunConfig field and its config echo entry
 _OPTIONS = (
-    ("--input", "input", str, None,
+    ("--input", str, None,
      "source distribution file (pkregion-pmf-v1)"),
-    ("--output", "output", str, None,
+    ("--output", str, None,
      "report destination; stdout when omitted"),
-    ("--protocol", "protocol", str, None,
+    ("--protocol", str, None,
      "protocol file (pkregion-protocol-v1), simulate only"),
-    ("--tol-sum", "sum_tol", float, DEFAULT_SUM_TOL,
+    ("--tol-sum", float, DEFAULT_SUM_TOL,
      "allowed deviation of the pmf total from 1"),
-    ("--tol-ci", "ci_tol", float, DEFAULT_CI_TOL,
+    ("--tol-ci", float, DEFAULT_CI_TOL,
      "max-abs conditional-independence tolerance of the tightness test"),
-    ("--budget", "budget", int, DEFAULT_BUDGET,
+    ("--budget", int, DEFAULT_BUDGET,
      "enumeration budget in table cells, simulate only"),
-    ("--eps", "eps", float, 0.0,
+    ("--eps", float, 0.0,
      "tolerance for the key-pair verdicts, simulate only"),
 )
 
@@ -61,14 +62,14 @@ class RunConfig:
     input: str | None
     output: str | None
     protocol: str | None
-    sum_tol: float
-    ci_tol: float
+    tol_sum: float
+    tol_ci: float
     budget: int
     eps: float
 
     def __post_init__(self):
         # a NaN fails every comparison, so each range test rejects it
-        for name in ("sum_tol", "ci_tol"):
+        for name in ("tol_sum", "tol_ci"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if self.budget < 1:
@@ -78,38 +79,28 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Config entry embedded in every report."""
-        return {
-            "input": self.input,
-            "output": self.output,
-            "protocol": self.protocol,
-            "tol_sum": self.sum_tol,
-            "tol_ci": self.ci_tol,
-            "budget": self.budget,
-            "eps": self.eps,
-        }
-
-
-def _env_name(flag: str) -> str:
-    return _ENV_PREFIX + flag.lstrip("-").replace("-", "_").upper()
+        return asdict(self)
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """Resolve each option: explicit flag, then environment, then default."""
     values = {}
-    for flag, dest, parse, default, _ in _OPTIONS:
-        value = getattr(args, dest)
+    for flag, parse, default, _ in _OPTIONS:
+        name = flag.lstrip("-").replace("-", "_")
+        value = getattr(args, name)
         if value is None:
-            raw = os.environ.get(_env_name(flag))
+            env = _ENV_PREFIX + name.upper()
+            raw = os.environ.get(env)
             if raw is not None:
                 try:
                     value = parse(raw)
                 except ValueError:
                     raise ValueError(
-                        f"{_env_name(flag)}={raw!r} is not a valid "
+                        f"{env}={raw!r} is not a valid "
                         f"{parse.__name__}") from None
             else:
                 value = default
-        values[dest] = value
+        values[name] = value
     return RunConfig(**values)
 
 
@@ -138,9 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=desc, description=desc)
         if name == "version":
             continue
-        for flag, dest, parse, _, help_text in _OPTIONS:
-            cmd.add_argument(flag, dest=dest, type=parse, default=None,
-                             help=help_text)
+        for flag, parse, _, help_text in _OPTIONS:
+            cmd.add_argument(flag, type=parse, default=None, help=help_text)
     return parser
 
 
@@ -160,8 +150,8 @@ def _require_input(cfg: RunConfig) -> str:
 
 def cmd_compute(cfg: RunConfig) -> int:
     """Full pipeline: regions, tightness flags, gaps, named quantities."""
-    p = read_pmf(_require_input(cfg), sum_tol=cfg.sum_tol)
-    report = compute_report(p, ci_tol=cfg.ci_tol)
+    p = read_pmf(_require_input(cfg), sum_tol=cfg.tol_sum)
+    report = compute_report(p, ci_tol=cfg.tol_ci)
     _deliver(regions_document(report, cfg.echo()), cfg.output)
     return 0
 
@@ -171,15 +161,15 @@ def cmd_check(cfg: RunConfig) -> int:
 
     The analysis derives only what the document reads.
     """
-    p = read_pmf(_require_input(cfg), sum_tol=cfg.sum_tol)
-    report = RegionReport(p, ci_tol=cfg.ci_tol)
+    p = read_pmf(_require_input(cfg), sum_tol=cfg.tol_sum)
+    report = RegionReport(p, ci_tol=cfg.tol_ci)
     _deliver(check_document(report, cfg.echo()), cfg.output)
     return 0
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Protocol evaluation plus the rate-point containment verdict."""
-    p = read_pmf(_require_input(cfg), sum_tol=cfg.sum_tol)
+    p = read_pmf(_require_input(cfg), sum_tol=cfg.tol_sum)
     if not cfg.protocol:
         raise ValueError(
             "a protocol file is required (--protocol or PKREGION_PROTOCOL)")

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -238,16 +239,7 @@ def evaluation_document(report: EvaluationReport, eps: float, eps_pk,
         "schema": EVALUATION_SCHEMA,
         "tool": _tool_entry(),
         "config": dict(config),
-        "evaluation": {
-            "error_xy": report.error_xy,
-            "error_xz": report.error_xz,
-            "leak_xy": report.leak_xy,
-            "leak_xz": report.leak_xz,
-            "unif_xy": report.unif_xy,
-            "unif_xz": report.unif_xz,
-            "rate_xy": report.rate_xy,
-            "rate_xz": report.rate_xz,
-        },
+        "evaluation": asdict(report),
         "eps": float(eps),
         "eps_pk": {"xy": bool(eps_pk[0]), "xz": bool(eps_pk[1])},
         "rate_point": [point[0], point[1]],
@@ -272,8 +264,7 @@ _REQUIRED_KEYS = {
     }),
 }
 
-_EVALUATION_FIELDS = ("error_xy", "error_xz", "leak_xy", "leak_xz",
-                      "unif_xy", "unif_xz", "rate_xy", "rate_xz")
+_EVALUATION_FIELDS = tuple(field.name for field in fields(EvaluationReport))
 
 
 def _check_region_entry(entry, slot):
@@ -378,12 +369,16 @@ def write_atomic(path, text: str) -> None:
     """Write ``text`` to ``path`` through a same-directory temp file.
 
     The file gets the mode a plain ``open`` would give it, 0o666 less the
-    umask, not the 0o600 of the temp file.
+    umask, not the 0o600 of the temp file. A failure is raised as an
+    :class:`OSError` that names ``path``, not the temp file, whose name is
+    random, and leaves no file behind.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pkregion-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pkregion-",
+                                   suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         # setting the umask is the portable way to read it; restore at once
@@ -391,9 +386,12 @@ def write_atomic(path, text: str) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise

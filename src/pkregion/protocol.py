@@ -17,8 +17,11 @@ read. A figure reads two terminals (a key against its estimate, or either
 against the helper it is hidden from) plus every terminal that speaks,
 since the transcript varies along their sequences; a null slot (alphabet
 size 1) always sends 0. With no speaker this costs |X|ⁿ|Y|ⁿ + |X|ⁿ|Z|ⁿ +
-|Y|ⁿ|Z|ⁿ cells, with all three speaking |X|ⁿ|Y|ⁿ|Z|ⁿ. The enumeration
-budget bounds these sequence tables and the accumulated
+|Y|ⁿ|Z|ⁿ cells, with all three speaking |X|ⁿ|Y|ⁿ|Z|ⁿ. A key's entropy is
+read off its secrecy table, the (key, transcript, helper) table its leak
+comes from. A run is admitted in one pass: each terminal's sequence count,
+then every table shape (building up the transcript count), then the
+enumeration budget, which bounds these sequence tables and the
 key/transcript/helper tables.
 
 Index conventions (also used by the file format): an n-sequence maps to
@@ -218,15 +221,18 @@ def _kron_power(base: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
-def _figures(probs: np.ndarray, spec: ProtocolSpec, n: int):
-    """Errors, leaks (not yet per-symbol) and key entropies of a protocol.
+def _figures(probs: np.ndarray, spec: ProtocolSpec, n: int, heard: int):
+    """Errors, leaks (not yet per-symbol) and key entropies of a protocol
+    whose transcripts number ``heard``.
 
     A null slot always sends 0, so the transcript varies only along the
     axes of the terminals that speak. Each key, estimate and helper code is
     a lookup over the sequence grids, broadcast only along the axes it
     reads. Each figure sums over the n-fold product of the marginal of the
     terminals its codes vary along; that table is built once per call and
-    kept by its broadcast shape.
+    kept by its broadcast shape. Every figure reads two terminals plus the
+    speakers, so these are the tables the budget counts; a key's entropy is
+    the key margin of its secrecy table.
     """
     nx, ny, nz = len(spec.key_xy), len(spec.est_xy), len(spec.est_xz)
     grids = xg, yg, zg = (np.arange(nx, dtype=np.int64).reshape(nx, 1, 1),
@@ -254,31 +260,29 @@ def _figures(probs: np.ndarray, spec: ProtocolSpec, n: int):
                 probs.sum(axis=drop), n).reshape(codes.shape)
         return table
 
-    def pushforward(codes, size):
-        return np.bincount(codes.reshape(-1), weights=mass(codes).reshape(-1),
-                           minlength=size)
-
     def info_bits(a, a_size, b, b_size):
-        table = pushforward(a * b_size + b, a_size * b_size)
-        table = table.reshape(a_size, b_size)
-        return _clip0(_entropy_of(table.sum(axis=1))
-                      + _entropy_of(table.sum(axis=0)) - _entropy_of(table))
+        """I(a ∧ b) and H(a), both from the table of (a, b)."""
+        codes = a * b_size + b
+        table = np.bincount(codes.reshape(-1), weights=mass(codes).reshape(-1),
+                            minlength=a_size * b_size).reshape(a_size, b_size)
+        h_a = _entropy_of(table.sum(axis=1))
+        return _clip0(h_a + _entropy_of(table.sum(axis=0))
+                      - _entropy_of(table)), h_a
 
     def disagreement(a, b):
         differ = a != b
         return float(mass(differ)[differ].sum())
 
     kxy, kxz = spec.key_xy_size, spec.key_xz_size
-    heard = spec.transcript_space()
+    leak_k_xy, h_k_xy = info_bits(k_xy, kxy, tr_z, heard * nz)
+    leak_k_xz, h_k_xz = info_bits(k_xz, kxz, tr_y, heard * ny)
     return (
         disagreement(k_xy, l_xy),
         disagreement(k_xz, l_xz),
-        max(info_bits(k_xy, kxy, tr_z, heard * nz),
-            info_bits(l_xy, kxy, tr_z, heard * nz)),
-        max(info_bits(k_xz, kxz, tr_y, heard * ny),
-            info_bits(l_xz, kxz, tr_y, heard * ny)),
-        _entropy_of(pushforward(k_xy, kxy)),
-        _entropy_of(pushforward(k_xz, kxz)),
+        max(leak_k_xy, info_bits(l_xy, kxy, tr_z, heard * nz)[0]),
+        max(leak_k_xz, info_bits(l_xz, kxz, tr_y, heard * ny)[0]),
+        h_k_xy,
+        h_k_xz,
     )
 
 
@@ -298,17 +302,11 @@ def _sequence_count(label: str, card: int, n: int, budget: int) -> int:
         f"{label} has {card}^{n} sequences, over the budget of {budget}")
 
 
-def _over_budget(budget: int, *factors: int) -> bool:
-    """Whether the product of ``factors``, each at least 1, exceeds ``budget``.
-
-    Factors of b₁, b₂, … bits multiply to at least 2 ** Σ(bᵢ − 1), so, as in
-    :func:`_sequence_count`, a product that far over is refused from the bit
-    lengths alone: key and message alphabets as large as a JSON integer
-    cost no product of their size.
-    """
-    if sum(f.bit_length() - 1 for f in factors) >= (budget + 1).bit_length():
-        return True
-    return math.prod(factors) > budget
+def _expected_shape(rows: int, heard: int) -> str:
+    """``(rows, heard)`` for an error message. No array axis reaches 2**63
+    cells, so a transcript count past that is given by that bound: str() of
+    an int of over 4300 digits raises."""
+    return f"({rows}, {heard if heard < 2 ** 63 else 'over 2**63'})"
 
 
 def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
@@ -320,28 +318,48 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
     and the helper's, plus every terminal that speaks, since the transcript
     varies along its sequences. A protocol in which no terminal speaks is
     thus evaluated from the three pairwise marginals of Pⁿ, one in which
-    all three speak from the joint table of all sequence triples.
+    all three speak from the joint table of all sequence triples. Each
+    key's entropy is the key margin of its secrecy table, the (key,
+    transcript, helper) table its leak is read from.
 
     Raises
     ------
     BudgetExceededError
-        If the sequence tables the evaluation builds (for each pair of
-        terminals, one over that pair plus every terminal that speaks), or
-        any accumulated key/transcript/helper table, would exceed
+        If one terminal's sequence count exceeds ``budget``; this is checked
+        first, so even a huge ``n`` stops at once. Otherwise, once every
+        table shape has passed, if the sequence tables the evaluation builds
+        (for each pair of terminals, one over that pair plus every terminal
+        that speaks) or either key/transcript/helper table would exceed
         ``budget`` cells.
     MalformedTableError
         If a slot or key table does not match its domain (sequence count ×
-        transcript count) for this source and blocklength.
+        transcript count) for this source and blocklength. Shapes are
+        checked before the budget, building up the transcript count, so a
+        protocol that is both malformed and over budget raises this.
     """
     source_roles(p)
     n = spec.n
     counts = nx, ny, nz = tuple(_sequence_count(label, card, n, budget)
                                 for label, card in zip("XYZ", p.cardinalities))
-    num_tr_total = spec.transcript_space()
+    heard = 1
+    for slot_no, slot in enumerate(spec.slots):
+        rows = counts[slot_no % 3]
+        if slot.table.shape != (rows, heard):
+            raise MalformedTableError(
+                f"slot {slot_no + 1} table has shape {slot.table.shape}, "
+                f"expected {_expected_shape(rows, heard)}")
+        heard *= slot.alphabet_size
+    for name, table, rows in (("key_xy", spec.key_xy, nx),
+                              ("est_xy", spec.est_xy, ny),
+                              ("key_xz", spec.key_xz, nx),
+                              ("est_xz", spec.est_xz, nz)):
+        if table.shape != (rows, heard):
+            raise MalformedTableError(
+                f"{name} table has shape {table.shape}, "
+                f"expected {_expected_shape(rows, heard)}")
+
     speakers = {slot_no % 3 for slot_no, slot in enumerate(spec.slots)
                 if slot.alphabet_size > 1}
-    # the key entropies' table, over X and the speakers, is a marginal of
-    # the XY one; the message names only factors at most the budget
     tables = sorted({tuple(sorted({*pair, *speakers}))
                      for pair in ((0, 1), (0, 2), (1, 2))})
     if sum(math.prod(counts[axis] for axis in axes) for axes in tables) > budget:
@@ -352,29 +370,13 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
     # each helper is paired with the key it must not learn
     for label, key_size, helper in (("Z", spec.key_xy_size, nz),
                                     ("Y", spec.key_xz_size, ny)):
-        if _over_budget(budget, key_size, num_tr_total, helper):
+        if key_size * heard * helper > budget:
             raise BudgetExceededError(
                 f"key/transcript/{label} joint table needs more than "
                 f"{budget} cells")
 
-    heard = 1
-    for slot_no, slot in enumerate(spec.slots):
-        expected = (counts[slot_no % 3], heard)
-        if slot.table.shape != expected:
-            raise MalformedTableError(
-                f"slot {slot_no + 1} table has shape {slot.table.shape}, "
-                f"expected {expected}")
-        heard *= slot.alphabet_size
-    for name, table, rows in (("key_xy", spec.key_xy, nx),
-                              ("est_xy", spec.est_xy, ny),
-                              ("key_xz", spec.key_xz, nx),
-                              ("est_xz", spec.est_xz, nz)):
-        if table.shape != (rows, heard):
-            raise MalformedTableError(
-                f"{name} table has shape {table.shape}, expected {(rows, heard)}")
-
     error_xy, error_xz, leak_xy, leak_xz, h_k_xy, h_k_xz = _figures(
-        p.probs, spec, n)
+        p.probs, spec, n, heard)
     return EvaluationReport(
         error_xy=error_xy,
         error_xz=error_xz,

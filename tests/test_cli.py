@@ -199,6 +199,37 @@ def test_huge_key_size_exits_3(tmp_path, capsys, data_dir):
     assert "BUDGET_EXCEEDED" in err
 
 
+def write_protocol_with_slots(tmp_path, data_dir, slots):
+    """The direct-extraction protocol (n = 2 on a 4×2×2 source) with one
+    slot per (alphabet size, column count) pair, each table all zeros."""
+    doc = json.loads(Path(data_dir, "direct_extraction_n2.json").read_text())
+    rows = (16, 4, 4)
+    doc["rounds"] = len(slots) // 3
+    doc["slots"] = [{"alphabet_size": size,
+                     "table": [[0] * columns] * rows[t % 3]}
+                    for t, (size, columns) in enumerate(slots)]
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_huge_slot_alphabets_exit_2_at_once(tmp_path, capsys, data_dir):
+    """Table shapes are checked before the budget, the transcript count
+    built up slot by slot: 300 slots of 4300-digit alphabets fail at slot 2
+    without a product of their sizes, and a count past 4300 digits (slot 1
+    of size 2, slot 2 of 4300 digits) is named without printing it."""
+    huge = int("9" * 4300)
+    for slots in ([(huge, 1)] * 300, [(2, 1), (huge, 2), (1, 1)]):
+        protocol = write_protocol_with_slots(tmp_path, data_dir, slots)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "simulate",
+                                 "--input", f"{data_dir}/xy_pair_source.json",
+                                 "--protocol", protocol)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert "MALFORMED_TABLE" in err and "digits" not in err
+
+
 def test_unreadably_long_integer_exits_2(tmp_path, capsys, data_dir):
     protocol = write_protocol_with_key_size(tmp_path, data_dir, 4401)
     code, out, err = run_cli(capsys, "simulate",
@@ -220,7 +251,7 @@ def test_bad_flag_value_exits_2(tmp_path, capsys):
     src = write_pmf(tmp_path, worked_pmf())
     code, _, err = run_cli(capsys, "compute", "--input", src,
                            "--tol-ci", "-1")
-    assert code == 2 and "ci_tol" in err
+    assert code == 2 and "tol_ci" in err
 
 
 def test_non_finite_option_exits_2_before_reading(tmp_path, capsys,
@@ -229,7 +260,7 @@ def test_non_finite_option_exits_2_before_reading(tmp_path, capsys,
     read: the input path here does not exist."""
     missing = str(tmp_path / "missing.json")
     for argv, name in ((("--eps", "nan"), "eps"),
-                       (("--tol-ci", "inf"), "ci_tol")):
+                       (("--tol-ci", "inf"), "tol_ci")):
         code, out, err = run_cli(capsys, "compute", "--input", missing, *argv)
         assert (code, out) == (2, "")
         assert name in err and "INPUT_FORMAT" not in err
@@ -387,6 +418,23 @@ def test_unwritable_output_exits_2_and_leaves_no_file(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert os.listdir(tmp_path) == ["source.json"]
+
+
+def test_failed_write_names_the_output_path(tmp_path, capsys):
+    """A missing directory and a directory as --output: the message names
+    the given path, not the temp file's random name, so it is the same on
+    every run."""
+    source = write_pmf(tmp_path, bsc_pmf())
+    (tmp_path / "adir").mkdir()
+    for target in (tmp_path / "missing" / "r.json", tmp_path / "adir"):
+        runs = [run_cli(capsys, "compute", "--input", source,
+                        "--output", str(target)) for _ in range(2)]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert (code, out) == (2, "")
+        assert f"'{target}'" in err and ".tmp" not in err
+        assert sorted(os.listdir(tmp_path)) == ["adir", "source.json"]
+        assert os.listdir(tmp_path / "adir") == []
 
 
 # -- the installed entry point ---------------------------------------------------------

@@ -4,9 +4,13 @@ The draws follow the profile registered in ``conftest.py``: derandomized,
 with a fixed example count.
 """
 
+import math
+from itertools import combinations
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from pkregion import (
@@ -15,6 +19,7 @@ from pkregion import (
     minimal_sufficient_statistic, outer_region,
 )
 from pkregion import protocol
+from pkregion.errors import BudgetExceededError
 
 from conftest import pmf_as_dict
 from oracles import apply_partition, oracle_cmi, oracle_evaluate
@@ -23,9 +28,9 @@ FIGURES = ("error", "leak", "unif", "rate")
 
 
 @st.composite
-def sources(draw, max_card=3):
+def sources(draw, max_card=3, min_card=1):
     """A source over small alphabets, zero cells included."""
-    cards = tuple(draw(st.integers(1, max_card)) for _ in range(3))
+    cards = tuple(draw(st.integers(min_card, max_card)) for _ in range(3))
     weights = draw(arrays(np.int64, cards, elements=st.integers(0, 4)))
     if not weights.any():
         weights[(0, 0, 0)] = 1
@@ -160,6 +165,38 @@ def test_yz_swap_mirrors_evaluation(x_speaks, data):
             assert getattr(mirrored, f"{figure}_{pair}") == pytest.approx(
                 getattr(report, f"{figure}_{other}"), abs=1e-12), \
                 (figure, pair)
+
+
+@pytest.mark.parametrize("speakers", [set(c) for k in range(4)
+                                      for c in combinations(range(3), k)])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_built_tables_are_the_ones_the_budget_counts(speakers, data):
+    """The sequence tables built sum to exactly the cells the budget rule
+    charges: for each pair of terminals, one table over the pair plus the
+    speakers, each distinct table once. Alphabets have at least two
+    symbols: with a one-symbol alphabet two such tables can share a shape,
+    which is built once but charged twice."""
+    p = data.draw(sources(min_card=2))
+    n = blocklength(data.draw, p)
+    spec = data.draw(protocols(p.cardinalities, n, speakers))
+    counts = [card ** n for card in p.cardinalities]
+    charged = sum(math.prod(counts[axis] for axis in axes)
+                  for axes in {tuple(sorted({*pair, *speakers}))
+                               for pair in ((0, 1), (0, 2), (1, 2))})
+    built = []
+    kron_power = protocol._kron_power
+
+    def recording(base, n):
+        table = kron_power(base, n)
+        built.append(table.size)
+        return table
+
+    with mock.patch.object(protocol, "_kron_power", recording):
+        evaluate_protocol(p, spec)
+    assert sum(built) == charged
+    with pytest.raises(BudgetExceededError, match="sequence cells"):
+        evaluate_protocol(p, spec, budget=charged - 1)
 
 
 @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=3),

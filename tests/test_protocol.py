@@ -263,6 +263,21 @@ def test_budget_guards():
         evaluate_protocol(lopsided_source, lopsided, budget=10 ** 6 - 1)
 
 
+def test_shapes_are_checked_before_the_budget():
+    """Only a sequence count over the budget comes before the shapes; a
+    protocol that is malformed and whose tables are over budget is
+    malformed."""
+    zeros = np.zeros((4, 1), dtype=int)  # shaped for n = 1, not 2
+    spec = ProtocolSpec(n=2, rounds=0, slots=(),
+                        key_xy=zeros, est_xy=zeros, key_xz=zeros,
+                        est_xz=zeros, key_xy_size=1, key_xz_size=1)
+    # 16 sequences per terminal; the pair tables would need 768 cells
+    with pytest.raises(MalformedTableError):
+        evaluate_protocol(worked_pmf(), spec, budget=100)
+    with pytest.raises(BudgetExceededError):
+        evaluate_protocol(worked_pmf(), spec, budget=15)
+
+
 def test_budget_boundary_when_only_z_speaks():
     """The transcript varies along Z alone, so the XY figures need the
     joint table (2·3·4 cells) and the XZ and YZ ones their pair tables
