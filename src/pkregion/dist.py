@@ -130,9 +130,6 @@ class JointPmf:
                 f"{name!r} not among variables {self.variables}"
             ) from None
 
-    def cardinality(self, name: str) -> int:
-        return self.cardinalities[self.axis(name)]
-
     def normalize_group(self, group) -> tuple:
         """Return ``group`` as a tuple ordered by this pmf's variable order."""
         if isinstance(group, str):

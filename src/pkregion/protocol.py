@@ -11,17 +11,20 @@ Z's. No randomization anywhere.
 The evaluator sums exact product probabilities over sequence tables, so
 all reported figures — disagreement probabilities, leakage toward the
 respective helper, uniformity deficits, key rates — are exact up to float
-rounding, not estimates. One rule decides which table each figure sums
-over: the n-fold product of the marginal of just the terminals its codes
-read. A figure reads two terminals (a key against its estimate, or either
-against the helper it is hidden from) plus every terminal that speaks,
-since the transcript varies along their sequences; a null slot (alphabet
-size 1) always sends 0. With no speaker this costs |X|ⁿ|Y|ⁿ + |X|ⁿ|Z|ⁿ +
-|Y|ⁿ|Z|ⁿ cells, with all three speaking |X|ⁿ|Y|ⁿ|Z|ⁿ. A key's entropy is
-read off its secrecy table, the (key, transcript, helper) table its leak
-comes from. A run is admitted in one pass: each terminal's sequence count,
-then every table shape (building up the transcript count), then the
-enumeration budget, which bounds these sequence tables and the
+rounding, not estimates. Each figure sums over the n-fold product of the
+marginal of just the terminals its codes read: two terminals (a key against
+its estimate, or either against the helper it is hidden from) plus every
+terminal that speaks, since the transcript varies along their sequences; a
+null slot (alphabet size 1) always sends 0. So the plan holds, for each
+pair of terminals, one table over that pair plus the speakers, with an axis
+of size 1 for each terminal left out. Pairs that give the same shape (a
+one-symbol alphabet can make them agree) share one table, and the budget
+charges each distinct shape once: at most |X|ⁿ|Y|ⁿ + |X|ⁿ|Z|ⁿ + |Y|ⁿ|Z|ⁿ
+cells with no speaker, |X|ⁿ|Y|ⁿ|Z|ⁿ with all three speaking. A key's
+entropy is read off its secrecy table, the (key, transcript, helper) table
+its leak comes from. A run is admitted in one pass: each terminal's
+sequence count, then every table shape (building up the transcript count),
+then the enumeration budget, which bounds these sequence tables and the
 key/transcript/helper tables.
 
 Index conventions (also used by the file format): an n-sequence maps to
@@ -175,12 +178,6 @@ class ProtocolSpec:
         object.__setattr__(
             self, "est_xz", _int_table("est_xz", self.est_xz, self.key_xz_size))
 
-    def transcript_space(self) -> int:
-        size = 1
-        for slot in self.slots:
-            size *= slot.alphabet_size
-        return size
-
 
 @dataclass(frozen=True)
 class EvaluationReport:
@@ -221,71 +218,6 @@ def _kron_power(base: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
-def _figures(probs: np.ndarray, spec: ProtocolSpec, n: int, heard: int):
-    """Errors, leaks (not yet per-symbol) and key entropies of a protocol
-    whose transcripts number ``heard``.
-
-    A null slot always sends 0, so the transcript varies only along the
-    axes of the terminals that speak. Each key, estimate and helper code is
-    a lookup over the sequence grids, broadcast only along the axes it
-    reads. Each figure sums over the n-fold product of the marginal of the
-    terminals its codes vary along; that table is built once per call and
-    kept by its broadcast shape. Every figure reads two terminals plus the
-    speakers, so these are the tables the budget counts; a key's entropy is
-    the key margin of its secrecy table.
-    """
-    nx, ny, nz = len(spec.key_xy), len(spec.est_xy), len(spec.est_xz)
-    grids = xg, yg, zg = (np.arange(nx, dtype=np.int64).reshape(nx, 1, 1),
-                          np.arange(ny, dtype=np.int64).reshape(1, ny, 1),
-                          np.arange(nz, dtype=np.int64).reshape(1, 1, nz))
-    transcript = 0
-    for slot_no, slot in enumerate(spec.slots):
-        if slot.alphabet_size > 1:
-            message = slot.table[grids[slot_no % 3], transcript]
-            transcript = transcript * slot.alphabet_size + message
-    k_xy, l_xy = spec.key_xy[xg, transcript], spec.est_xy[yg, transcript]
-    k_xz, l_xz = spec.key_xz[xg, transcript], spec.est_xz[zg, transcript]
-    # one code for the transcript together with the helper's sequence
-    tr_z, tr_y = transcript * nz + zg, transcript * ny + yg
-    tables = {}
-
-    def mass(codes):
-        """Pⁿ summed over every axis along which ``codes`` is constant,
-        in the shape of ``codes``."""
-        table = tables.get(codes.shape)
-        if table is None:
-            drop = tuple(axis for axis, size in enumerate(codes.shape)
-                         if size == 1)
-            table = tables[codes.shape] = _kron_power(
-                probs.sum(axis=drop), n).reshape(codes.shape)
-        return table
-
-    def info_bits(a, a_size, b, b_size):
-        """I(a ∧ b) and H(a), both from the table of (a, b)."""
-        codes = a * b_size + b
-        table = np.bincount(codes.reshape(-1), weights=mass(codes).reshape(-1),
-                            minlength=a_size * b_size).reshape(a_size, b_size)
-        h_a = _entropy_of(table.sum(axis=1))
-        return _clip0(h_a + _entropy_of(table.sum(axis=0))
-                      - _entropy_of(table)), h_a
-
-    def disagreement(a, b):
-        differ = a != b
-        return float(mass(differ)[differ].sum())
-
-    kxy, kxz = spec.key_xy_size, spec.key_xz_size
-    leak_k_xy, h_k_xy = info_bits(k_xy, kxy, tr_z, heard * nz)
-    leak_k_xz, h_k_xz = info_bits(k_xz, kxz, tr_y, heard * ny)
-    return (
-        disagreement(k_xy, l_xy),
-        disagreement(k_xz, l_xz),
-        max(leak_k_xy, info_bits(l_xy, kxy, tr_z, heard * nz)[0]),
-        max(leak_k_xz, info_bits(l_xz, kxz, tr_y, heard * ny)[0]),
-        h_k_xy,
-        h_k_xz,
-    )
-
-
 def _sequence_count(label: str, card: int, n: int, budget: int) -> int:
     """card ** n, the number of one terminal's length-n sequences.
 
@@ -313,24 +245,13 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
                       budget: int = DEFAULT_BUDGET) -> EvaluationReport:
     """Evaluate the protocol over every source sequence triple, exactly.
 
-    Each figure sums over the n-fold product of the marginal of just the
-    terminals its codes read: the key's and the estimate's, or one of them
-    and the helper's, plus every terminal that speaks, since the transcript
-    varies along its sequences. A protocol in which no terminal speaks is
-    thus evaluated from the three pairwise marginals of Pⁿ, one in which
-    all three speak from the joint table of all sequence triples. Each
-    key's entropy is the key margin of its secrecy table, the (key,
-    transcript, helper) table its leak is read from.
-
     Raises
     ------
     BudgetExceededError
         If one terminal's sequence count exceeds ``budget``; this is checked
         first, so even a huge ``n`` stops at once. Otherwise, once every
-        table shape has passed, if the sequence tables the evaluation builds
-        (for each pair of terminals, one over that pair plus every terminal
-        that speaks) or either key/transcript/helper table would exceed
-        ``budget`` cells.
+        table shape has passed, if the planned sequence tables together or
+        either key/transcript/helper table would exceed ``budget`` cells.
     MalformedTableError
         If a slot or key table does not match its domain (sequence count ×
         transcript count) for this source and blocklength. Shapes are
@@ -342,30 +263,29 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
     counts = nx, ny, nz = tuple(_sequence_count(label, card, n, budget)
                                 for label, card in zip("XYZ", p.cardinalities))
     heard = 1
-    for slot_no, slot in enumerate(spec.slots):
-        rows = counts[slot_no % 3]
-        if slot.table.shape != (rows, heard):
-            raise MalformedTableError(
-                f"slot {slot_no + 1} table has shape {slot.table.shape}, "
-                f"expected {_expected_shape(rows, heard)}")
-        heard *= slot.alphabet_size
-    for name, table, rows in (("key_xy", spec.key_xy, nx),
-                              ("est_xy", spec.est_xy, ny),
-                              ("key_xz", spec.key_xz, nx),
-                              ("est_xz", spec.est_xz, nz)):
-        if table.shape != (rows, heard):
+    for name, table, side, size in chain(
+            ((f"slot {slot_no + 1}", slot.table, slot_no % 3,
+              slot.alphabet_size) for slot_no, slot in enumerate(spec.slots)),
+            ((name, getattr(spec, name), side, 1) for name, side in (
+                ("key_xy", 0), ("est_xy", 1), ("key_xz", 0), ("est_xz", 2)))):
+        if table.shape != (counts[side], heard):
             raise MalformedTableError(
                 f"{name} table has shape {table.shape}, "
-                f"expected {_expected_shape(rows, heard)}")
+                f"expected {_expected_shape(counts[side], heard)}")
+        heard *= size
 
-    speakers = {slot_no % 3 for slot_no, slot in enumerate(spec.slots)
-                if slot.alphabet_size > 1}
-    tables = sorted({tuple(sorted({*pair, *speakers}))
-                     for pair in ((0, 1), (0, 2), (1, 2))})
-    if sum(math.prod(counts[axis] for axis in axes) for axes in tables) > budget:
+    spoken = [(slot_no % 3, slot) for slot_no, slot in enumerate(spec.slots)
+              if slot.alphabet_size > 1]
+    speakers = {side for side, _ in spoken}
+    plan = {}
+    for axes in sorted({tuple(sorted({*pair, *speakers}))
+                        for pair in ((0, 1), (0, 2), (1, 2))}):
+        plan.setdefault(tuple(count if axis in axes else 1
+                              for axis, count in enumerate(counts)), axes)
+    if sum(map(math.prod, plan)) > budget:
         raise BudgetExceededError(
             " + ".join("*".join(str(counts[axis]) for axis in axes)
-                       for axes in tables)
+                       for axes in plan.values())
             + f" sequence cells exceed the budget of {budget}")
     # each helper is paired with the key it must not learn
     for label, key_size, helper in (("Z", spec.key_xy_size, nz),
@@ -375,17 +295,50 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
                 f"key/transcript/{label} joint table needs more than "
                 f"{budget} cells")
 
-    error_xy, error_xz, leak_xy, leak_xz, h_k_xy, h_k_xz = _figures(
-        p.probs, spec, n, heard)
+    # each planned table: Pⁿ summed over the axes its shape leaves at 1
+    tables = {}
+    for shape in plan:
+        drop = tuple(axis for axis, size in enumerate(shape) if size == 1)
+        tables[shape] = _kron_power(p.probs.sum(axis=drop), n).reshape(shape)
+    grids = xg, yg, zg = tuple(
+        np.arange(count, dtype=np.int64).reshape(
+            [count if axis == side else 1 for axis in range(3)])
+        for side, count in enumerate(counts))
+    transcript = 0
+    for side, slot in spoken:
+        message = slot.table[grids[side], transcript]
+        transcript = transcript * slot.alphabet_size + message
+    k_xy, l_xy = spec.key_xy[xg, transcript], spec.est_xy[yg, transcript]
+    k_xz, l_xz = spec.key_xz[xg, transcript], spec.est_xz[zg, transcript]
+    # one code for the transcript together with the helper's sequence
+    tr_z, tr_y = transcript * nz + zg, transcript * ny + yg
+
+    def info_bits(a, a_size, b, b_size):
+        """I(a ∧ b) and H(a), both from the table of (a, b)."""
+        codes = a * b_size + b
+        table = np.bincount(codes.reshape(-1),
+                            weights=tables[codes.shape].reshape(-1),
+                            minlength=a_size * b_size).reshape(a_size, b_size)
+        h_a = _entropy_of(table.sum(axis=1))
+        return _clip0(h_a + _entropy_of(table.sum(axis=0))
+                      - _entropy_of(table)), h_a
+
+    def disagreement(a, b):
+        differ = a != b
+        return float(tables[differ.shape][differ].sum())
+
+    kxy, kxz = spec.key_xy_size, spec.key_xz_size
+    leak_k_xy, h_k_xy = info_bits(k_xy, kxy, tr_z, heard * nz)
+    leak_k_xz, h_k_xz = info_bits(k_xz, kxz, tr_y, heard * ny)
     return EvaluationReport(
-        error_xy=error_xy,
-        error_xz=error_xz,
-        leak_xy=leak_xy / n,
-        leak_xz=leak_xz / n,
-        unif_xy=_clip0((math.log2(spec.key_xy_size) - h_k_xy) / n),
-        unif_xz=_clip0((math.log2(spec.key_xz_size) - h_k_xz) / n),
-        rate_xy=h_k_xy / n,
-        rate_xz=h_k_xz / n,
+        error_xy=disagreement(k_xy, l_xy),
+        error_xz=disagreement(k_xz, l_xz),
+        leak_xy=max(leak_k_xy, info_bits(l_xy, kxy, tr_z, heard * nz)[0]) / n,
+        leak_xz=max(leak_k_xz, info_bits(l_xz, kxz, tr_y, heard * ny)[0]) / n,
+        unif_xy=_clip0((math.log2(kxy) - h_k_xy) / n),
+        unif_xz=_clip0((math.log2(kxz) - h_k_xz) / n),
+        rate_xy=_clip0(h_k_xy / n),
+        rate_xz=_clip0(h_k_xz / n),
     )
 
 

@@ -28,9 +28,9 @@ FIGURES = ("error", "leak", "unif", "rate")
 
 
 @st.composite
-def sources(draw, max_card=3, min_card=1):
+def sources(draw, max_card=3):
     """A source over small alphabets, zero cells included."""
-    cards = tuple(draw(st.integers(min_card, max_card)) for _ in range(3))
+    cards = tuple(draw(st.integers(1, max_card)) for _ in range(3))
     weights = draw(arrays(np.int64, cards, elements=st.integers(0, 4)))
     if not weights.any():
         weights[(0, 0, 0)] = 1
@@ -106,6 +106,10 @@ def swap_protocol(spec, cards):
         key_xy_size=spec.key_xz_size, key_xz_size=spec.key_xy_size)
 
 
+def transcripts(spec):
+    return math.prod(slot.alphabet_size for slot in spec.slots)
+
+
 def as_oracle(spec):
     return {"n": spec.n,
             "slots": [(s.alphabet_size, s.table.tolist()) for s in spec.slots],
@@ -134,7 +138,7 @@ def test_constant_transcript_matches_oracle(data):
     p = data.draw(sources())
     n = blocklength(data.draw, p)
     spec = data.draw(protocols(p.cardinalities, n, speakers=set()))
-    assert spec.transcript_space() == 1
+    assert transcripts(spec) == 1
     assert_matches_oracle(p, spec)
 
 
@@ -146,7 +150,7 @@ def test_any_speaking_terminals_match_oracle(data):
     n = blocklength(data.draw, p)
     speakers = data.draw(st.sets(st.integers(0, 2), min_size=1))
     spec = data.draw(protocols(p.cardinalities, n, speakers))
-    assert spec.transcript_space() > 1
+    assert transcripts(spec) > 1
     assert_matches_oracle(p, spec)
 
 
@@ -156,7 +160,7 @@ def test_yz_swap_mirrors_evaluation(x_speaks, data):
     p = data.draw(sources())
     n = blocklength(data.draw, p)
     spec = data.draw(protocols(p.cardinalities, n, {0} if x_speaks else set()))
-    assert (spec.transcript_space() > 1) == x_speaks
+    assert (transcripts(spec) > 1) == x_speaks
     report = evaluate_protocol(p, spec)
     mirrored = evaluate_protocol(swap_yz(p),
                                  swap_protocol(spec, p.cardinalities))
@@ -174,16 +178,17 @@ def test_yz_swap_mirrors_evaluation(x_speaks, data):
 def test_built_tables_are_the_ones_the_budget_counts(speakers, data):
     """The sequence tables built sum to exactly the cells the budget rule
     charges: for each pair of terminals, one table over the pair plus the
-    speakers, each distinct table once. Alphabets have at least two
-    symbols: with a one-symbol alphabet two such tables can share a shape,
-    which is built once but charged twice."""
-    p = data.draw(sources(min_card=2))
+    speakers, each distinct shape once (a one-symbol alphabet can give two
+    pairs the same shape). A run is admitted at that charge, or at the
+    larger key/transcript/helper table, and refused one cell below it."""
+    p = data.draw(sources())
     n = blocklength(data.draw, p)
     spec = data.draw(protocols(p.cardinalities, n, speakers))
     counts = [card ** n for card in p.cardinalities]
-    charged = sum(math.prod(counts[axis] for axis in axes)
-                  for axes in {tuple(sorted({*pair, *speakers}))
-                               for pair in ((0, 1), (0, 2), (1, 2))})
+    charged = sum(map(math.prod, {
+        tuple(count if axis in {*pair, *speakers} else 1
+              for axis, count in enumerate(counts))
+        for pair in ((0, 1), (0, 2), (1, 2))}))
     built = []
     kron_power = protocol._kron_power
 
@@ -195,7 +200,14 @@ def test_built_tables_are_the_ones_the_budget_counts(speakers, data):
     with mock.patch.object(protocol, "_kron_power", recording):
         evaluate_protocol(p, spec)
     assert sum(built) == charged
-    with pytest.raises(BudgetExceededError, match="sequence cells"):
+    heard = transcripts(spec)
+    evaluate_protocol(p, spec, budget=max(
+        charged, spec.key_xy_size * heard * counts[2],
+        spec.key_xz_size * heard * counts[1]))
+    # when one table holds all the cells along one axis, one cell less is
+    # below that terminal's sequence count, which is checked first
+    with pytest.raises(BudgetExceededError, match="sequence cells"
+                       if charged > max(counts) else "sequences, over"):
         evaluate_protocol(p, spec, budget=charged - 1)
 
 

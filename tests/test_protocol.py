@@ -295,6 +295,32 @@ def test_budget_boundary_when_only_z_speaks():
     assert evaluate_protocol(p, spec, budget=44).error_xy == 0.0
 
 
+def test_pairs_of_one_shape_are_charged_once():
+    """On a 2×1×1 source with no speaker the XY and XZ tables have the
+    same shape, 8 × 1 × 1 at n = 3; with the YZ table that is 9 cells."""
+    p = load_pmf(np.array([0.25, 0.75]).reshape(2, 1, 1), ("X", "Y", "Z"),
+                 (2, 1, 1))
+    zeros, one = np.zeros((8, 1), dtype=int), np.zeros((1, 1), dtype=int)
+    spec = no_message_protocol(zeros, one, zeros, one, 1, 1, n=3)
+    assert evaluate_protocol(p, spec, budget=9).error_xy == 0.0
+    with pytest.raises(BudgetExceededError,
+                       match=r": 8\*1 \+ 1\*1 sequence cells exceed the "
+                             r"budget of 8$"):
+        evaluate_protocol(p, spec, budget=8)
+
+
+def test_key_rates_are_clipped_at_zero():
+    """A one-symbol key has entropy 0, but the key margin of a skewed
+    secrecy table can sum to a hair over 1, a tiny negative entropy; the
+    rate reads 0."""
+    p = load_pmf(np.array([0.1, 0.9]).reshape(2, 1, 1), ("X", "Y", "Z"),
+                 (2, 1, 1))
+    zeros, one = np.zeros((16, 1), dtype=int), np.zeros((1, 1), dtype=int)
+    report = evaluate_protocol(
+        p, no_message_protocol(zeros, one, zeros, one, 1, 1, n=4))
+    assert rate_point(report) == (0.0, 0.0)
+
+
 def symbol_power_table(symbol_map, card, n):
     """Key column of the n-fold product of a per-symbol map onto {0, 1}."""
     seqs = np.arange(card ** n)
