@@ -1,8 +1,12 @@
 """Command-line surface: compute / check / simulate / version.
 
-Reports go to --output (written atomically) or to stdout. Every option can
-also be set through an environment variable with the ``PKREGION_`` prefix
-(``--tol-sum`` becomes ``PKREGION_TOL_SUM`` and so on); explicit flags win.
+Each command takes only the options that shape its report, plus --output,
+which decides where the report goes: written atomically to that path, or to
+stdout. Every option can also be set through an environment variable with
+the ``PKREGION_`` prefix (``--tol-sum`` becomes ``PKREGION_TOL_SUM`` and so
+on); a command reads only its own options' variables, and explicit flags
+win. A report's ``config`` echoes every option its command takes except
+--output, so its bytes do not depend on where it is written.
 
 Exit codes: 0 on success, 2 on parsing or validation failure or an
 unreadable or unwritable path, 3 when the enumeration budget is exceeded.
@@ -15,7 +19,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .dist import DEFAULT_SUM_TOL
@@ -28,80 +31,65 @@ from .protocol import DEFAULT_BUDGET, check_eps_pk, evaluate_protocol, \
 from .regions import RegionReport, compute_report, contains, outer_region
 from .structure import DEFAULT_CI_TOL
 
-__all__ = ["RunConfig", "main", "run", "cmd_compute", "cmd_check", "cmd_simulate"]
+__all__ = ["main", "run", "cmd_compute", "cmd_check", "cmd_simulate"]
 
 _ENV_PREFIX = "PKREGION_"
 
 # Slack used for the rate-point containment verdict in `simulate`.
 _CONTAIN_TOL = 1e-9
 
-# flag, parser, default (None = no default, stays optional), help; the
-# flag in snake case names its RunConfig field and its config echo entry
+_ALL = ("compute", "check", "simulate")
+# a NaN fails every comparison, so each range test rejects it
+_POSITIVE = ("positive and finite", lambda v: 0.0 < v < math.inf)
+
+# flag, parser, default, allowed range (text, test), the commands that take
+# it, help. A default of None marks a file the command needs: it must be
+# given. The flag in snake case names the config echo entry; --output
+# (default "": stdout) is the one option no report echoes.
 _OPTIONS = (
-    ("--input", str, None,
+    ("--input", str, None, None, _ALL,
      "source distribution file (pkregion-pmf-v1)"),
-    ("--output", str, None,
+    ("--output", str, "", None, _ALL,
      "report destination; stdout when omitted"),
-    ("--protocol", str, None,
-     "protocol file (pkregion-protocol-v1), simulate only"),
-    ("--tol-sum", float, DEFAULT_SUM_TOL,
+    ("--protocol", str, None, None, ("simulate",),
+     "protocol file (pkregion-protocol-v1)"),
+    ("--tol-sum", float, DEFAULT_SUM_TOL, _POSITIVE, _ALL,
      "allowed deviation of the pmf total from 1"),
-    ("--tol-ci", float, DEFAULT_CI_TOL,
+    ("--tol-ci", float, DEFAULT_CI_TOL, _POSITIVE, ("compute", "check"),
      "max-abs conditional-independence tolerance of the tightness test"),
-    ("--budget", int, DEFAULT_BUDGET,
-     "enumeration budget in table cells, simulate only"),
+    ("--budget", int, DEFAULT_BUDGET, ("at least 1", lambda v: v >= 1),
+     ("simulate",), "enumeration budget in table cells"),
     ("--eps", float, 0.0,
-     "tolerance for the key-pair verdicts, simulate only"),
+     ("nonnegative and finite", lambda v: 0.0 <= v < math.inf),
+     ("simulate",), "tolerance for the key-pair verdicts"),
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated option set for one command invocation."""
-
-    input: str | None
-    output: str | None
-    protocol: str | None
-    tol_sum: float
-    tol_ci: float
-    budget: int
-    eps: float
-
-    def __post_init__(self):
-        # a NaN fails every comparison, so each range test rejects it
-        for name in ("tol_sum", "tol_ci"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
-        if not 0.0 <= self.eps < math.inf:
-            raise ValueError("eps must be nonnegative and finite")
-
-    def echo(self) -> dict:
-        """Config entry embedded in every report."""
-        return asdict(self)
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """Resolve each option: explicit flag, then environment, then default."""
-    values = {}
-    for flag, parse, default, _ in _OPTIONS:
-        name = flag.lstrip("-").replace("-", "_")
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The command's options, each from its flag, else its environment
+    variable, else its default, and each checked against its range."""
+    config = {}
+    for flag, parse, default, allowed, commands, _ in _OPTIONS:
+        if args.command not in commands:
+            continue
+        name = flag[2:].replace("-", "_")
+        env = _ENV_PREFIX + name.upper()
         value = getattr(args, name)
+        if value is None and env in os.environ:
+            raw = os.environ[env]
+            try:
+                value = parse(raw)
+            except ValueError:
+                raise ValueError(f"{env}={raw!r} is not a valid "
+                                 f"{parse.__name__}") from None
         if value is None:
-            env = _ENV_PREFIX + name.upper()
-            raw = os.environ.get(env)
-            if raw is not None:
-                try:
-                    value = parse(raw)
-                except ValueError:
-                    raise ValueError(
-                        f"{env}={raw!r} is not a valid "
-                        f"{parse.__name__}") from None
-            else:
-                value = default
-        values[name] = value
-    return RunConfig(**values)
+            value = default
+        if value is None:
+            raise ValueError(f"{flag} or {env} is required")
+        if allowed and not allowed[1](value):
+            raise ValueError(f"{name} must be {allowed[0]}")
+        config[name] = value
+    return config
 
 
 @functools.cache
@@ -127,60 +115,38 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, desc in descriptions.items():
         cmd = sub.add_parser(name, help=desc, description=desc)
-        if name == "version":
-            continue
-        for flag, parse, _, help_text in _OPTIONS:
-            cmd.add_argument(flag, type=parse, default=None, help=help_text)
+        for flag, parse, _, _, commands, help_text in _OPTIONS:
+            if name in commands:
+                cmd.add_argument(flag, type=parse, help=help_text)
     return parser
 
 
-def _deliver(doc: dict, output: str | None) -> None:
-    text = dumps_deterministic(doc)
-    if output:
-        write_atomic(output, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _require_input(cfg: RunConfig) -> str:
-    if not cfg.input:
-        raise ValueError("an input file is required (--input or PKREGION_INPUT)")
-    return cfg.input
-
-
-def cmd_compute(cfg: RunConfig) -> int:
+def cmd_compute(cfg: dict) -> dict:
     """Full pipeline: regions, tightness flags, gaps, named quantities."""
-    p = read_pmf(_require_input(cfg), sum_tol=cfg.tol_sum)
-    report = compute_report(p, ci_tol=cfg.tol_ci)
-    _deliver(regions_document(report, cfg.echo()), cfg.output)
-    return 0
+    p = read_pmf(cfg["input"], sum_tol=cfg["tol_sum"])
+    report = compute_report(p, ci_tol=cfg["tol_ci"])
+    return regions_document(report, cfg)
 
 
-def cmd_check(cfg: RunConfig) -> int:
+def cmd_check(cfg: dict) -> dict:
     """Tightness test only: common part and conditional-independence residual.
 
     The analysis derives only what the document reads.
     """
-    p = read_pmf(_require_input(cfg), sum_tol=cfg.tol_sum)
-    report = RegionReport(p, ci_tol=cfg.tol_ci)
-    _deliver(check_document(report, cfg.echo()), cfg.output)
-    return 0
+    p = read_pmf(cfg["input"], sum_tol=cfg["tol_sum"])
+    return check_document(RegionReport(p, ci_tol=cfg["tol_ci"]), cfg)
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: dict) -> dict:
     """Protocol evaluation plus the rate-point containment verdict."""
-    p = read_pmf(_require_input(cfg), sum_tol=cfg.tol_sum)
-    if not cfg.protocol:
-        raise ValueError(
-            "a protocol file is required (--protocol or PKREGION_PROTOCOL)")
-    spec = read_protocol(cfg.protocol)
-    report = evaluate_protocol(p, spec, budget=cfg.budget)
-    verdicts = check_eps_pk(report, cfg.eps)
+    p = read_pmf(cfg["input"], sum_tol=cfg["tol_sum"])
+    spec = read_protocol(cfg["protocol"])
+    report = evaluate_protocol(p, spec, budget=cfg["budget"])
+    verdicts = check_eps_pk(report, cfg["eps"])
     point = rate_point(report)
     inside = contains(outer_region(p), point, _CONTAIN_TOL)
-    _deliver(evaluation_document(report, cfg.eps, verdicts, point, inside,
-                                 cfg.echo()), cfg.output)
-    return 0
+    return evaluation_document(report, cfg["eps"], verdicts, point, inside,
+                               cfg)
 
 
 def main(argv=None) -> int:
@@ -193,7 +159,13 @@ def main(argv=None) -> int:
                 "simulate": cmd_simulate}
     try:
         cfg = _merge_config(args)
-        return handlers[args.command](cfg)
+        output = cfg.pop("output")
+        text = dumps_deterministic(handlers[args.command](cfg))
+        if output:
+            write_atomic(output, text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -44,9 +44,9 @@ __all__ = [
 
 PMF_SCHEMA = "pkregion-pmf-v1"
 PROTOCOL_SCHEMA = "pkregion-protocol-v1"
-REGIONS_SCHEMA = "pkregion-regions-v3"
-CHECK_SCHEMA = "pkregion-check-v3"
-EVALUATION_SCHEMA = "pkregion-evaluation-v1"
+REGIONS_SCHEMA = "pkregion-regions-v4"
+CHECK_SCHEMA = "pkregion-check-v4"
+EVALUATION_SCHEMA = "pkregion-evaluation-v2"
 
 
 # -- reading ------------------------------------------------------------------

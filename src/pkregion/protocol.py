@@ -80,12 +80,14 @@ def _int_table(name: str, raw, upper: int) -> np.ndarray:
     if not integral:
         raise MalformedTableError(
             f"{name} entries must be integers, not booleans or fractions")
-    table = table.astype(np.int64, copy=False)
+    # checked before the int64 cast, which would wrap an entry of 2**63
+    upper = min(upper, 2 ** 63)
     if table.size and (int(table.min()) < 0 or int(table.max()) >= upper):
         raise MalformedTableError(
             f"{name} entries must lie in [0, {upper}), got "
             f"[{int(table.min())}, {int(table.max())}]"
         )
+    table = table.astype(np.int64, copy=False)
     table.flags.writeable = False
     return table
 

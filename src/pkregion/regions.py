@@ -112,7 +112,8 @@ class RateRegion:
     Cap-form regions carry the three caps and their vertex list; hull-form
     regions (provenance ``inner-hull``) carry vertices only, with all caps
     ``None``. Vertices are counterclockwise starting from (0, 0), rounded
-    to 12 decimals, without duplicates.
+    to 12 decimals, without duplicates. A cap-form region given no vertices
+    has them enumerated from its caps, once the caps are checked.
     """
 
     cap_xy: float | None
@@ -129,9 +130,12 @@ class RateRegion:
         if any(present) and not all(present):
             raise ValueError("caps must be given all together or not at all")
         for cap in caps:
+            # a NaN cap fails the comparison too
             if cap is not None and not (cap >= 0.0):
                 raise ValueError(f"caps must be nonnegative, got {cap!r}")
         verts = tuple((float(r1), float(r2)) for r1, r2 in self.vertices)
+        if not verts and all(present):
+            verts = _cap_vertices(*caps)
         if not verts:
             raise DegenerateInputError("a region needs at least one vertex")
         object.__setattr__(self, "vertices", verts)
@@ -140,10 +144,8 @@ class RateRegion:
     def from_caps(cls, cap_xy: float, cap_xz: float, cap_sum: float,
                   provenance: str) -> "RateRegion":
         """Build a cap-form region with its vertices enumerated closed-form."""
-        a, b, s = float(cap_xy), float(cap_xz), float(cap_sum)
-        if min(a, b, s) < 0.0:
-            raise ValueError(f"caps must be nonnegative, got {(a, b, s)}")
-        return cls(a, b, s, _cap_vertices(a, b, s), provenance)
+        return cls(float(cap_xy), float(cap_xz), float(cap_sum), (),
+                   provenance)
 
     @classmethod
     def from_hull(cls, points, provenance: str = "inner-hull") -> "RateRegion":

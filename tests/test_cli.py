@@ -46,7 +46,7 @@ def test_compute_success_emits_valid_document(tmp_path, capsys):
     code, out, err = run_cli(capsys, "compute", "--input", src)
     assert code == 0 and err == ""
     doc = json.loads(out)
-    assert validate_report(doc) == "pkregion-regions-v3"
+    assert validate_report(doc) == "pkregion-regions-v4"
     assert doc["regions"]["outer"]["vertices"] == [[0.0, 0.0], [1.0, 0.0],
                                                    [0.0, 1.0]]
     assert doc["det_correlated"] is True
@@ -58,7 +58,7 @@ def test_check_success(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", "--input", src)
     assert code == 0
     doc = json.loads(out)
-    assert validate_report(doc) == "pkregion-check-v3"
+    assert validate_report(doc) == "pkregion-check-v4"
     assert doc["det_correlated"] is False
     assert doc["ci_residual"] > 0.1
     assert doc["mcf_components"] == 1
@@ -72,7 +72,7 @@ def test_simulate_success(tmp_path, capsys, data_dir):
         "--eps", "0")
     assert code == 0
     doc = json.loads(out)
-    assert validate_report(doc) == "pkregion-evaluation-v1"
+    assert validate_report(doc) == "pkregion-evaluation-v2"
     assert doc["eps_pk"] == {"xy": True, "xz": True}
     assert doc["rate_point"] == [1.0, 1.0]
     assert doc["in_outer_region"] is True
@@ -143,6 +143,27 @@ def test_non_integer_protocol_entry_exits_2(tmp_path, capsys, data_dir):
         assert code == 2
         assert out == ""
         assert code_name in err
+
+
+def test_out_of_range_protocol_entry_is_named_as_given(tmp_path, capsys,
+                                                       data_dir):
+    """An entry of 2**63 among small ones makes the table float64; the range
+    is checked before the int64 cast, which would wrap it to -2**63 (with a
+    RuntimeWarning, an error under the test settings). A declared key size
+    past 2**63 does not let the entry through either."""
+    for key_size in (4, 2 ** 64):
+        doc = json.loads(Path(data_dir, "direct_extraction_n2.json").read_text())
+        doc["key_xy"][0][0] = 2 ** 63
+        doc["key_xy_size"] = key_size
+        path = tmp_path / "protocol.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "simulate",
+            "--input", f"{data_dir}/xy_pair_source.json",
+            "--protocol", str(path))
+        assert (code, out) == (2, ""), key_size
+        assert "MALFORMED_TABLE" in err
+        assert "got [0, 9223372036854775808]" in err
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):
@@ -259,13 +280,15 @@ def test_non_finite_option_exits_2_before_reading(tmp_path, capsys,
     """A non-finite tolerance is an option error, raised before the input is
     read: the input path here does not exist."""
     missing = str(tmp_path / "missing.json")
-    for argv, name in ((("--eps", "nan"), "eps"),
-                       (("--tol-ci", "inf"), "tol_ci")):
-        code, out, err = run_cli(capsys, "compute", "--input", missing, *argv)
+    for argv, name in ((("simulate", "--protocol", missing, "--eps", "nan"),
+                        "eps"),
+                       (("compute", "--tol-ci", "inf"), "tol_ci")):
+        code, out, err = run_cli(capsys, *argv, "--input", missing)
         assert (code, out) == (2, "")
         assert name in err and "INPUT_FORMAT" not in err
     monkeypatch.setenv("PKREGION_EPS", "inf")
-    code, out, err = run_cli(capsys, "compute", "--input", missing)
+    code, out, err = run_cli(capsys, "simulate", "--input", missing,
+                             "--protocol", missing)
     assert (code, out) == (2, "")
     assert "eps" in err and "INPUT_FORMAT" not in err
 
@@ -297,34 +320,103 @@ def test_check_diagnostics_match_compute(capsys, data_dir):
 
 # -- configuration merging ---------------------------------------------------------
 
-def test_env_provides_defaults_and_flags_win(tmp_path, capsys, monkeypatch):
+def test_env_provides_defaults_and_flags_win(tmp_path, capsys, monkeypatch,
+                                             data_dir):
     src = write_pmf(tmp_path, bsc_pmf())
     monkeypatch.setenv("PKREGION_TOL_CI", "1e-9")
-    monkeypatch.setenv("PKREGION_BUDGET", "123")
+    monkeypatch.setenv("PKREGION_TOL_SUM", "1e-6")
     code, out, _ = run_cli(capsys, "check", "--input", src, "--tol-ci", "1")
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["tol_ci"] == 1.0  # flag beats environment
-    assert doc["config"]["budget"] == 123  # environment beats default
+    assert doc["config"]["tol_sum"] == 1e-6  # environment beats default
     # the noisy pair's residual, 0.2, is within the flag's tolerance
     assert doc["det_correlated"] is True
+    monkeypatch.setenv("PKREGION_BUDGET", "123")
+    monkeypatch.setenv("PKREGION_EPS", "0.5")
+    code, out, _ = run_cli(
+        capsys, "simulate", "--input", f"{data_dir}/xy_pair_source.json",
+        "--protocol", f"{data_dir}/direct_extraction_n2.json",
+        "--budget", "1000")
+    assert code == 0
+    cfg = json.loads(out)["config"]
+    assert (cfg["budget"], cfg["eps"]) == (1000, 0.5)
 
 
-def test_invalid_env_value_exits_2(tmp_path, capsys, monkeypatch):
-    src = write_pmf(tmp_path, worked_pmf())
+def test_invalid_env_value_exits_2(tmp_path, capsys, monkeypatch, data_dir):
     monkeypatch.setenv("PKREGION_BUDGET", "many")
-    code, _, err = run_cli(capsys, "compute", "--input", src)
+    code, _, err = run_cli(
+        capsys, "simulate", "--input", f"{data_dir}/xy_pair_source.json",
+        "--protocol", f"{data_dir}/direct_extraction_n2.json")
     assert code == 2
     assert "PKREGION_BUDGET" in err
 
 
-def test_config_echo_lists_every_knob(tmp_path, capsys):
+def test_each_command_takes_only_its_own_flags(tmp_path, capsys, data_dir):
+    """compute and check take no protocol options and simulate no
+    tightness tolerance: each such flag is a usage error."""
     src = write_pmf(tmp_path, worked_pmf())
-    code, out, _ = run_cli(capsys, "compute", "--input", src)
+    for command in ("compute", "check"):
+        for argv in (("--protocol", f"{data_dir}/direct_extraction_n2.json"),
+                     ("--budget", "1"), ("--eps", "3")):
+            code, out, err = run_cli(capsys, command, "--input", src, *argv)
+            assert (code, out) == (2, ""), (command, argv)
+            assert f"unrecognized arguments: {argv[0]}" in err
+    code, out, err = run_cli(
+        capsys, "simulate", "--input", f"{data_dir}/xy_pair_source.json",
+        "--protocol", f"{data_dir}/direct_extraction_n2.json",
+        "--tol-ci", "0.5")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol-ci" in err
+
+
+def test_each_command_reads_only_its_own_variables(tmp_path, capsys,
+                                                   monkeypatch, data_dir):
+    """Invalid simulate-only variables leave compute and check unchanged,
+    byte for byte, and still fail simulate."""
+    src = write_pmf(tmp_path, worked_pmf())
+    clean = {command: run_cli(capsys, command, "--input", src)
+             for command in ("compute", "check")}
+    for env, raw, message in (("PKREGION_BUDGET", "many", "not a valid int"),
+                              ("PKREGION_EPS", "inf", "eps must be")):
+        with monkeypatch.context() as env_patch:
+            env_patch.setenv(env, raw)
+            for command, want in clean.items():
+                assert run_cli(capsys, command, "--input", src) == want
+            code, out, err = run_cli(
+                capsys, "simulate",
+                "--input", f"{data_dir}/xy_pair_source.json",
+                "--protocol", f"{data_dir}/direct_extraction_n2.json")
+            assert (code, out) == (2, "") and message in err
+
+
+def test_config_echo_lists_every_knob(tmp_path, capsys, data_dir):
+    """Each report echoes the options of its command except --output."""
+    src = write_pmf(tmp_path, worked_pmf())
+    for command in ("compute", "check"):
+        code, out, _ = run_cli(capsys, command, "--input", src)
+        assert code == 0
+        assert list(json.loads(out)["config"]) == ["input", "tol_sum",
+                                                   "tol_ci"]
+    code, out, _ = run_cli(
+        capsys, "simulate", "--input", f"{data_dir}/xy_pair_source.json",
+        "--protocol", f"{data_dir}/direct_extraction_n2.json")
     assert code == 0
-    cfg = json.loads(out)["config"]
-    assert set(cfg) == {"input", "output", "protocol", "tol_sum", "tol_ci",
-                        "budget", "eps"}
+    assert list(json.loads(out)["config"]) == ["input", "protocol", "tol_sum",
+                                               "budget", "eps"]
+
+
+def test_missing_file_option_exits_2(tmp_path, capsys, monkeypatch, data_dir):
+    """A file option the command needs has no default: leaving it out is an
+    error, and its variable can give it instead of the flag."""
+    src = write_pmf(tmp_path, worked_pmf())
+    for argv, flag in ((("compute",), "--input"),
+                       (("simulate", "--input", src), "--protocol")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"{flag} or PKREGION_{flag[2:].upper()} is required" in err
+    monkeypatch.setenv("PKREGION_INPUT", src)
+    assert run_cli(capsys, "check")[0] == 0
 
 
 def run_fresh_process(*argv):
@@ -347,7 +439,7 @@ def test_repeated_calls_match_fresh_processes(tmp_path, capsys, monkeypatch,
     exactly as a fresh process would."""
     src = write_pmf(tmp_path, bsc_pmf())
     monkeypatch.setenv("COLUMNS", "80")  # the width of the usage message
-    steps = [(None, ("compute", "--input", src, "--budget", "many")),
+    steps = [(None, ("simulate", "--input", src, "--budget", "many")),
              ("1", ("compute", "--input", src)),
              ("1e-9", ("compute", "--input", src)),
              (None, ("simulate", "--input", f"{data_dir}/xy_pair_source.json",
@@ -379,11 +471,10 @@ def test_output_flag_writes_file_and_quiets_stdout(tmp_path, capsys):
     assert code == 0
     assert out == ""
     doc = json.loads(out_path.read_text())
-    assert validate_report(doc) == "pkregion-regions-v3"
+    assert validate_report(doc) == "pkregion-regions-v4"
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
-    # the config echo contains the output path, so rerun onto the same file
     src = write_pmf(tmp_path, bsc_pmf())
     out_path = tmp_path / "report.json"
     assert run_cli(capsys, "compute", "--input", src,
@@ -395,6 +486,26 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     # and the stdout form agrees with itself as well
     runs = [run_cli(capsys, "compute", "--input", src) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_report_bytes_do_not_depend_on_the_destination(tmp_path, capsys,
+                                                       data_dir):
+    """No report echoes --output: each command's report is the same bytes on
+    stdout and in two different files."""
+    src = write_pmf(tmp_path, bsc_pmf())
+    for command, argv in (
+            ("compute", ("--input", src)),
+            ("check", ("--input", src)),
+            ("simulate", ("--input", f"{data_dir}/xy_pair_source.json",
+                          "--protocol",
+                          f"{data_dir}/direct_extraction_n2.json"))):
+        code, out, _ = run_cli(capsys, command, *argv)
+        assert code == 0
+        for name in ("a.json", "b.json"):
+            target = tmp_path / name
+            assert run_cli(capsys, command, *argv,
+                           "--output", str(target))[0] == 0
+            assert target.read_bytes() == out.encode(), (command, name)
 
 
 def test_failed_run_creates_no_output_file(tmp_path, capsys):

@@ -144,11 +144,11 @@ def test_report_documents_validate(worked_source):
     cfg = {"seed": 42}
     regions = regions_document(report, cfg)
     check = check_document(report, cfg)
-    assert validate_report(regions) == "pkregion-regions-v3"
-    assert validate_report(check) == "pkregion-check-v3"
+    assert validate_report(regions) == "pkregion-regions-v4"
+    assert validate_report(check) == "pkregion-check-v4"
     # a serialization round trip must still validate
     assert validate_report(json.loads(dumps_deterministic(regions))) \
-        == "pkregion-regions-v3"
+        == "pkregion-regions-v4"
 
 
 def test_evaluation_document_validates(square_source):
@@ -163,7 +163,7 @@ def test_evaluation_document_validates(square_source):
                         key_xy_size=4, key_xz_size=4)
     rep = evaluate_protocol(square_source, spec)
     doc = evaluation_document(rep, 0.0, (True, True), (1.0, 1.0), True, {})
-    assert validate_report(doc) == "pkregion-evaluation-v1"
+    assert validate_report(doc) == "pkregion-evaluation-v2"
     assert doc["eps_pk"] == {"xy": True, "xz": True}
 
 
@@ -187,7 +187,7 @@ def test_exact_entry_may_be_null(bsc_source):
     report = compute_report(bsc_source)
     doc = regions_document(report, {})
     assert doc["regions"]["exact"] is None
-    assert validate_report(doc) == "pkregion-regions-v3"
+    assert validate_report(doc) == "pkregion-regions-v4"
 
 
 # -- atomic writes ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ with a fixed example count.
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations
 from unittest import mock
 
@@ -209,6 +210,73 @@ def test_built_tables_are_the_ones_the_budget_counts(speakers, data):
     with pytest.raises(BudgetExceededError, match="sequence cells"
                        if charged > max(counts) else "sequences, over"):
         evaluate_protocol(p, spec, budget=charged - 1)
+
+
+def fano_bits(error, key_size):
+    """Fano's bound on H(K|L) in bits for a key alphabet of ``key_size``:
+    h₂(error) + error·log₂(key_size − 1)."""
+    if error <= 0.0:
+        return 0.0
+    binary = sum(-q * math.log2(q) for q in (error, 1.0 - error) if q > 0.0)
+    return binary + error * math.log2(key_size - 1)
+
+
+def helper_copies_key(p, spec, helper, f):
+    """The source with helper ``helper`` (1 = Y, 2 = Z) replaced by f(X),
+    and the protocol with that helper's key pair replaced by the helper's
+    own sequence: X computes it as f applied symbol by symbol, so the pair
+    agrees with no error. With no speaker the converse is then tight:
+    H(f(X)) = I(X∧f(X)|other helper) + I(f(X)∧other helper)."""
+    cards = p.cardinalities
+    probs = np.zeros(cards)
+    joint = p.probs.sum(axis=helper)
+    for x, row in enumerate(joint):
+        if helper == 1:
+            probs[x, f[x], :] = row
+        else:
+            probs[x, :, f[x]] = row
+    source = load_pmf(probs, p.variables, cards)
+    n, heard, count = spec.n, transcripts(spec), cards[helper] ** spec.n
+    digits = np.unravel_index(np.arange(cards[0] ** spec.n), (cards[0],) * n)
+    copied = np.ravel_multi_index(tuple(np.array(f)[d] for d in digits),
+                                  (cards[helper],) * n)
+    pair = "xy" if helper == 1 else "xz"
+    spec = replace(spec, **{
+        f"key_{pair}": np.repeat(copied[:, None], heard, axis=1),
+        f"est_{pair}": np.repeat(np.arange(count)[:, None], heard, axis=1),
+        f"key_{pair}_size": count})
+    return source, spec
+
+
+@pytest.mark.parametrize("speakers", [set(c) for k in range(4)
+                                      for c in combinations(range(3), k)])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_key_rates_obey_the_finite_blocklength_converse(speakers, data):
+    """rate ≤ cap + leak + (h₂(error) + error·log₂(|K| − 1))/n for each
+    key pair, with the outer region's axis cap. For K = K_XY, L = L_XY and
+    transcript F: H(K) = I(K∧F,Zⁿ) + H(K|F,Zⁿ), the first term is at most
+    n·leak, and H(K|F,Zⁿ) ≤ I(Xⁿ∧Yⁿ|F,Zⁿ) + H(K|L) ≤ n·I(X∧Y|Z) + Fano,
+    since no public message raises I(Xⁿ∧Yⁿ|Zⁿ, transcript); XZ mirrors it.
+    Random key tables rarely come near the bound, so some draws make one
+    helper a function of X that the key pair copies."""
+    p = data.draw(sources())
+    n = blocklength(data.draw, p)
+    spec = data.draw(protocols(p.cardinalities, n, speakers))
+    helper = data.draw(st.sampled_from((None, 1, 2)))
+    if helper is not None:
+        f = data.draw(st.lists(st.integers(0, p.cardinalities[helper] - 1),
+                               min_size=p.cardinalities[0],
+                               max_size=p.cardinalities[0]))
+        p, spec = helper_copies_key(p, spec, helper, f)
+    report = evaluate_protocol(p, spec)
+    outer = outer_region(p)
+    for pair, cap, key_size in (("xy", outer.cap_xy, spec.key_xy_size),
+                                ("xz", outer.cap_xz, spec.key_xz_size)):
+        error = getattr(report, f"error_{pair}")
+        bound = (cap + getattr(report, f"leak_{pair}")
+                 + fano_bits(error, key_size) / n)
+        assert getattr(report, f"rate_{pair}") <= bound + 1e-12, pair
 
 
 @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=3),

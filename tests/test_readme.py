@@ -5,6 +5,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from pkregion.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -35,3 +37,27 @@ def test_library_example_prints_what_its_comments_state():
     exec(code, {"print": printed.append})
     assert len(printed) == len(stated) == 3
     assert printed == stated
+
+
+def test_cli_reference_lists_each_commands_flags(capsys):
+    """Each command's parser accepts exactly the flags the CLI reference
+    table lists for it, and each flag's variable is named by the prefix
+    rule (``--tol-sum`` reads ``PKREGION_TOL_SUM``)."""
+    section = README[README.index("## CLI reference"):]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `--"):
+            flag, env, commands = (re.findall(r"`([^`]*)`", cell)
+                                   for cell in line.split("|")[1:4])
+            rows[flag[0]] = (env, set(commands))
+    assert len(rows) == 7
+    for flag, (env, _) in rows.items():
+        assert env == ["PKREGION_" + flag[2:].upper().replace("-", "_")]
+    for command in ("compute", "check", "simulate", "version"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        accepted = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out,
+                                  re.M))
+        listed = {flag for flag, (_, commands) in rows.items()
+                  if command in commands}
+        assert accepted == listed, command

@@ -85,6 +85,11 @@ def test_region_validation():
     with pytest.raises(ValueError):
         RateRegion(cap_xy=1.0, cap_xz=None, cap_sum=1.0,
                    vertices=((0.0, 0.0),), provenance="outer")
+    # a NaN cap is refused as such, before any vertex is enumerated
+    nan = float("nan")
+    for caps in ((nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan)):
+        with pytest.raises(ValueError, match="caps must be nonnegative"):
+            RateRegion.from_caps(*caps, provenance="outer")
 
 
 def test_cap_vertices_agree_with_grid():
