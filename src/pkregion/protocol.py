@@ -22,10 +22,13 @@ one-symbol alphabet can make them agree) share one table, and the budget
 charges each distinct shape once: at most |X|ⁿ|Y|ⁿ + |X|ⁿ|Z|ⁿ + |Y|ⁿ|Z|ⁿ
 cells with no speaker, |X|ⁿ|Y|ⁿ|Z|ⁿ with all three speaking. A key's
 entropy is read off its secrecy table, the (key, transcript, helper) table
-its leak comes from. A run is admitted in one pass: each terminal's
-sequence count, then every table shape (building up the transcript count),
-then the enumeration budget, which bounds these sequence tables and the
-key/transcript/helper tables.
+its leak comes from. When some terminal speaks, the secrecy tables run over
+the transcripts that occur, renumbered in index order, not over every
+transcript index. A run is admitted in one pass: each terminal's sequence
+count, then every table shape (building up the transcript count), then the
+enumeration budget, which bounds these sequence tables and charges each
+secrecy table key × transcript × helper cells, every transcript index
+counted: an upper bound on what is built.
 
 Index conventions (also used by the file format): an n-sequence maps to
 ``sum_i s_i * card**(n-1-i)`` (first symbol most significant), and a
@@ -64,7 +67,9 @@ def _int_table(name: str, raw, upper: int) -> np.ndarray:
 
     The table is always a fresh copy. Booleans, fractions and non-numbers
     are rejected, never coerced; numpy would upcast booleans mixed into a
-    Python table of integers, so such a table's cells are type-checked.
+    Python table of integers, so such a table's cells are type-checked. An
+    integer of 2**64 or more makes an object table, whose cells must all be
+    Python integers; the range check then names the entry.
     """
     table = np.array(raw)
     if table.ndim != 2:
@@ -73,6 +78,8 @@ def _int_table(name: str, raw, upper: int) -> np.ndarray:
     if kind == "f":
         integral = bool(np.isfinite(table).all()
                         and (table == np.floor(table)).all())
+    elif kind == "O":
+        integral = all(type(cell) is int for cell in table.flat)
     else:
         integral = kind in "iu" and (
             isinstance(raw, np.ndarray)
@@ -253,7 +260,8 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
         If one terminal's sequence count exceeds ``budget``; this is checked
         first, so even a huge ``n`` stops at once. Otherwise, once every
         table shape has passed, if the planned sequence tables together or
-        either key/transcript/helper table would exceed ``budget`` cells.
+        either key/transcript/helper table, counted over every transcript
+        index, would exceed ``budget`` cells.
     MalformedTableError
         If a slot or key table does not match its domain (sequence count ×
         transcript count) for this source and blocklength. Shapes are
@@ -312,11 +320,25 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
         transcript = transcript * slot.alphabet_size + message
     k_xy, l_xy = spec.key_xy[xg, transcript], spec.est_xy[yg, transcript]
     k_xz, l_xz = spec.key_xz[xg, transcript], spec.est_xz[zg, transcript]
+    # the secrecy tables count only the transcripts that occur, ranked in
+    # index order (one mask byte and one rank per transcript index)
+    occurring = 1
+    if spoken:
+        occurs = np.zeros(heard, dtype=bool)
+        occurs[transcript] = True
+        rank = np.cumsum(occurs) - 1
+        occurring = int(rank[-1]) + 1
+        transcript = rank[transcript]
     # one code for the transcript together with the helper's sequence
     tr_z, tr_y = transcript * nz + zg, transcript * ny + yg
 
     def info_bits(a, a_size, b, b_size):
-        """I(a ∧ b) and H(a), both from the table of (a, b)."""
+        """I(a ∧ b) and H(a), both from the table of (a, b).
+
+        ``b`` codes an occurring transcript with a helper sequence, so the
+        table has ``a_size × b_size`` cells, at most the key × transcript ×
+        helper count the budget charges.
+        """
         codes = a * b_size + b
         table = np.bincount(codes.reshape(-1),
                             weights=tables[codes.shape].reshape(-1),
@@ -330,13 +352,15 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
         return float(tables[differ.shape][differ].sum())
 
     kxy, kxz = spec.key_xy_size, spec.key_xz_size
-    leak_k_xy, h_k_xy = info_bits(k_xy, kxy, tr_z, heard * nz)
-    leak_k_xz, h_k_xz = info_bits(k_xz, kxz, tr_y, heard * ny)
+    leak_k_xy, h_k_xy = info_bits(k_xy, kxy, tr_z, occurring * nz)
+    leak_k_xz, h_k_xz = info_bits(k_xz, kxz, tr_y, occurring * ny)
     return EvaluationReport(
         error_xy=disagreement(k_xy, l_xy),
         error_xz=disagreement(k_xz, l_xz),
-        leak_xy=max(leak_k_xy, info_bits(l_xy, kxy, tr_z, heard * nz)[0]) / n,
-        leak_xz=max(leak_k_xz, info_bits(l_xz, kxz, tr_y, heard * ny)[0]) / n,
+        leak_xy=max(leak_k_xy,
+                    info_bits(l_xy, kxy, tr_z, occurring * nz)[0]) / n,
+        leak_xz=max(leak_k_xz,
+                    info_bits(l_xz, kxz, tr_y, occurring * ny)[0]) / n,
         unif_xy=_clip0((math.log2(kxy) - h_k_xy) / n),
         unif_xz=_clip0((math.log2(kxz) - h_k_xz) / n),
         rate_xy=_clip0(h_k_xy / n),

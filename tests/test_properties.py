@@ -66,18 +66,28 @@ def null_slot(rows, heard):
 
 
 @st.composite
-def protocols(draw, cards, n, speakers):
+def protocols(draw, cards, n, speakers, sends=None):
     """A protocol in which the terminals in ``speakers`` (0 = X, 1 = Y,
     2 = Z) each send a binary message in each of one or two rounds and
     every other slot is null. With no speaker the rounds may be zero and
-    the transcript is constant."""
+    the transcript is constant.
+
+    With ``sends``, each speaking slot has two or three symbols and its
+    table sends at most ``sends`` of them, never all, so the transcript
+    indices that occur have gaps; ``sends=1`` makes one transcript occur
+    out of several."""
     counts = tuple(c ** n for c in cards)
     slots, heard = [], 1
     for t in range(3 * draw(st.integers(int(bool(speakers)), 2))):
         size = 2 if t % 3 in speakers else 1
+        elements = st.integers(0, size - 1)
+        if sends and size > 1:
+            size = draw(st.integers(2, 3))
+            elements = st.sampled_from(draw(st.lists(
+                st.integers(0, size - 1), min_size=1,
+                max_size=min(sends, size - 1), unique=True)))
         slots.append(SlotSpec(alphabet_size=size, table=draw(arrays(
-            np.int64, (counts[t % 3], heard),
-            elements=st.integers(0, size - 1)))))
+            np.int64, (counts[t % 3], heard), elements=elements))))
         heard *= size
     sizes = {"key_xy_size": draw(st.integers(1, 4)),
              "key_xz_size": draw(st.integers(1, 4))}
@@ -152,6 +162,27 @@ def test_any_speaking_terminals_match_oracle(data):
     speakers = data.draw(st.sets(st.integers(0, 2), min_size=1))
     spec = data.draw(protocols(p.cardinalities, n, speakers))
     assert transcripts(spec) > 1
+    assert_matches_oracle(p, spec)
+
+
+@pytest.mark.parametrize("sends", (1, 2))
+@pytest.mark.parametrize("speakers", [set(c) for k in range(1, 4)
+                                      for c in combinations(range(3), k)])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_sparse_transcripts_match_oracle(speakers, sends, data):
+    """The secrecy tables run over the transcripts that occur, renumbered
+    in index order. Slot tables that send only part of their alphabet leave
+    gaps among those indices; with one symbol sent per slot, exactly one
+    transcript occurs out of several."""
+    p = data.draw(sources())
+    n = blocklength(data.draw, p)
+    spec = data.draw(protocols(p.cardinalities, n, speakers, sends))
+    assert transcripts(spec) > 1
+    for slot in spec.slots:
+        if slot.alphabet_size > 1:
+            assert len(np.unique(slot.table)) <= min(sends,
+                                                     slot.alphabet_size - 1)
     assert_matches_oracle(p, spec)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,58 @@ def test_constant_transcript_reaches_n10_against_closed_forms(bsc_source):
     assert report.error_xz > 0.6 and report.leak_xy > 0.5
 
 
+def product_table(table, n, earlier):
+    """n-fold product of a per-symbol table over binary messages. A row is
+    an own n-sequence, a column the n-fold messages of ``earlier`` slots;
+    position i reads digit i of the own sequence and of each message."""
+    own = np.arange(2 ** n)[:, None]
+    heard = np.arange(2 ** (n * earlier))[None, :]
+    out = 0
+    for i in range(n):
+        prefix = 0
+        for j in range(earlier):
+            shift = n * (earlier - 1 - j) + n - 1 - i
+            prefix = 2 * prefix + (heard >> shift & 1)
+        out = 2 * out + np.asarray(table)[own >> (n - 1 - i) & 1, prefix]
+    return out
+
+
+def test_secrecy_tables_hold_only_the_transcripts_that_occur(bsc_source):
+    """At n = 4 of a one-round protocol where each terminal sends a bit
+    only while every earlier bit was 1, 4⁴ = 256 of the 16³ = 4096
+    transcript indices occur. The (key, transcript, helper) tables would
+    hold 16 · 4096 · 16 cells, 8 MB each, over every index; over the
+    transcripts that occur they hold 16 · 256 · 16."""
+    n = 4
+    symbol_slots = ([[0], [1]], [[0, 0], [0, 1]],
+                    [[0, 0, 0, 0], [0, 0, 0, 1]])
+    # each key is X's bit, each estimate the first bit of the transcript
+    own_bit, first_bit = [[0] * 8, [1] * 8], [[f >> 2 for f in range(8)]] * 2
+    keys = {"key_xy": own_bit, "est_xy": first_bit,
+            "key_xz": own_bit, "est_xz": first_bit}
+    spec = ProtocolSpec(
+        n=n, rounds=1, key_xy_size=2 ** n, key_xz_size=2 ** n,
+        slots=tuple(SlotSpec(alphabet_size=2 ** n,
+                             table=product_table(table, n, t))
+                    for t, table in enumerate(symbol_slots)),
+        **{name: product_table(table, n, 3) for name, table in keys.items()})
+    tracemalloc.start()
+    try:
+        report = evaluate_protocol(bsc_source, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+    want = oracle_evaluate(pmf_as_dict(bsc_source), (2, 2, 2), {
+        "n": n, "key_xy_size": 2 ** n, "key_xz_size": 2 ** n,
+        "slots": [(slot.alphabet_size, slot.table.tolist())
+                  for slot in spec.slots],
+        **{name: getattr(spec, name).tolist() for name in keys}})
+    for field, expected in want.items():
+        assert getattr(report, field) == pytest.approx(expected, abs=1e-12), \
+            field
+
+
 def test_malformed_protocols_are_rejected():
     with pytest.raises(MalformedTableError):
         SlotSpec(alphabet_size=2, table=np.full((2, 1), 2))
@@ -389,7 +443,7 @@ def test_non_integer_tables_are_rejected():
     zeros = np.zeros((4, 1), dtype=int)
     # fractions used to be truncated and booleans read as 0/1
     for bad in ([[0.7]], [[True]], [[0], [True]], np.array([[False]]),
-                [[float("nan")]], [["1"]]):
+                [[float("nan")]], [["1"]], [[2 ** 64], [True]], [[None]]):
         with pytest.raises(MalformedTableError):
             SlotSpec(alphabet_size=2, table=bad)
         with pytest.raises(MalformedTableError):
