@@ -58,9 +58,7 @@ def _clip0(v: float) -> float:
 def _entropy_of(table: np.ndarray) -> float:
     v = table.reshape(-1)
     v = v[v > 0.0]
-    if v.size == 0:
-        return 0.0
-    # the + 0.0 turns a -0.0 (deterministic table) into +0.0
+    # the + 0.0 turns a -0.0 (deterministic or all-zero table) into +0.0
     return float(-(v * np.log2(v)).sum()) + 0.0
 
 
@@ -96,7 +94,20 @@ class JointPmf:
             )
         if any(c < 1 for c in cards):
             raise ShapeMismatchError(f"cardinalities must be positive, got {cards}")
-        arr = np.asarray(self.probs, dtype=np.float64)
+        try:  # no dtype given: numpy would parse strings into numbers
+            arr = np.asarray(self.probs)
+        except ValueError:  # nested rows of different lengths
+            raise ShapeMismatchError("table is not rectangular") from None
+        # text is refused in any table; an object table (Fractions, integers
+        # past int64) converts entry by entry
+        if arr.dtype.kind not in "biufO" or arr.dtype.kind == "O" and any(
+                isinstance(v, (str, bytes)) for v in arr.flat):
+            raise NonFiniteEntryError("table entries must be real numbers")
+        try:
+            arr = arr.astype(np.float64, order="C")
+        except (TypeError, ValueError, OverflowError):  # None, 10**400, ...
+            raise NonFiniteEntryError(
+                "table entries must be finite numbers") from None
         if arr.shape != cards:
             # math.prod: exact, where an int64 product of large sizes wraps
             if arr.size != math.prod(cards):
@@ -110,7 +121,6 @@ class JointPmf:
             raise NonFiniteEntryError("table entries must be finite numbers")
         if lo < 0.0:
             raise NegativeEntryError(f"minimum table entry is {lo!r}")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "variables", names)
         object.__setattr__(self, "cardinalities", cards)

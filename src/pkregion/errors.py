@@ -39,7 +39,7 @@ class NegativeEntryError(PkRegionError):
 
 
 class NonFiniteEntryError(PkRegionError):
-    """A probability table contains a NaN or infinite entry."""
+    """A probability table contains an entry that is not a finite number."""
 
     code = "NON_FINITE_ENTRY"
 

@@ -104,12 +104,14 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
         raise InputFormatError(f"{path}: cardinalities must be three integers")
     # One pass over the entry types at C speed (~1.4 ms for 65 536 entries
     # on a 2-core x86 host); numpy's float conversion alone would parse
-    # strings and turn booleans into 1.0/0.0.
+    # strings and turn booleans into 1.0/0.0. Passed as a float array, the
+    # checked list is not typed again.
     if not isinstance(table, list) \
             or not set(map(type, table)) <= {float, int}:
         raise InputFormatError(f"{path}: pmf must be a flat list of numbers")
     try:
-        return load_pmf(table, variables, cardinalities, sum_tol=sum_tol)
+        return load_pmf(np.asarray(table, dtype=np.float64), variables,
+                        cardinalities, sum_tol=sum_tol)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
 

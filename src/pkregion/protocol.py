@@ -18,17 +18,16 @@ terminal that speaks, since the transcript varies along their sequences; a
 null slot (alphabet size 1) always sends 0. So the plan holds, for each
 pair of terminals, one table over that pair plus the speakers, with an axis
 of size 1 for each terminal left out. Pairs that give the same shape (a
-one-symbol alphabet can make them agree) share one table, and the budget
-charges each distinct shape once: at most |X|ⁿ|Y|ⁿ + |X|ⁿ|Z|ⁿ + |Y|ⁿ|Z|ⁿ
-cells with no speaker, |X|ⁿ|Y|ⁿ|Z|ⁿ with all three speaking. A key's
-entropy is read off its secrecy table, the (key, transcript, helper) table
-its leak comes from. When some terminal speaks, the secrecy tables run over
-the transcripts that occur, renumbered in index order, not over every
-transcript index. A run is admitted in one pass: each terminal's sequence
-count, then every table shape (building up the transcript count), then the
-enumeration budget, which bounds these sequence tables and charges each
-secrecy table key × transcript × helper cells, every transcript index
-counted: an upper bound on what is built.
+one-symbol alphabet can make them agree) share one table: at most
+|X|ⁿ|Y|ⁿ + |X|ⁿ|Z|ⁿ + |Y|ⁿ|Z|ⁿ cells with no speaker, |X|ⁿ|Y|ⁿ|Z|ⁿ with all
+three speaking. A key's entropy is read off its secrecy table, the (key,
+transcript, helper) table its leak comes from, over the transcripts that
+occur, ranked in index order by sorting the sequence sweep (nothing is
+built per transcript index). A run is admitted in one pass: each
+terminal's sequence count, then every table shape (building up the
+transcript count), then the budget, which charges every table at the size
+it is built: the sequence tables, each distinct shape once, then each
+secrecy table at key × occurring transcripts × helper cells.
 
 Index conventions (also used by the file format): an n-sequence maps to
 ``sum_i s_i * card**(n-1-i)`` (first symbol most significant), and a
@@ -71,7 +70,10 @@ def _int_table(name: str, raw, upper: int) -> np.ndarray:
     integer of 2**64 or more makes an object table, whose cells must all be
     Python integers; the range check then names the entry.
     """
-    table = np.array(raw)
+    try:
+        table = np.array(raw)
+    except ValueError:  # nested rows of different lengths
+        raise MalformedTableError(f"{name} is not rectangular") from None
     if table.ndim != 2:
         raise MalformedTableError(f"{name} must be 2-D, got {table.ndim}-D")
     kind = table.dtype.kind
@@ -260,8 +262,8 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
         If one terminal's sequence count exceeds ``budget``; this is checked
         first, so even a huge ``n`` stops at once. Otherwise, once every
         table shape has passed, if the planned sequence tables together or
-        either key/transcript/helper table, counted over every transcript
-        index, would exceed ``budget`` cells.
+        either key/transcript/helper table, over the transcripts that
+        occur, would exceed ``budget`` cells.
     MalformedTableError
         If a slot or key table does not match its domain (sequence count ×
         transcript count) for this source and blocklength. Shapes are
@@ -297,19 +299,6 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
             " + ".join("*".join(str(counts[axis]) for axis in axes)
                        for axes in plan.values())
             + f" sequence cells exceed the budget of {budget}")
-    # each helper is paired with the key it must not learn
-    for label, key_size, helper in (("Z", spec.key_xy_size, nz),
-                                    ("Y", spec.key_xz_size, ny)):
-        if key_size * heard * helper > budget:
-            raise BudgetExceededError(
-                f"key/transcript/{label} joint table needs more than "
-                f"{budget} cells")
-
-    # each planned table: Pⁿ summed over the axes its shape leaves at 1
-    tables = {}
-    for shape in plan:
-        drop = tuple(axis for axis, size in enumerate(shape) if size == 1)
-        tables[shape] = _kron_power(p.probs.sum(axis=drop), n).reshape(shape)
     grids = xg, yg, zg = tuple(
         np.arange(count, dtype=np.int64).reshape(
             [count if axis == side else 1 for axis in range(3)])
@@ -321,14 +310,22 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
     k_xy, l_xy = spec.key_xy[xg, transcript], spec.est_xy[yg, transcript]
     k_xz, l_xz = spec.key_xz[xg, transcript], spec.est_xz[zg, transcript]
     # the secrecy tables count only the transcripts that occur, ranked in
-    # index order (one mask byte and one rank per transcript index)
-    occurring = 1
-    if spoken:
-        occurs = np.zeros(heard, dtype=bool)
-        occurs[transcript] = True
-        rank = np.cumsum(occurs) - 1
-        occurring = int(rank[-1]) + 1
-        transcript = rank[transcript]
+    # index order (a sort of the sweep: nothing per transcript index)
+    seen, rank = np.unique(transcript, return_inverse=True)
+    occurring, transcript = seen.size, rank.reshape(np.shape(transcript))
+    # each helper is paired with the key it must not learn
+    kxy, kxz = spec.key_xy_size, spec.key_xz_size
+    for label, key_size, helper in (("Z", kxy, nz), ("Y", kxz, ny)):
+        if key_size * occurring * helper > budget:
+            raise BudgetExceededError(
+                f"key/transcript/{label} joint table needs more than "
+                f"{budget} cells")
+
+    # each planned table: Pⁿ summed over the axes its shape leaves at 1
+    tables = {}
+    for shape in plan:
+        drop = tuple(axis for axis, size in enumerate(shape) if size == 1)
+        tables[shape] = _kron_power(p.probs.sum(axis=drop), n).reshape(shape)
     # one code for the transcript together with the helper's sequence
     tr_z, tr_y = transcript * nz + zg, transcript * ny + yg
 
@@ -336,8 +333,8 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
         """I(a ∧ b) and H(a), both from the table of (a, b).
 
         ``b`` codes an occurring transcript with a helper sequence, so the
-        table has ``a_size × b_size`` cells, at most the key × transcript ×
-        helper count the budget charges.
+        table has ``a_size × b_size`` cells, the key × transcript × helper
+        count the budget charges.
         """
         codes = a * b_size + b
         table = np.bincount(codes.reshape(-1),
@@ -351,7 +348,6 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
         differ = a != b
         return float(tables[differ.shape][differ].sum())
 
-    kxy, kxz = spec.key_xy_size, spec.key_xz_size
     leak_k_xy, h_k_xy = info_bits(k_xy, kxy, tr_z, occurring * nz)
     leak_k_xz, h_k_xz = info_bits(k_xz, kxz, tr_y, occurring * ny)
     return EvaluationReport(

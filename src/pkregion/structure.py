@@ -211,8 +211,6 @@ def _ci_residual(t: np.ndarray, cf: CommonFunction) -> float:
     for u in range(cf.components):
         block = t[np.ix_(lab_a == u, lab_b == u)]
         w = float(block.sum())
-        if w <= 0.0:
-            continue
         cond = block / w
         resid = np.abs(cond - np.outer(cond.sum(axis=1), cond.sum(axis=0)))
         worst = max(worst, float(resid.max()))

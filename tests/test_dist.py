@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from oracles import oracle_cmi, oracle_entropy
 def test_load_pmf_accepts_flat_and_shaped_tables():
     flat = load_pmf([0.25, 0.25, 0.25, 0.25], ("A", "B"), (2, 2))
     shaped = load_pmf(np.full((2, 2), 0.25), ("A", "B"), (2, 2))
+    # an object table of exact numbers converts entry by entry
+    exact = load_pmf([Fraction(1, 4)] * 4, ("A", "B"), (2, 2))
     assert np.array_equal(flat.probs, shaped.probs)
+    assert np.array_equal(flat.probs, exact.probs)
     assert flat.cardinalities == (2, 2)
 
 
@@ -37,6 +41,12 @@ def test_load_pmf_rejects_bad_inputs():
         load_pmf([0.25] * 4, ("A", "A"), (2, 2))
     with pytest.raises(ShapeMismatchError):
         load_pmf([1.0], ("A", "B"), (1,))
+    with pytest.raises(ShapeMismatchError, match="not rectangular"):
+        load_pmf([[0.5], [0.25, 0.25]], ("X", "Y"), (2, 2))
+    # strings are rejected, never parsed into numbers, also among objects
+    for text in (["0.5", "0.5"], [Fraction(1, 2), "0.5"]):
+        with pytest.raises(NonFiniteEntryError, match="real numbers"):
+            load_pmf(text, ("X",), (2,))
 
 
 def test_load_pmf_rejects_non_finite_entries():

@@ -109,6 +109,12 @@ def test_read_pmf_error_paths(tmp_path):
         "cardinalities": [True, 2, 2], "pmf": [0.25] * 4}))
     with pytest.raises(InputFormatError, match="cardinalities"):
         read_pmf(boolean)
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps({
+        "schema": "pkregion-pmf-v1", "variables": ["X", "Y"],
+        "cardinalities": [2, 2, 1], "pmf": [0.25] * 4}))
+    with pytest.raises(InputFormatError, match="variables must be three names"):
+        read_pmf(two)
 
 
 def test_protocol_roundtrip(tmp_path):
@@ -133,7 +139,20 @@ def test_read_protocol_rejects_malformed(tmp_path):
     del doc["key_xy"]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(InputFormatError):
+    with pytest.raises(InputFormatError, match="missing field 'key_xy'"):
+        read_protocol(path)
+    for field, value, message in (
+            ("n", 0, "blocklength must be >= 1"),
+            ("rounds", -1, "round count must be >= 0"),
+            ("key_xy_size", 0, "key alphabet sizes must be >= 1"),
+            ("slots", {}, "slots must be a list"),
+            ("slots", [1, 2, 3], "slot 1 needs alphabet_size and table")):
+        path.write_text(json.dumps({**protocol_document(spec), field: value}))
+        with pytest.raises(InputFormatError, match=message):
+            read_protocol(path)
+    path.write_text(json.dumps([protocol_document(spec)]))
+    with pytest.raises(InputFormatError,
+                       match="top level must be a JSON object"):
         read_protocol(path)
 
 

@@ -6,7 +6,7 @@ with a fixed example count.
 
 import math
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -121,6 +121,20 @@ def transcripts(spec):
     return math.prod(slot.alphabet_size for slot in spec.slots)
 
 
+def occurring_transcripts(spec, cards):
+    """How many transcripts the sequence triples produce, by running the
+    slots on every triple of sequence indices, of any probability, since
+    the evaluator's sweep runs over all of them."""
+    found = set()
+    for seqs in product(*(range(card ** spec.n) for card in cards)):
+        transcript = 0
+        for t, slot in enumerate(spec.slots):
+            transcript = (transcript * slot.alphabet_size
+                          + int(slot.table[seqs[t % 3], transcript]))
+        found.add(transcript)
+    return len(found)
+
+
 def as_oracle(spec):
     return {"n": spec.n,
             "slots": [(s.alphabet_size, s.table.tolist()) for s in spec.slots],
@@ -208,11 +222,13 @@ def test_yz_swap_mirrors_evaluation(x_speaks, data):
 @settings(max_examples=25)
 @given(data=st.data())
 def test_built_tables_are_the_ones_the_budget_counts(speakers, data):
-    """The sequence tables built sum to exactly the cells the budget rule
-    charges: for each pair of terminals, one table over the pair plus the
-    speakers, each distinct shape once (a one-symbol alphabet can give two
-    pairs the same shape). A run is admitted at that charge, or at the
-    larger key/transcript/helper table, and refused one cell below it."""
+    """Every table is charged at the size it is built. The sequence tables
+    built sum to the sequence charge: for each pair of terminals, one table
+    over the pair plus the speakers, each distinct shape once (a one-symbol
+    alphabet can give two pairs the same shape). Each secrecy table holds
+    key × occurring transcripts × helper cells. A run is admitted at the
+    largest of these charges, and refused one cell below the sequence charge
+    and one cell below a larger secrecy charge."""
     p = data.draw(sources())
     n = blocklength(data.draw, p)
     spec = data.draw(protocols(p.cardinalities, n, speakers))
@@ -221,26 +237,39 @@ def test_built_tables_are_the_ones_the_budget_counts(speakers, data):
         tuple(count if axis in {*pair, *speakers} else 1
               for axis, count in enumerate(counts))
         for pair in ((0, 1), (0, 2), (1, 2))}))
-    built = []
-    kron_power = protocol._kron_power
+    occurring = occurring_transcripts(spec, p.cardinalities)
+    secrecy = (spec.key_xy_size * occurring * counts[2],
+               spec.key_xz_size * occurring * counts[1])
+    built, built_secrecy = [], []
+    kron_power, entropy_of = protocol._kron_power, protocol._entropy_of
 
     def recording(base, n):
         table = kron_power(base, n)
         built.append(table.size)
         return table
 
-    with mock.patch.object(protocol, "_kron_power", recording):
+    def recording_entropy(table):
+        # only a secrecy table is 2-D; its margins are 1-D
+        if table.ndim == 2:
+            built_secrecy.append(table.size)
+        return entropy_of(table)
+
+    with mock.patch.object(protocol, "_kron_power", recording), \
+            mock.patch.object(protocol, "_entropy_of", recording_entropy):
         evaluate_protocol(p, spec)
     assert sum(built) == charged
-    heard = transcripts(spec)
-    evaluate_protocol(p, spec, budget=max(
-        charged, spec.key_xy_size * heard * counts[2],
-        spec.key_xz_size * heard * counts[1]))
+    # each key and each estimate has its table: two per pair
+    assert sorted(built_secrecy) == sorted(2 * secrecy)
+    bound = max(charged, *secrecy)
+    evaluate_protocol(p, spec, budget=bound)
     # when one table holds all the cells along one axis, one cell less is
     # below that terminal's sequence count, which is checked first
     with pytest.raises(BudgetExceededError, match="sequence cells"
                        if charged > max(counts) else "sequences, over"):
         evaluate_protocol(p, spec, budget=charged - 1)
+    if bound > charged:
+        with pytest.raises(BudgetExceededError, match="key/transcript/"):
+            evaluate_protocol(p, spec, budget=bound - 1)
 
 
 def fano_bits(error, key_size):

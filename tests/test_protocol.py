@@ -230,7 +230,7 @@ def test_leak_is_capped_by_key_entropy():
         assert report.unif_xy >= 0.0 and report.unif_xz >= 0.0
 
 
-def test_budget_guards():
+def test_budget_guards(bsc_source):
     p = worked_pmf()
     zeros = np.zeros((16, 1), dtype=int)
     spec = ProtocolSpec(n=2, rounds=0, slots=(),
@@ -263,6 +263,32 @@ def test_budget_guards():
     assert report.rate_xz == 1.0
     with pytest.raises(BudgetExceededError):
         evaluate_protocol(lopsided_source, lopsided, budget=10 ** 6 - 1)
+    # 256 of 4096 transcript indices occur, so each secrecy table is charged
+    # 16 · 256 · 16 cells, as built, not 16 · 4096 · 16
+    gated = gated_bits_protocol(4)
+    assert evaluate_protocol(bsc_source, gated, budget=65536).rate_xy > 0.0
+    with pytest.raises(BudgetExceededError,
+                       match="key/transcript/Z joint table needs more than "
+                             "65535 cells"):
+        evaluate_protocol(bsc_source, gated, budget=65535)
+    # one transcript of 10⁵ indices occurs: ranking the transcripts builds
+    # nothing per index, so a budget of 10 cells bounds what is built
+    size = 10 ** 5
+    keys = np.zeros((1, size), dtype=int)
+    sparse = ProtocolSpec(
+        n=1, rounds=1, slots=(SlotSpec(size, [[size - 1]]),
+                              SlotSpec(1, [[0] * size]),
+                              SlotSpec(1, [[0] * size])),
+        key_xy=keys, est_xy=keys, key_xz=keys, est_xz=keys,
+        key_xy_size=1, key_xz_size=1)
+    one_symbol = load_pmf([1.0], ("X", "Y", "Z"), (1, 1, 1))
+    tracemalloc.start()
+    try:
+        evaluate_protocol(one_symbol, sparse, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_shapes_are_checked_before_the_budget():
@@ -371,25 +397,31 @@ def product_table(table, n, earlier):
     return out
 
 
-def test_secrecy_tables_hold_only_the_transcripts_that_occur(bsc_source):
-    """At n = 4 of a one-round protocol where each terminal sends a bit
-    only while every earlier bit was 1, 4⁴ = 256 of the 16³ = 4096
-    transcript indices occur. The (key, transcript, helper) tables would
-    hold 16 · 4096 · 16 cells, 8 MB each, over every index; over the
-    transcripts that occur they hold 16 · 256 · 16."""
-    n = 4
+def gated_bits_protocol(n):
+    """The n-fold product of a one-round binary protocol where each
+    terminal sends its bit only while every earlier bit was 1: 4ⁿ of the
+    8ⁿ transcript indices occur. Each key is X's bit, each estimate the
+    first bit of the transcript."""
     symbol_slots = ([[0], [1]], [[0, 0], [0, 1]],
                     [[0, 0, 0, 0], [0, 0, 0, 1]])
-    # each key is X's bit, each estimate the first bit of the transcript
     own_bit, first_bit = [[0] * 8, [1] * 8], [[f >> 2 for f in range(8)]] * 2
     keys = {"key_xy": own_bit, "est_xy": first_bit,
             "key_xz": own_bit, "est_xz": first_bit}
-    spec = ProtocolSpec(
+    return ProtocolSpec(
         n=n, rounds=1, key_xy_size=2 ** n, key_xz_size=2 ** n,
         slots=tuple(SlotSpec(alphabet_size=2 ** n,
                              table=product_table(table, n, t))
                     for t, table in enumerate(symbol_slots)),
         **{name: product_table(table, n, 3) for name, table in keys.items()})
+
+
+def test_secrecy_tables_hold_only_the_transcripts_that_occur(bsc_source):
+    """At n = 4, 4⁴ = 256 of the 16³ = 4096 transcript indices occur. The
+    (key, transcript, helper) tables would hold 16 · 4096 · 16 cells, 8 MB
+    each, over every index; over the transcripts that occur they hold
+    16 · 256 · 16."""
+    n = 4
+    spec = gated_bits_protocol(n)
     tracemalloc.start()
     try:
         report = evaluate_protocol(bsc_source, spec)
@@ -401,7 +433,8 @@ def test_secrecy_tables_hold_only_the_transcripts_that_occur(bsc_source):
         "n": n, "key_xy_size": 2 ** n, "key_xz_size": 2 ** n,
         "slots": [(slot.alphabet_size, slot.table.tolist())
                   for slot in spec.slots],
-        **{name: getattr(spec, name).tolist() for name in keys}})
+        **{name: getattr(spec, name).tolist()
+           for name in ("key_xy", "est_xy", "key_xz", "est_xz")}})
     for field, expected in want.items():
         assert getattr(report, field) == pytest.approx(expected, abs=1e-12), \
             field
@@ -410,8 +443,9 @@ def test_secrecy_tables_hold_only_the_transcripts_that_occur(bsc_source):
 def test_malformed_protocols_are_rejected():
     with pytest.raises(MalformedTableError):
         SlotSpec(alphabet_size=2, table=np.full((2, 1), 2))
-    with pytest.raises(MalformedTableError):
-        SlotSpec(alphabet_size=2, table=np.zeros(4, dtype=int))
+    for bad in (np.zeros(4, dtype=int), [[0], [0, 1]]):
+        with pytest.raises(MalformedTableError):
+            SlotSpec(alphabet_size=2, table=bad)
     zeros = np.zeros((4, 1), dtype=int)
     with pytest.raises(MalformedTableError):
         ProtocolSpec(n=1, rounds=1, slots=(),  # wrong slot count
