@@ -6,14 +6,22 @@ inputs and configuration produce byte-identical report files. Output goes
 through a temp file and an atomic rename; failures leave no partial files.
 
 Schema identifiers are embedded in every document and checked on read.
+
+A protocol file's large tables of plain integers are read by numpy's integer
+parser, and json reads the rest of the document; any other valid layout of
+the same tables, or a file with no large table, goes through json alone and
+reads to the same result.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
+import re
 import tempfile
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -51,17 +59,106 @@ EVALUATION_SCHEMA = "pkregion-evaluation-v2"
 
 # -- reading ------------------------------------------------------------------
 
-def _load_json(path):
-    """The parsed document and its text."""
+def _load_json(path, parse=json.loads):
+    """``parse`` of the file's text."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return json.loads(text), text
+        return parse(text)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     # bad syntax, an integer too long to read, or nesting too deep to read
     except (ValueError, RecursionError) as exc:
         raise InputFormatError(f"cannot parse {path} as JSON: {exc}") from exc
+
+
+# A 2-D table of plain JSON integers whose text is at least this long is read
+# by numpy's C integer parser; json would build a Python int per entry, then
+# numpy would read those. Shorter tables are left to json, which is as fast.
+LARGE_TABLE_CHARS = 2048
+
+# One pass over a protocol file finds, outside strings, json's non-standard
+# constants and candidate tables: [[ ... ]] of ASCII digits, commas, brackets
+# and JSON whitespace only. A string is matched whole so that a table written
+# inside one stays text.
+_PROTOCOL_TOKENS = re.compile(r"""
+    "[^"\\]*(?:\\.[^"\\]*)*"
+  | (?P<constant>NaN|Infinity)
+  | (?P<table>\[[ \t\n\r]*\[[0-9,\[\] \t\n\r]*\][ \t\n\r]*\])
+""", re.VERBOSE)
+# loadtxt strips the spaces left around each field
+_ROW_BREAK = re.compile(r"\] *, *\[")
+_BLANKS_TO_SPACE = str.maketrans("\t\n\r", "   ")
+
+
+def _read_int_table(text):
+    """The int64 array a candidate table's text spells, or None for json.
+
+    None when a row is ragged or empty, a field is not a plain integer
+    below 2**63, a cell is an array, there is no digit at all, or a number
+    has a leading zero, which loadtxt reads and json refuses: the text then
+    holds more digits than the shortest rendering of the values.
+    """
+    body = text.translate(_BLANKS_TO_SPACE)[1:-1].strip()[1:-1]
+    if not body.strip(", []"):  # loadtxt would warn on an input with no data
+        return None
+    rows = _ROW_BREAK.split(body)
+    try:
+        # numpy before 2.0 reads an integer past int64 through a float and
+        # warns; as an error, the warning makes loadtxt raise ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(rows, dtype=np.int64, delimiter=",",
+                               comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if len(table) != len(rows):  # loadtxt skips an empty row
+        return None
+    # Read whole, the body holds table.size - 1 commas, two brackets per
+    # row break, spaces, and digits.
+    digits = (len(body) - body.count(" ") - (table.size - 1)
+              - 2 * (len(rows) - 1))
+    shortest = table.size + sum(
+        np.count_nonzero(table >= 10 ** k)
+        for k in range(1, len(str(table.max()))))
+    return table if digits == shortest else None
+
+
+def _parse_protocol(text):
+    """``json.loads(text)``, with each large integer table as an int64 array,
+    and the text json read.
+
+    Each table numpy reads is replaced by ``NaN`` and handed back in text
+    order through ``parse_constant``; a file holding a constant of its own,
+    or too short to hold a large table, goes to json whole. When the rest
+    does not parse, or its schema is not a string (the schema check quotes
+    it), json parses the original text, so errors read exactly as json's.
+    """
+    if len(text) < LARGE_TABLE_CHARS:
+        return json.loads(text), text
+    tables, pieces, end = [], [], 0
+    for match in _PROTOCOL_TOKENS.finditer(text):
+        if match.lastgroup == "constant":
+            return json.loads(text), text
+        if match.lastgroup == "table" \
+                and match.end() - match.start() >= LARGE_TABLE_CHARS:
+            table = _read_int_table(match.group())
+            if table is not None:
+                pieces += (text[end:match.start()], "NaN")
+                end = match.end()
+                tables.append(table)
+    if not tables:
+        return json.loads(text), text
+    pieces.append(text[end:])
+    rest = "".join(pieces)
+    placeholders = iter(tables)
+    try:
+        doc = json.loads(rest, parse_constant=lambda _: next(placeholders))
+    except (ValueError, RecursionError):
+        return json.loads(text), text
+    if not (isinstance(doc, dict) and isinstance(doc.get("schema"), str)):
+        return json.loads(text), text
+    return doc, rest
 
 
 def _expect_schema(doc, schema, path):
@@ -91,7 +188,7 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
     The pmf must be a flat list of JSON numbers: strings, booleans, null
     and nested lists are rejected, not coerced.
     """
-    doc, _ = _load_json(path)
+    doc = _load_json(path)
     _expect_schema(doc, PMF_SCHEMA, path)
     variables = _field(doc, "variables", path)
     cardinalities = _field(doc, "cardinalities", path)
@@ -117,27 +214,37 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
 
 
 def read_protocol(path) -> ProtocolSpec:
-    """Load a protocol file; tables are validated on construction."""
-    doc, text = _load_json(path)
+    """Load a protocol file; tables are validated on construction.
+
+    A 2-D table of plain integers whose text has at least
+    ``LARGE_TABLE_CHARS`` characters is read by numpy's integer parser;
+    every other value by json. Both give the same tables and the same
+    errors.
+    """
+    doc, text = _load_json(path, _parse_protocol)
     _expect_schema(doc, PROTOCOL_SCHEMA, path)
-    # JSON booleans come only from true/false literals. A file without one
-    # hands its tables over as arrays, which the constructors need not
-    # type-check cell by cell; on the benchmark's 0.8 MB protocol that
-    # check adds ~10 ms to a ~45 ms request. Each list is replaced by its
-    # array, so a table is held once, not twice.
+    # JSON booleans come only from true/false literals, which the text
+    # numpy read cannot hold. A file without one hands the tables json read
+    # over as arrays, which the constructors need not type-check cell by
+    # cell. Each list is replaced by its array, so a table is held once,
+    # not twice.
     has_bool_literal = "true" in text or "false" in text
     del text
 
     def table(obj, key):
         raw = _field(obj, key, path)
         if not has_bool_literal:
-            raw = obj[key] = np.asarray(raw)
+            try:
+                raw = obj[key] = np.asarray(raw)
+            except ValueError:  # ragged: the constructor names the table
+                pass
         return raw
 
     ints = {key: _int_field(doc, key, path)
             for key in ("n", "rounds", "key_xy_size", "key_xz_size")}
     slots_raw = _field(doc, "slots", path)
-    if not isinstance(slots_raw, list):
+    # a large integer table given as slots arrives as an array
+    if not isinstance(slots_raw, (list, np.ndarray)):
         raise InputFormatError(f"{path}: slots must be a list")
     try:
         slots = []
@@ -269,6 +376,14 @@ _REQUIRED_KEYS = {
 _EVALUATION_FIELDS = tuple(field.name for field in fields(EvaluationReport))
 
 
+def _is_number(value) -> bool:
+    """A finite real number; a boolean is not one, though Python counts it.
+    An integer is finite however long (``math.isfinite`` cannot take one
+    past the float range)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and (isinstance(value, numbers.Integral) or math.isfinite(value))
+
+
 def _check_region_entry(entry, slot):
     if entry is None:
         if slot == "exact":
@@ -281,8 +396,10 @@ def _check_region_entry(entry, slot):
             raise InputFormatError(f"region {slot!r} is missing {key!r}")
     vertices = entry["vertices"]
     if not isinstance(vertices, list) or not vertices or not all(
-            isinstance(v, list) and len(v) == 2 for v in vertices):
-        raise InputFormatError(f"region {slot!r} vertices must be [r1, r2] pairs")
+            isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+            for v in vertices):
+        raise InputFormatError(
+            f"region {slot!r} vertices must be [r1, r2] pairs of finite numbers")
 
 
 def validate_report(doc) -> str:
@@ -291,7 +408,9 @@ def validate_report(doc) -> str:
     Raises
     ------
     InputFormatError
-        On an unknown schema string, missing fields, or malformed entries.
+        On an unknown schema string, missing fields, or malformed entries:
+        a number that is not finite or is a boolean or string, or a flag
+        that is not a boolean.
     """
     if not isinstance(doc, dict):
         raise InputFormatError("a report must be a JSON object")
@@ -315,8 +434,21 @@ def validate_report(doc) -> str:
         if not isinstance(ev, dict):
             raise InputFormatError("evaluation must be an object")
         for key in _EVALUATION_FIELDS:
-            if not isinstance(ev.get(key), (int, float)):
-                raise InputFormatError(f"evaluation field {key!r} must be a number")
+            if not _is_number(ev.get(key)):
+                raise InputFormatError(
+                    f"evaluation field {key!r} must be a finite number")
+        if not _is_number(doc["eps"]):
+            raise InputFormatError("eps must be a finite number")
+        point = doc["rate_point"]
+        if not (isinstance(point, list) and len(point) == 2
+                and all(map(_is_number, point))):
+            raise InputFormatError("rate_point must be two finite numbers")
+        eps_pk = doc["eps_pk"]
+        if not (isinstance(eps_pk, dict)
+                and all(type(eps_pk.get(key)) is bool for key in ("xy", "xz"))):
+            raise InputFormatError("eps_pk must hold booleans xy and xz")
+        if type(doc["in_outer_region"]) is not bool:
+            raise InputFormatError("in_outer_region must be a boolean")
     return schema
 
 

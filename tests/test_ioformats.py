@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from pkregion import compute_report, evaluate_protocol
+from pkregion import EvaluationReport
 from pkregion.errors import (
-    InputFormatError, ShapeMismatchError, SumOutOfToleranceError,
+    InputFormatError, MalformedTableError, ShapeMismatchError,
+    SumOutOfToleranceError,
 )
 from pkregion.ioformats import (
-    check_document, dumps_deterministic, evaluation_document, pmf_document,
-    protocol_document, read_pmf, read_protocol, regions_document,
-    validate_report, write_atomic, _format_float,
+    LARGE_TABLE_CHARS, check_document, dumps_deterministic,
+    evaluation_document, pmf_document, protocol_document, read_pmf,
+    read_protocol, regions_document, validate_report, write_atomic,
+    _format_float,
 )
 
 from conftest import random_pmf, rng_for, worked_pmf
@@ -146,10 +149,26 @@ def test_read_protocol_rejects_malformed(tmp_path):
             ("rounds", -1, "round count must be >= 0"),
             ("key_xy_size", 0, "key alphabet sizes must be >= 1"),
             ("slots", {}, "slots must be a list"),
-            ("slots", [1, 2, 3], "slot 1 needs alphabet_size and table")):
+            ("slots", [1, 2, 3], "slot 1 needs alphabet_size and table"),
+            # long enough to be read as an integer table
+            ("slots", [[0] * LARGE_TABLE_CHARS],
+             "slot 1 needs alphabet_size and table")):
         path.write_text(json.dumps({**protocol_document(spec), field: value}))
         with pytest.raises(InputFormatError, match=message):
             read_protocol(path)
+    # one message for a table that is not rectangular, whether or not the
+    # file holds a boolean literal, and whatever the table's size
+    for key_xy in (protocol_document(spec)["key_xy"],
+                   [[0] * LARGE_TABLE_CHARS] * 2):
+        for rows in ([key_xy[0] + [0]] + key_xy[1:],
+                     key_xy[:1] + [[]] + key_xy[1:],
+                     [[[0]] + key_xy[0][1:]] + key_xy[1:]):
+            for extra in ({}, {"flag": True}):
+                path.write_text(json.dumps(
+                    {**protocol_document(spec), **extra, "key_xy": rows}))
+                with pytest.raises(MalformedTableError,
+                                   match="key_xy is not rectangular"):
+                    read_protocol(path)
     path.write_text(json.dumps([protocol_document(spec)]))
     with pytest.raises(InputFormatError,
                        match="top level must be a JSON object"):
@@ -200,6 +219,34 @@ def test_validate_report_rejects_bad_documents(worked_source):
     doc["regions"]["outer"]["vertices"] = "oops"
     with pytest.raises(InputFormatError):
         validate_report(doc)
+    for coordinate in ("0.5", True, None, float("nan"), float("inf")):
+        doc = regions_document(report, {})
+        doc["regions"]["inner"]["vertices"][-1][1] = coordinate
+        with pytest.raises(InputFormatError, match="pairs of finite numbers"):
+            validate_report(doc)
+    good = evaluation_document(EvaluationReport(*[0.0] * 8), 0.0,
+                               (True, False), (0.5, 0.25), True, {})
+    assert validate_report(good) == "pkregion-evaluation-v2"
+    assert validate_report({**good, "rate_point": [10 ** 400, 0]}) \
+        == "pkregion-evaluation-v2"
+    for bad, message in (
+            ({"evaluation": dict.fromkeys(good["evaluation"], True)},
+             "evaluation field 'error_xy' must be a finite number"),
+            ({"evaluation": dict.fromkeys(good["evaluation"], float("nan"))},
+             "evaluation field 'error_xy' must be a finite number"),
+            ({"eps": "abc"}, "eps must be a finite number"),
+            ({"eps": float("inf")}, "eps must be a finite number"),
+            ({"rate_point": "x"}, "rate_point must be two finite numbers"),
+            ({"rate_point": [0.5, "x"]},
+             "rate_point must be two finite numbers"),
+            ({"rate_point": [0.5]}, "rate_point must be two finite numbers"),
+            ({"eps_pk": {"xy": 1, "xz": True}},
+             "eps_pk must hold booleans xy and xz"),
+            ({"eps_pk": {"xy": True}}, "eps_pk must hold booleans xy and xz"),
+            ({"in_outer_region": "yes"}, "in_outer_region must be a boolean"),
+            ({"in_outer_region": 1}, "in_outer_region must be a boolean")):
+        with pytest.raises(InputFormatError, match=message):
+            validate_report({**good, **bad})
 
 
 def test_exact_entry_may_be_null(bsc_source):

@@ -4,7 +4,9 @@ The draws follow the profile registered in ``conftest.py``: derandomized,
 with a fixed example count.
 """
 
+import json
 import math
+import re
 from dataclasses import replace
 from itertools import combinations, product
 from unittest import mock
@@ -20,7 +22,10 @@ from pkregion import (
     minimal_sufficient_statistic, outer_region,
 )
 from pkregion import protocol
-from pkregion.errors import BudgetExceededError
+from pkregion.errors import BudgetExceededError, InputFormatError, PkRegionError
+from pkregion.ioformats import (
+    LARGE_TABLE_CHARS, dumps_deterministic, protocol_document, read_protocol,
+)
 
 from conftest import pmf_as_dict
 from oracles import apply_partition, oracle_cmi, oracle_evaluate
@@ -499,3 +504,143 @@ def test_hausdorff_gap_matches_dense_boundary_sampling(pair):
     _, hausdorff = gap_metrics(inner, outer)
     assert hausdorff == pytest.approx(sampled_hausdorff(inner, outer),
                                       abs=1e-12)
+
+
+# -- reading protocol files ------------------------------------------------------
+
+KEY_TABLES = ("key_xy", "est_xy", "key_xz", "est_xz")
+
+
+def fixed_width_text(doc):
+    """The benchmark generator's layout: a table row per line, each integer
+    right-aligned to the widest of its table."""
+    def rows(table):
+        width = max(len(str(v)) for row in table for v in row)
+        return "[" + ",\n".join(
+            "[" + ",".join(str(v).rjust(width) for v in row) + "]"
+            for row in table) + "]"
+    return "{" + ",\n".join(
+        f"{json.dumps(key)}: {rows(v) if key in KEY_TABLES else json.dumps(v)}"
+        for key, v in doc.items()) + "}\n"
+
+
+def spaced_text(doc):
+    """Tabs, carriage returns and spaces around every token."""
+    return re.sub(r"[\[\]{},:]", lambda m: f" \t{m.group()}\r\n ",
+                  json.dumps(doc, separators=(",", ":")))
+
+
+LAYOUTS = (json.dumps, lambda doc: json.dumps(doc, indent=2),
+           dumps_deterministic, fixed_width_text, spaced_text)
+
+# a cell's text -> its replacement
+CELL_MUTATIONS = {
+    "leading zero": lambda v: "0" + v,
+    "minus": lambda v: "-" + v,
+    "plus": lambda v: "+" + v,
+    "1.0": lambda v: "1.0",
+    "1e0": lambda v: "1e0",
+    "true": lambda v: "true",
+    "null": lambda v: "null",
+    "string": lambda v: '"1"',
+    "empty cell": lambda v: "[]",
+    "3-D cell": lambda v: "[1, 2]",
+    "NaN": lambda v: "NaN",
+}
+TABLE_MUTATIONS = (None, "empty row", "ragged row", "trailing comma",
+                   "missing comma", "table in a string")
+
+
+def table_span(text, key):
+    start = text.index("[", text.index(json.dumps(key)))
+    return start, re.compile(r"\][ \t\n\r]*\]").search(text, start).end()
+
+
+def mutate(text, key, mutation, rng):
+    """``text`` with one mutation made in the table stored under ``key``."""
+    start, end = table_span(text, key)
+    table = text[start:end]
+    if mutation in CELL_MUTATIONS:
+        cells = list(re.finditer(r"[0-9]+", table))
+        cell = cells[rng.integers(len(cells))]
+        table = (table[:cell.start()] + CELL_MUTATIONS[mutation](cell.group())
+                 + table[cell.end():])
+    elif mutation == "empty row":
+        table = table[:1] + "[]," + table[1:]
+    elif mutation in ("ragged row", "trailing comma"):
+        row_end = table.index("]")
+        table = (table[:row_end] + (",0" if mutation == "ragged row" else ",")
+                 + table[row_end:])
+    elif mutation == "missing comma":
+        table = table.replace(",", " ", 1)
+    elif mutation == "table in a string":
+        # another table's text, in a string ahead of every table
+        other = text[slice(*table_span(
+            text, KEY_TABLES[(KEY_TABLES.index(key) + 1) % 4]))]
+        opening = text.index("{") + 1
+        return (text[:opening] + f'"note": {json.dumps(other)}, '
+                + text[opening:])
+    return text[:start] + table + text[end:]
+
+
+def oracle_read_protocol(path):
+    """The reference reader: plain ``json.loads``, then the constructors on
+    the decoded lists."""
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise InputFormatError(f"cannot parse {path} as JSON: {exc}") from exc
+    try:
+        return ProtocolSpec(
+            n=doc["n"], rounds=doc["rounds"],
+            slots=tuple(SlotSpec(s["alphabet_size"], s["table"])
+                        for s in doc["slots"]),
+            key_xy_size=doc["key_xy_size"], key_xz_size=doc["key_xz_size"],
+            **{key: doc[key] for key in KEY_TABLES})
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
+
+
+def read_outcome(read, path):
+    """The tables read, or the class and message of the error raised."""
+    try:
+        spec = read(path)
+    except PkRegionError as exc:
+        return type(exc), str(exc)
+    return [(spec.n, spec.rounds, spec.key_xy_size, spec.key_xz_size)] + [
+        (table.dtype, table.shape, table.tolist())
+        for table in [getattr(spec, key) for key in KEY_TABLES]
+        + [slot.table for slot in spec.slots]]
+
+
+@pytest.mark.parametrize("mutation", [*TABLE_MUTATIONS, *CELL_MUTATIONS])
+@settings(max_examples=6)
+@given(rows=st.integers(1, 1100), seed=st.integers(0, 2 ** 32 - 1),
+       target=st.sampled_from(KEY_TABLES),
+       specials=st.lists(st.sampled_from(
+           (0, 2 ** 63 - 1, 2 ** 63, 2 ** 64)), max_size=3))
+def test_protocol_reader_agrees_with_json(tmp_path_factory, mutation, rows,
+                                          seed, target, specials):
+    """Large integer tables go to numpy's parser, the rest to json; in every
+    layout and under every mutation, the result is json's: equal tables,
+    or the same error class and message."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, -(-1100 // rows))  # at least 2 characters a cell
+    # the target and the table after it are large, the other two small
+    later = KEY_TABLES[(KEY_TABLES.index(target) + 1) % 4]
+    tables = {key: rng.integers(0, 1000, shape).tolist()
+              for key in (target, later)}
+    for value in specials:
+        tables[target][rng.integers(shape[0])][rng.integers(shape[1])] = value
+    base = ProtocolSpec(n=1, rounds=0, slots=(), key_xy=[[0]], est_xy=[[1]],
+                        key_xz=[[2]], est_xz=[[3]], key_xy_size=2 ** 64,
+                        key_xz_size=2 ** 64)
+    doc = {**protocol_document(base), **tables}
+    path = tmp_path_factory.mktemp("protocols") / "protocol.json"
+    for layout in LAYOUTS:
+        text = layout(doc)
+        start, end = table_span(text, target)
+        assert end - start >= LARGE_TABLE_CHARS
+        path.write_text(mutate(text, target, mutation, rng))
+        assert read_outcome(read_protocol, path) \
+            == read_outcome(oracle_read_protocol, path), layout
