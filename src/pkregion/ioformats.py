@@ -7,10 +7,14 @@ through a temp file and an atomic rename; failures leave no partial files.
 
 Schema identifiers are embedded in every document and checked on read.
 
-A protocol file's large tables of plain integers are read by numpy's integer
-parser, and json reads the rest of the document; any other valid layout of
-the same tables, or a file with no large table, goes through json alone and
-reads to the same result.
+Number tables whose text has at least ``LARGE_TABLE_CHARS`` (2048)
+characters are read by C parsers into arrays, and json reads the rest of
+the document: a protocol file's 2-D tables of plain integers by numpy's
+integer parser, a pmf file's flat number lists by orjson, in pieces of about
+64 KiB. On floats at 17 digits the list reader overtakes json at 1200-1600
+characters, so 2048 (about 80 numbers) is just past that. Any other valid
+layout of the same tables, or a file with no large table, goes through json
+alone and reads to the same result, bit for bit, with the same errors.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import math
 import numbers
 import os
 import re
-import tempfile
 import warnings
 from dataclasses import asdict, fields
 
@@ -59,12 +62,13 @@ EVALUATION_SCHEMA = "pkregion-evaluation-v2"
 
 # -- reading ------------------------------------------------------------------
 
-def _load_json(path, parse=json.loads):
-    """``parse`` of the file's text."""
+def _load_json(path, tokens, read_table):
+    """The file's document, parsed as ``_parse_tables`` does, and the text
+    json read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return parse(text)
+        return _parse_tables(text, tokens, read_table)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     # bad syntax, an integer too long to read, or nesting too deep to read
@@ -72,26 +76,49 @@ def _load_json(path, parse=json.loads):
         raise InputFormatError(f"cannot parse {path} as JSON: {exc}") from exc
 
 
-# A 2-D table of plain JSON integers whose text is at least this long is read
-# by numpy's C integer parser; json would build a Python int per entry, then
-# numpy would read those. Shorter tables are left to json, which is as fast.
+# A number table whose text is at least this long is read by a C parser into
+# an array: a 2-D table of plain integers by numpy's integer parser, a flat
+# list of numbers by orjson. json would build a Python object per entry, then
+# numpy would read those. Shorter tables are left to json, whose single pass
+# costs less than the scan and the C parser's set-up. Measured on pmf files
+# of %.17e floats (25 characters a number, 2-core x86 host), read_pmf with
+# the list reader and with json alone break even at 1200-1600 characters
+# (48-64 numbers); at 2000 the list reader is 5-12% faster, at 12 800 (512
+# numbers) 45-50%. Integer tables keep the same threshold.
 LARGE_TABLE_CHARS = 2048
 
-# One pass over a protocol file finds, outside strings, json's non-standard
-# constants and candidate tables: [[ ... ]] of ASCII digits, commas, brackets
-# and JSON whitespace only. A string is matched whole so that a table written
-# inside one stays text.
-_PROTOCOL_TOKENS = re.compile(r"""
+# One pass over a file finds, outside strings, json's non-standard constants
+# and candidate tables. A string is matched whole so that a table written
+# inside one stays text. A protocol's candidates are [[ ... ]] of ASCII
+# digits, commas, brackets and JSON whitespace only. A pmf's run from a [
+# whose first token starts like a number to the next ], whatever lies
+# between, and are at least LARGE_TABLE_CHARS long: the pass over a 1.6 MB
+# list takes 1.3-1.7 ms instead of the 3.5-4.9 ms a class of number
+# characters costs, and the reader refuses whatever is not numbers. A
+# shorter list is passed through like any other text, so the strings and
+# constants in it are found.
+_STRING_OR_CONSTANT = r"""
     "[^"\\]*(?:\\.[^"\\]*)*"
   | (?P<constant>NaN|Infinity)
+"""
+_PROTOCOL_TOKENS = re.compile(_STRING_OR_CONSTANT + r"""
   | (?P<table>\[[ \t\n\r]*\[[0-9,\[\] \t\n\r]*\][ \t\n\r]*\])
 """, re.VERBOSE)
+_PMF_TOKENS = re.compile(_STRING_OR_CONSTANT + r"""
+  | (?P<table>\[[ \t\n\r]*[-0-9][^\]]{%d,}\])
+""" % (LARGE_TABLE_CHARS - 3), re.VERBOSE)
+_STRING_OR_CONSTANT_START = re.compile('["NI]')
 # loadtxt strips the spaces left around each field
 _ROW_BREAK = re.compile(r"\] *, *\[")
 _BLANKS_TO_SPACE = str.maketrans("\t\n\r", "   ")
+# orjson reads a float list in pieces of about this many characters, cut at
+# commas. On a 1.6 MB pmf the pieces keep read_pmf's traced peak at the 3.3 MB
+# that reading the file takes; the whole list at once peaks at 5.9 MB, json
+# at 3.8 MB.
+_PIECE_CHARS = 1 << 16
 
 
-def _read_int_table(text):
+def _read_int_table(match):
     """The int64 array a candidate table's text spells, or None for json.
 
     None when a row is ragged or empty, a field is not a plain integer
@@ -99,7 +126,7 @@ def _read_int_table(text):
     has a leading zero, which loadtxt reads and json refuses: the text then
     holds more digits than the shortest rendering of the values.
     """
-    body = text.translate(_BLANKS_TO_SPACE)[1:-1].strip()[1:-1]
+    body = match.group().translate(_BLANKS_TO_SPACE)[1:-1].strip()[1:-1]
     if not body.strip(", []"):  # loadtxt would warn on an input with no data
         return None
     rows = _ROW_BREAK.split(body)
@@ -124,29 +151,69 @@ def _read_int_table(text):
     return table if digits == shortest else None
 
 
-def _parse_protocol(text):
-    """``json.loads(text)``, with each large integer table as an int64 array,
-    and the text json read.
+def _read_float_list(match):
+    """The float64 array of a candidate list's text, or None for json.
 
-    Each table numpy reads is replaced by ``NaN`` and handed back in text
-    order through ``parse_constant``; a file holding a constant of its own,
-    or too short to hold a large table, goes to json whole. When the rest
+    orjson rounds each number correctly, as json does. None when a piece
+    does not parse (a misplaced comma or sign, a leading zero, a number
+    past the float range, a cut inside a string or a nested value), a value
+    is not a number (a string, ``true``, ``null``, a list or an object), or
+    the list is empty.
+    """
+    # imported here: at the top, its ~5 ms import would slow every run
+    import orjson
+
+    # the pieces are cut from the file's text: a copy of the whole list
+    # would add its size to the peak
+    text, start, end = match.string, match.start() + 1, match.end() - 1
+    out = np.empty(text.count(",", start, end) + 1)
+    filled = 0
+    while start < end:
+        cut = text.find(",", start + _PIECE_CHARS, end)
+        cut = end if cut < 0 else cut
+        try:
+            piece = orjson.loads("[" + text[start:cut] + "]")
+        except orjson.JSONDecodeError:
+            return None
+        if not set(map(type, piece)) <= {float, int}:
+            return None
+        out[filled:filled + len(piece)] = piece
+        filled += len(piece)
+        start = cut + 1
+    # n numbers take n - 1 commas; an empty piece drops a number
+    return out if filled == len(out) else None
+
+
+def _parse_tables(text, tokens, read_table):
+    """``json.loads(text)``, with each large table that ``tokens`` finds and
+    ``read_table`` reads from its match as an array, and the text json
+    read.
+
+    Each table read is replaced by ``NaN`` and handed back in text order
+    through ``parse_constant``. A file goes to json whole when it holds a
+    constant of its own, is too short to hold a large table, or has a large
+    candidate left unread that holds a quote, ``N`` or ``I``. When the rest
     does not parse, or its schema is not a string (the schema check quotes
     it), json parses the original text, so errors read exactly as json's.
     """
     if len(text) < LARGE_TABLE_CHARS:
         return json.loads(text), text
     tables, pieces, end = [], [], 0
-    for match in _PROTOCOL_TOKENS.finditer(text):
+    for match in tokens.finditer(text):
         if match.lastgroup == "constant":
             return json.loads(text), text
-        if match.lastgroup == "table" \
-                and match.end() - match.start() >= LARGE_TABLE_CHARS:
-            table = _read_int_table(match.group())
-            if table is not None:
-                pieces += (text[end:match.start()], "NaN")
-                end = match.end()
-                tables.append(table)
+        start, stop = match.span()
+        if match.lastgroup != "table" or stop - start < LARGE_TABLE_CHARS:
+            continue
+        table = read_table(match)
+        if table is not None:
+            pieces += (text[end:start], "NaN")
+            end = stop
+            tables.append(table)
+        # a pmf candidate left to json may hide from the pass a string,
+        # which would put the pass out of step, or a constant
+        elif _STRING_OR_CONSTANT_START.search(text, start, stop):
+            return json.loads(text), text
     if not tables:
         return json.loads(text), text
     pieces.append(text[end:])
@@ -186,9 +253,11 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
     """Load a three-variable source distribution file.
 
     The pmf must be a flat list of JSON numbers: strings, booleans, null
-    and nested lists are rejected, not coerced.
+    and nested lists are rejected, not coerced. A list whose text has at
+    least ``LARGE_TABLE_CHARS`` characters is read by orjson, the rest of
+    the file by json; both give the same bits and the same errors.
     """
-    doc = _load_json(path)
+    doc = _load_json(path, _PMF_TOKENS, _read_float_list)[0]
     _expect_schema(doc, PMF_SCHEMA, path)
     variables = _field(doc, "variables", path)
     cardinalities = _field(doc, "cardinalities", path)
@@ -199,12 +268,13 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
     if not isinstance(cardinalities, list) or len(cardinalities) != 3 \
             or not all(type(c) is int for c in cardinalities):
         raise InputFormatError(f"{path}: cardinalities must be three integers")
-    # One pass over the entry types at C speed (~1.4 ms for 65 536 entries
-    # on a 2-core x86 host); numpy's float conversion alone would parse
-    # strings and turn booleans into 1.0/0.0. Passed as a float array, the
-    # checked list is not typed again.
-    if not isinstance(table, list) \
-            or not set(map(type, table)) <= {float, int}:
+    # A large list arrives as a float array, already checked. For a list
+    # json read, one pass over the entry types at C speed (~1.4 ms for
+    # 65 536 entries on a 2-core x86 host); numpy's float conversion alone
+    # would parse strings and turn booleans into 1.0/0.0. Passed as a float
+    # array, the checked list is not typed again.
+    if not isinstance(table, np.ndarray) and not (
+            isinstance(table, list) and set(map(type, table)) <= {float, int}):
         raise InputFormatError(f"{path}: pmf must be a flat list of numbers")
     try:
         return load_pmf(np.asarray(table, dtype=np.float64), variables,
@@ -221,7 +291,7 @@ def read_protocol(path) -> ProtocolSpec:
     every other value by json. Both give the same tables and the same
     errors.
     """
-    doc, text = _load_json(path, _parse_protocol)
+    doc, text = _load_json(path, _PROTOCOL_TOKENS, _read_int_table)
     _expect_schema(doc, PROTOCOL_SCHEMA, path)
     # JSON booleans come only from true/false literals, which the text
     # numpy read cannot hold. A file without one hands the tables json read
@@ -503,7 +573,8 @@ def write_atomic(path, text: str) -> None:
     """Write ``text`` to ``path`` through a same-directory temp file.
 
     The file gets the mode a plain ``open`` would give it, 0o666 less the
-    umask, not the 0o600 of the temp file. A failure is raised as an
+    umask: the temp file is created with that mode by the kernel, so the
+    process umask is never changed. A failure is raised as an
     :class:`OSError` that names ``path``, not the temp file, whose name is
     random, and leaves no file behind.
     """
@@ -511,14 +582,14 @@ def write_atomic(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pkregion-",
-                                   suffix=".tmp")
+        name = os.path.join(directory, f".pkregion-{os.urandom(8).hex()}.tmp")
+        # O_EXCL: an existing file of that name is never written through;
+        # O_BINARY (Windows only) keeps the C runtime from adding CRs
+        fd = os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY
+                     | getattr(os, "O_BINARY", 0), 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        # setting the umask is the portable way to read it; restore at once
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:

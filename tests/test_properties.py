@@ -4,10 +4,13 @@ The draws follow the profile registered in ``conftest.py``: derandomized,
 with a fixed example count.
 """
 
+import decimal
 import json
 import math
 import re
+import sys
 from dataclasses import replace
+from decimal import Decimal
 from itertools import combinations, product
 from unittest import mock
 
@@ -22,9 +25,13 @@ from pkregion import (
     minimal_sufficient_statistic, outer_region,
 )
 from pkregion import protocol
-from pkregion.errors import BudgetExceededError, InputFormatError, PkRegionError
+from pkregion.errors import (
+    BudgetExceededError, InputFormatError, NonFiniteEntryError, PkRegionError,
+)
+from pkregion import ioformats
 from pkregion.ioformats import (
-    LARGE_TABLE_CHARS, dumps_deterministic, protocol_document, read_protocol,
+    LARGE_TABLE_CHARS, dumps_deterministic, protocol_document, read_pmf,
+    read_protocol,
 )
 
 from conftest import pmf_as_dict
@@ -644,3 +651,218 @@ def test_protocol_reader_agrees_with_json(tmp_path_factory, mutation, rows,
         path.write_text(mutate(text, target, mutation, rng))
         assert read_outcome(read_protocol, path) \
             == read_outcome(oracle_read_protocol, path), layout
+
+
+# -- reading pmf files -----------------------------------------------------------
+
+def fixed_format_text(doc):
+    """The benchmark generator's layout: each probability at ``%.17e``."""
+    values = ", ".join("%.17e" % v for v in doc["pmf"])
+    return json.dumps({**doc, "pmf": None}).replace("null", f"[{values}]")
+
+
+PMF_LAYOUTS = (*LAYOUTS, fixed_format_text)
+
+# the number's text -> its replacement
+NUMBER_MUTATIONS = {
+    "NaN": lambda v: "NaN",
+    "Infinity": lambda v: "Infinity",
+    "true": lambda v: "true",
+    "null": lambda v: "null",
+    "string": lambda v: json.dumps(v),
+    "string holding ]": lambda v: '"]"',
+    "nested list": lambda v: f"[{v}]",
+    "object": lambda v: "{}",
+    "01": lambda v: "01",
+    "1.": lambda v: "1.",
+    ".5": lambda v: ".5",
+    "+1": lambda v: "+1",
+    "10**400": lambda v: str(10 ** 400),
+    "1e400": lambda v: "1e400",
+}
+EXTRA_LIST_MUTATIONS = ("NaN in a short list", "NaN in a long list",
+                        "schema string after a short list",
+                        "schema string after a long list")
+LIST_MUTATIONS = (None, "trailing comma", "empty list", "second pmf key",
+                  "list in a string", "list as schema", *EXTRA_LIST_MUTATIONS)
+
+
+def pmf_span(text):
+    start = text.index("[", text.index('"pmf"'))
+    return start, text.index("]", start) + 1
+
+
+def mutate_pmf(text, mutation, rng):
+    """``text`` with one mutation made in, or with, its pmf list."""
+    start, end = pmf_span(text)
+    values = text[start:end]
+    if mutation in NUMBER_MUTATIONS:
+        numbers = list(re.finditer(r"-?[0-9][0-9.eE+-]*", values))
+        number = numbers[rng.integers(len(numbers))]
+        values = (values[:number.start()]
+                  + NUMBER_MUTATIONS[mutation](number.group())
+                  + values[number.end():])
+    elif mutation == "trailing comma":
+        values = values[:-1] + ",]"
+    elif mutation == "empty list":  # as long as the list it replaces
+        values = "[" + " " * (end - start - 2) + "]"
+    elif mutation == "second pmf key":  # the same values, reversed
+        reversed_values = ", ".join(reversed(values[1:-1].split(",")))
+        closing = text.rindex("}")
+        return (text[:closing] + f', "pmf": [{reversed_values}]'
+                + text[closing:])
+    elif mutation == "list in a string":
+        opening = text.index("{") + 1
+        return (text[:opening] + f'"note": {json.dumps(values)}, '
+                + text[opening:])
+    elif mutation == "list as schema":
+        return text.replace('"pkregion-pmf-v1"', values, 1)
+    elif mutation in EXTRA_LIST_MUTATIONS:
+        # an extra list, ahead of the pmf, that starts like numbers: the
+        # constant in it must still be found, and its quote must not put
+        # the pass out of step with the strings, which would let it read
+        # the list in the schema string
+        zeros = "0, " * (LARGE_TABLE_CHARS if "long" in mutation else 1)
+        opening = text.index("{") + 1
+        if mutation.startswith("NaN"):
+            return text[:opening] + f'"extra": [{zeros}NaN], ' + text[opening:]
+        return (text[:opening] + f'"extra": [{zeros}"]"], '
+                + text[opening:].replace('"pkregion-pmf-v1"',
+                                         json.dumps(values), 1))
+    return text[:start] + values + text[end:]
+
+
+def pmf_outcome(read, path):
+    """The probabilities read, bit for bit, or the class and message of the
+    error raised."""
+    try:
+        p = read(path)
+    except PkRegionError as exc:
+        return type(exc), str(exc)
+    return p.variables, p.cardinalities, p.probs.dtype, p.probs.tobytes()
+
+
+read_float_list = ioformats._read_float_list
+
+
+def whole(text):
+    """A match spanning ``text``, as the scan hands a list to the reader."""
+    return re.fullmatch(".*", text, re.S)
+
+
+def oracle_read_pmf(path):
+    """The reference reader: ``read_pmf`` with every list left to json."""
+    with mock.patch.object(ioformats, "LARGE_TABLE_CHARS", math.inf):
+        return read_pmf(path)
+
+
+@pytest.mark.parametrize("mutation", [*LIST_MUTATIONS, *NUMBER_MUTATIONS])
+@settings(max_examples=4)
+@given(cells=st.integers(100, 6000), seed=st.integers(0, 2 ** 32 - 1),
+       specials=st.lists(st.sampled_from(
+           (0, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300)),
+           max_size=3))
+def test_pmf_reader_agrees_with_json(tmp_path_factory, mutation, cells, seed,
+                                     specials):
+    """Large flat number lists go to orjson, the rest to json; in every
+    layout and under every mutation, the result is json's: the same
+    probabilities bit for bit, or the same error class and message."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random(cells)
+    probs /= probs.sum()
+    pmf = probs.tolist()
+    for value in specials:
+        pmf[rng.integers(cells)] = value
+    doc = {"schema": "pkregion-pmf-v1", "variables": ["X", "Y", "Z"],
+           "cardinalities": [cells, 1, 1], "pmf": pmf}
+    path = tmp_path_factory.mktemp("pmfs") / "pmf.json"
+    lists_read = []
+
+    def read_list(match):
+        lists_read.append(read_float_list(match))
+        return lists_read[-1]
+
+    for layout in PMF_LAYOUTS:
+        text = layout(doc)
+        start, end = pmf_span(text)
+        assert end - start >= LARGE_TABLE_CHARS
+        path.write_text(mutate_pmf(text, mutation, rng))
+        lists_read.clear()
+        with mock.patch.object(ioformats, "_read_float_list", read_list):
+            outcome = pmf_outcome(read_pmf, path)
+        assert outcome == pmf_outcome(oracle_read_pmf, path), layout
+        if mutation is None:  # the list reader, not json, read the pmf
+            assert [table is None for table in lists_read] == [False]
+
+
+FLOAT_FORMATS = (repr, "%.17e".__mod__, "%.25e".__mod__, "%.40g".__mod__)
+
+
+@st.composite
+def formatted_doubles(draw):
+    """A double, subnormals, both zeros and the largest included, in one of
+    the ways a writer may spell it."""
+    value = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return draw(st.sampled_from(FLOAT_FORMATS))(value)
+
+
+@st.composite
+def near_halfway(draw):
+    """20 to 40 significant digits at, or a last-digit step off, the exact
+    midpoint of two neighbouring doubles, where a parser that rounds
+    carelessly picks the wrong neighbour."""
+    low = draw(st.floats(0.0, math.nextafter(sys.float_info.max, 0.0)))
+    with decimal.localcontext(prec=800):  # the midpoint exactly
+        midpoint = (Decimal(low) + Decimal(math.nextafter(low, math.inf))) / 2
+    with decimal.localcontext(prec=draw(st.integers(20, 40))):
+        text = +midpoint
+        text = draw(st.sampled_from(
+            (text, text.next_minus(), text.next_plus())))
+    return str(text)
+
+
+@settings(max_examples=400)
+@given(numbers=st.lists(st.one_of(
+           formatted_doubles(), near_halfway(),
+           st.integers(-2 ** 70, 2 ** 70).map(str)), min_size=1, max_size=200),
+       piece_chars=st.sampled_from((16, 1 << 16)))
+def test_float_list_reader_is_bit_exact(numbers, piece_chars):
+    """Read in pieces of any size, a list gives json's doubles bit for
+    bit."""
+    text = "[" + ", ".join(numbers) + "]"
+    with mock.patch.object(ioformats, "_PIECE_CHARS", piece_chars):
+        table = read_float_list(whole(text))
+    assert table is not None
+    assert table.tobytes() \
+        == np.array(json.loads(text), dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("number", [
+    "2.2250738585072011e-308",
+    "1.00000000000000011102230246251565404236316680908203125",
+])
+def test_float_list_reader_reads_hard_cases_as_json(number):
+    text = f"[{number}, {number}]"
+    table = read_float_list(whole(text))
+    assert table.tobytes() == np.array(json.loads(text)).tobytes()
+
+
+def test_float_list_reader_refuses_a_trailing_comma_at_a_cut():
+    """A trailing comma where a piece ends leaves an empty last piece,
+    which parses; the count of numbers still sends the list to json."""
+    text = "[1.5, 2.5,]"
+    with mock.patch.object(ioformats, "_PIECE_CHARS", 4):
+        assert read_float_list(whole(text)) is None
+
+
+def test_number_past_the_float_range_reaches_json(tmp_path):
+    """orjson refuses 1.7976931348623159e308, which json reads as inf: the
+    file goes to json and fails as it always did."""
+    pmf = ", ".join(["0.0"] * 999 + ["1.7976931348623159e308"])
+    path = tmp_path / "pmf.json"
+    path.write_text('{"schema": "pkregion-pmf-v1", "variables": ["X", "Y", '
+                    f'"Z"], "cardinalities": [1000, 1, 1], "pmf": [{pmf}]}}')
+    assert read_float_list(whole(f"[{pmf}]")) is None
+    assert pmf_outcome(read_pmf, path) == (
+        NonFiniteEntryError, "NON_FINITE_ENTRY: table entries must be finite "
+        "numbers") == pmf_outcome(oracle_read_pmf, path)
