@@ -1,8 +1,10 @@
 """Semantic exception hierarchy with stable machine-readable error codes.
 
-Every error raised by this package derives from :class:`PkRegionError` and
-carries a ``code`` string that is safe to match on programmatically and that
-the CLI includes verbatim in diagnostics.
+A fault in a file or a table (a pmf, a protocol table or a report, read from
+a file or handed over as an array) raises a :class:`PkRegionError`, whose
+``code`` the CLI prints verbatim and callers may match on. Misuse of a
+Python argument (an empty variable group, a symbol outside its alphabet)
+and a bad CLI option value raise ``ValueError``.
 """
 
 __all__ = [

@@ -25,7 +25,9 @@ import numbers
 import os
 import re
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import fields
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from ._version import __version__
 from .dist import DEFAULT_SUM_TOL, JointPmf, load_pmf
 from .errors import InputFormatError
 from .protocol import EvaluationReport, ProtocolSpec, SlotSpec
-from .regions import RegionReport
+from .regions import _PROVENANCES, RegionReport
 
 __all__ = [
     "PMF_SCHEMA",
@@ -367,158 +369,153 @@ def protocol_document(spec: ProtocolSpec) -> dict:
     }
 
 
-def _tool_entry() -> dict:
-    return {"name": "pkregion", "version": __version__}
-
-
-def _region_entry(region):
-    if region is None:
-        return None
-    return {
-        "provenance": region.provenance,
-        "cap_xy": region.cap_xy,
-        "cap_xz": region.cap_xz,
-        "cap_sum": region.cap_sum,
-        "vertices": [list(v) for v in region.vertices],
-    }
-
-
-def regions_document(report: RegionReport, config: dict) -> dict:
-    return {
-        "schema": REGIONS_SCHEMA,
-        "tool": _tool_entry(),
-        "config": dict(config),
-        "quantities": dict(report.quantities),
-        "mcf_components": report.components,
-        "det_correlated": report.thm4_holds,
-        "ci_residual": report.ci_residual,
-        "regions": {
-            "outer": _region_entry(report.outer),
-            "inner": _region_entry(report.inner),
-            "exact": _region_entry(report.exact),
-        },
-        "gaps": {"area": report.area_gap, "hausdorff": report.hausdorff_gap},
-    }
-
-
-def check_document(report: RegionReport, config: dict) -> dict:
-    return {
-        "schema": CHECK_SCHEMA,
-        "tool": _tool_entry(),
-        "config": dict(config),
-        "mcf_components": report.components,
-        "det_correlated": report.thm4_holds,
-        "ci_residual": report.ci_residual,
-    }
-
-
-def evaluation_document(report: EvaluationReport, eps: float, eps_pk,
-                        point, in_outer: bool, config: dict) -> dict:
-    return {
-        "schema": EVALUATION_SCHEMA,
-        "tool": _tool_entry(),
-        "config": dict(config),
-        "evaluation": asdict(report),
-        "eps": float(eps),
-        "eps_pk": {"xy": bool(eps_pk[0]), "xz": bool(eps_pk[1])},
-        "rate_point": [point[0], point[1]],
-        "in_outer_region": bool(in_outer),
-    }
-
-
-# -- report validation ----------------------------------------------------------
-
-_REQUIRED_KEYS = {
-    REGIONS_SCHEMA: frozenset({
-        "schema", "tool", "config", "quantities", "mcf_components",
-        "det_correlated", "ci_residual", "regions", "gaps",
-    }),
-    CHECK_SCHEMA: frozenset({
-        "schema", "tool", "config", "mcf_components", "det_correlated",
-        "ci_residual",
-    }),
-    EVALUATION_SCHEMA: frozenset({
-        "schema", "tool", "config", "evaluation", "eps", "eps_pk",
-        "rate_point", "in_outer_region",
-    }),
-}
-
-_EVALUATION_FIELDS = tuple(field.name for field in fields(EvaluationReport))
-
-
 def _is_number(value) -> bool:
-    """A finite real number; a boolean is not one, though Python counts it.
-    An integer is finite however long (``math.isfinite`` cannot take one
-    past the float range)."""
+    """A finite real number, but not a boolean; an integer is finite however
+    long (``math.isfinite`` cannot take one past the float range)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) \
         and (isinstance(value, numbers.Integral) or math.isfinite(value))
 
 
-def _check_region_entry(entry, slot):
-    if entry is None:
-        if slot == "exact":
+# A kind is a leaf (what a value must be, as errors say it; test) or an
+# _Object: nested fields, whether null is allowed, and a rule on the whole.
+class _Object(NamedTuple):
+    fields: tuple
+    nullable: bool = False
+    rule: tuple = ("", lambda value: True)
+
+
+_NUMBER = ("be a finite number", _is_number)
+_PAIR = ("be two finite numbers", lambda v: isinstance(v, list)
+         and len(v) == 2 and all(map(_is_number, v)))
+_FLAG = ("be a boolean", lambda v: type(v) is bool)
+_TEXT = ("be a string", lambda v: isinstance(v, str))
+_CAP = ("be a finite number or null", lambda v: v is None or _is_number(v))
+_CAPS = ("cap_xy", "cap_xz", "cap_sum")
+_KEY_PAIRS = ("xy", "xz")
+
+_REGION = _Object(
+    (("provenance", attrgetter("provenance"), ("be a known provenance",
+      lambda v: isinstance(v, str) and v in _PROVENANCES)),
+     *((cap, attrgetter(cap), _CAP) for cap in _CAPS),
+     ("vertices", lambda region: [list(v) for v in region.vertices],
+      ("be [r1, r2] pairs of finite numbers", lambda v: isinstance(v, list)
+       and len(v) > 0 and all(map(_PAIR[1], v))))),
+    rule=("have three finite caps or three nulls",
+          lambda region: len({region[cap] is None for cap in _CAPS}) == 1))
+
+# The fields every report opens with; the getters read the config it echoes,
+# and the tool's fields are constants.
+_HEAD = (
+    ("tool", lambda config: config, _Object((
+        ("name", lambda _: "pkregion", _TEXT),
+        ("version", lambda _: __version__, _TEXT)))),
+    ("config", dict, ("be an object", lambda v: isinstance(v, dict))),
+)
+
+_TIGHTNESS = (
+    ("mcf_components", attrgetter("components"),
+     ("be an integer of at least 1", lambda v: type(v) is int and v >= 1)),
+    ("det_correlated", attrgetter("thm4_holds"), _FLAG),
+    ("ci_residual", attrgetter("ci_residual"), _NUMBER),
+)
+
+# Each report's fields after schema, tool and config, in emission order, as
+# (name, getter, kind). A getter reads what the builder is given (the
+# analysis; an evaluation's arguments as a tuple; a nested object's value)
+# only as the document is built: a check report derives only its own fields.
+_FIELDS = {
+    REGIONS_SCHEMA: (
+        ("quantities", attrgetter("quantities"), _Object(tuple(
+            (name, itemgetter(name), _NUMBER) for name in (
+                "i_x_y_given_z", "i_x_z_given_y", "i_x_yz", "i_x_mss_y",
+                "i_x_mss_z", "i_x_common")))),
+        *_TIGHTNESS,
+        ("regions", lambda report: report, _Object((
+            ("outer", attrgetter("outer"), _REGION),
+            ("inner", attrgetter("inner"), _REGION),
+            ("exact", attrgetter("exact"), _REGION._replace(nullable=True))))),
+        ("gaps", lambda report: report, _Object((
+            ("area", attrgetter("area_gap"), _NUMBER),
+            ("hausdorff", attrgetter("hausdorff_gap"), _NUMBER)))),
+    ),
+    CHECK_SCHEMA: _TIGHTNESS,
+    EVALUATION_SCHEMA: (
+        ("evaluation", itemgetter(0), _Object(tuple(
+            (field.name, attrgetter(field.name), _NUMBER)
+            for field in fields(EvaluationReport)))),
+        ("eps", lambda s: float(s[1]), _NUMBER),
+        ("eps_pk", lambda s: dict(zip(_KEY_PAIRS, map(bool, s[2]))),
+         ("hold booleans xy and xz", lambda v: isinstance(v, dict)
+          and all(type(v.get(key)) is bool for key in _KEY_PAIRS))),
+        ("rate_point", lambda s: [s[3][0], s[3][1]], _PAIR),
+        ("in_outer_region", lambda s: bool(s[4]), _FLAG),
+    ),
+}
+
+
+def _build(table, subject) -> dict:
+    """The object ``table`` reads from ``subject``; a getter's None is null."""
+    doc = {}
+    for name, get, kind in table:
+        value = get(subject)
+        if isinstance(kind, _Object) and value is not None:
+            value = _build(kind.fields, value)
+        doc[name] = value
+    return doc
+
+
+def _document(schema, subject, config) -> dict:
+    return {"schema": schema, **_build(_HEAD, config),
+            **_build(_FIELDS[schema], subject)}
+
+
+def regions_document(report: RegionReport, config: dict) -> dict:
+    return _document(REGIONS_SCHEMA, report, config)
+
+
+def check_document(report: RegionReport, config: dict) -> dict:
+    return _document(CHECK_SCHEMA, report, config)
+
+
+def evaluation_document(report: EvaluationReport, eps: float, eps_pk,
+                        point, in_outer: bool, config: dict) -> dict:
+    return _document(EVALUATION_SCHEMA, (report, eps, eps_pk, point, in_outer),
+                     config)
+
+
+# -- report validation ----------------------------------------------------------
+
+def _check(value, kind, path=()):
+    """Raise unless ``value``, at ``path`` in a report, is of ``kind``."""
+    head, *rest = path or ("report",)
+    where = f"{head} field {'.'.join(rest)!r}" if rest else head
+    if isinstance(kind, _Object):
+        if value is None and kind.nullable:
             return
-        raise InputFormatError(f"region {slot!r} must be present")
-    if not isinstance(entry, dict):
-        raise InputFormatError(f"region {slot!r} must be an object")
-    for key in ("provenance", "cap_xy", "cap_xz", "cap_sum", "vertices"):
-        if key not in entry:
-            raise InputFormatError(f"region {slot!r} is missing {key!r}")
-    vertices = entry["vertices"]
-    if not isinstance(vertices, list) or not vertices or not all(
-            isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
-            for v in vertices):
-        raise InputFormatError(
-            f"region {slot!r} vertices must be [r1, r2] pairs of finite numbers")
+        if not isinstance(value, dict):
+            raise InputFormatError(f"{where} must be an object")
+        for name, _, field_kind in kind.fields:
+            if name not in value:
+                raise InputFormatError(f"{where} is missing field {name!r}")
+            _check(value[name], field_kind, path + (name,))
+        kind = kind.rule
+    text, test = kind
+    if not test(value):
+        raise InputFormatError(f"{where} must {text}")
 
 
 def validate_report(doc) -> str:
     """Check a parsed report against its declared schema; returns the schema.
 
-    Raises
-    ------
-    InputFormatError
-        On an unknown schema string, missing fields, or malformed entries:
-        a number that is not finite or is a boolean or string, or a flag
-        that is not a boolean.
+    Raises InputFormatError on an unknown schema, or on the first field, in
+    emission order, that is missing or not of the kind the table gives.
     """
     if not isinstance(doc, dict):
         raise InputFormatError("a report must be a JSON object")
     schema = doc.get("schema")
-    if schema not in _REQUIRED_KEYS:
+    if not isinstance(schema, str) or schema not in _FIELDS:
         raise InputFormatError(f"unknown report schema {schema!r}")
-    missing = _REQUIRED_KEYS[schema] - doc.keys()
-    if missing:
-        raise InputFormatError(f"report is missing fields {sorted(missing)}")
-    tool = doc["tool"]
-    if not isinstance(tool, dict) or "name" not in tool or "version" not in tool:
-        raise InputFormatError("tool entry must carry name and version")
-    if schema == REGIONS_SCHEMA:
-        regions = doc["regions"]
-        if not isinstance(regions, dict):
-            raise InputFormatError("regions must be an object")
-        for slot in ("outer", "inner", "exact"):
-            _check_region_entry(regions.get(slot), slot)
-    if schema == EVALUATION_SCHEMA:
-        ev = doc["evaluation"]
-        if not isinstance(ev, dict):
-            raise InputFormatError("evaluation must be an object")
-        for key in _EVALUATION_FIELDS:
-            if not _is_number(ev.get(key)):
-                raise InputFormatError(
-                    f"evaluation field {key!r} must be a finite number")
-        if not _is_number(doc["eps"]):
-            raise InputFormatError("eps must be a finite number")
-        point = doc["rate_point"]
-        if not (isinstance(point, list) and len(point) == 2
-                and all(map(_is_number, point))):
-            raise InputFormatError("rate_point must be two finite numbers")
-        eps_pk = doc["eps_pk"]
-        if not (isinstance(eps_pk, dict)
-                and all(type(eps_pk.get(key)) is bool for key in ("xy", "xz"))):
-            raise InputFormatError("eps_pk must hold booleans xy and xz")
-        if type(doc["in_outer_region"]) is not bool:
-            raise InputFormatError("in_outer_region must be a boolean")
+    _check(doc, _Object(_HEAD + _FIELDS[schema]))
     return schema
 
 

@@ -1,4 +1,7 @@
+import copy
+import functools
 import json
+import operator
 import os
 import stat
 
@@ -6,7 +9,7 @@ import numpy as np
 import pytest
 
 from pkregion import compute_report, evaluate_protocol
-from pkregion import EvaluationReport
+from pkregion import EvaluationReport, RegionReport
 from pkregion.errors import (
     InputFormatError, MalformedTableError, ShapeMismatchError,
     SumOutOfToleranceError,
@@ -189,6 +192,21 @@ def test_report_documents_validate(worked_source):
         == "pkregion-regions-v4"
 
 
+def test_check_document_derives_only_what_it_emits(worked_source,
+                                                   bsc_source):
+    """A check report reads the common function and the residual: the
+    analysis behind it derives none of its other attributes."""
+    for p in (worked_source, bsc_source):
+        report = RegionReport(p)
+        doc = check_document(report, {})
+        assert doc["ci_residual"] == report.ci_residual
+        derived = vars(report).keys()
+        assert {"ci_residual", "thm4_holds"} <= derived
+        assert not derived & {"entropies", "info_terms", "i_x_common",
+                              "mss_y", "mss_z", "outer", "inner", "exact",
+                              "gaps", "quantities"}
+
+
 def test_evaluation_document_validates(square_source):
     from pkregion import ProtocolSpec
     identity = np.arange(4).reshape(4, 1)
@@ -205,9 +223,43 @@ def test_evaluation_document_validates(square_source):
     assert doc["eps_pk"] == {"xy": True, "xz": True}
 
 
-def test_validate_report_rejects_bad_documents(worked_source):
+# stands for a field deleted from a report
+MISSING = object()
+
+
+def leaf_paths(doc, path=()):
+    """The path of every value in ``doc`` that is not an object, through
+    nested objects; the echoed config counts as one value."""
+    for key, value in doc.items():
+        if isinstance(value, dict) and key != "config":
+            yield from leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def assert_refused(doc, path, value):
+    """validate_report refuses ``doc`` with the field at ``path`` set to
+    ``value``, or deleted for MISSING."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = functools.reduce(operator.getitem, parents, doc)
+    if value is MISSING:
+        del target[last]
+    else:
+        target[last] = value
+    try:
+        validate_report(doc)
+    except InputFormatError:
+        return
+    pytest.fail(f"report with {'.'.join(path)} = {value!r} validated")
+
+
+def test_validate_report_rejects_bad_documents(worked_source, bsc_source):
     with pytest.raises(InputFormatError):
         validate_report({"schema": "pkregion-unknown-v1"})
+    # an unhashable schema is unknown too
+    with pytest.raises(InputFormatError, match="unknown report schema"):
+        validate_report({"schema": ["pkregion-regions-v4"]})
     with pytest.raises(InputFormatError):
         validate_report([1, 2, 3])
     report = compute_report(worked_source)
@@ -247,6 +299,33 @@ def test_validate_report_rejects_bad_documents(worked_source):
             ({"in_outer_region": 1}, "in_outer_region must be a boolean")):
         with pytest.raises(InputFormatError, match=message):
             validate_report({**good, **bad})
+    # each wrong field that a regions report once validated with; caps
+    # must be all numbers or all null
+    regions = regions_document(report, {})
+    for path, value in ((("regions", "outer", "cap_xy"), "abc"),
+                        (("regions", "outer", "cap_xy"), None),
+                        (("regions", "inner", "cap_sum"), 1.0),
+                        (("mcf_components",), 0),
+                        (("ci_residual",), "x"),
+                        (("det_correlated",), 3),
+                        (("gaps", "area"), True),
+                        (("gaps", "hausdorff"), float("nan")),
+                        (("quantities", "i_x_common"), "abc"),
+                        (("mcf_components",), -1),
+                        (("tool", "name"), 1),
+                        (("regions", "inner", "provenance"), "bogus")):
+        assert_refused(regions, path, value)
+    # every field of every schema: a string, a boolean, NaN, or none at all;
+    # a string or a boolean only where the field holds another kind
+    reports = (regions, regions_document(compute_report(bsc_source), {}),
+               check_document(report, {}), good)
+    for doc in reports:
+        for path in leaf_paths(doc):
+            held = functools.reduce(operator.getitem, path, doc)
+            for value in ("abc", True, float("nan"), MISSING):
+                if type(value) in (str, bool) and type(value) is type(held):
+                    continue
+                assert_refused(doc, path, value)
 
 
 def test_exact_entry_may_be_null(bsc_source):

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from pkregion import (
-    ProtocolSpec, RateRegion, SlotSpec, compute_report, contains,
+    NUM_TOL, ProtocolSpec, RateRegion, SlotSpec, compute_report, contains,
     evaluate_protocol, exact_region, gap_metrics, inner_region, load_pmf,
     minimal_sufficient_statistic, outer_region,
 )
@@ -320,6 +320,22 @@ def helper_copies_key(p, spec, helper, f):
     return source, spec
 
 
+def draw_run(data, speakers, source=sources()):
+    """A drawn source and protocol with the given speakers, and its exact
+    evaluation. Random key tables rarely come near the converses, so some
+    draws make one helper a function of X that a key pair copies."""
+    p = data.draw(source)
+    n = blocklength(data.draw, p)
+    spec = data.draw(protocols(p.cardinalities, n, speakers))
+    helper = data.draw(st.sampled_from((None, 1, 2)))
+    if helper is not None:
+        f = data.draw(st.lists(st.integers(0, p.cardinalities[helper] - 1),
+                               min_size=p.cardinalities[0],
+                               max_size=p.cardinalities[0]))
+        p, spec = helper_copies_key(p, spec, helper, f)
+    return p, spec, evaluate_protocol(p, spec)
+
+
 @pytest.mark.parametrize("speakers", [set(c) for k in range(4)
                                       for c in combinations(range(3), k)])
 @settings(max_examples=25)
@@ -329,26 +345,50 @@ def test_key_rates_obey_the_finite_blocklength_converse(speakers, data):
     key pair, with the outer region's axis cap. For K = K_XY, L = L_XY and
     transcript F: H(K) = I(K∧F,Zⁿ) + H(K|F,Zⁿ), the first term is at most
     n·leak, and H(K|F,Zⁿ) ≤ I(Xⁿ∧Yⁿ|F,Zⁿ) + H(K|L) ≤ n·I(X∧Y|Z) + Fano,
-    since no public message raises I(Xⁿ∧Yⁿ|Zⁿ, transcript); XZ mirrors it.
-    Random key tables rarely come near the bound, so some draws make one
-    helper a function of X that the key pair copies."""
-    p = data.draw(sources())
-    n = blocklength(data.draw, p)
-    spec = data.draw(protocols(p.cardinalities, n, speakers))
-    helper = data.draw(st.sampled_from((None, 1, 2)))
-    if helper is not None:
-        f = data.draw(st.lists(st.integers(0, p.cardinalities[helper] - 1),
-                               min_size=p.cardinalities[0],
-                               max_size=p.cardinalities[0]))
-        p, spec = helper_copies_key(p, spec, helper, f)
-    report = evaluate_protocol(p, spec)
+    since no public message raises I(Xⁿ∧Yⁿ|Zⁿ, transcript); XZ mirrors it."""
+    p, spec, report = draw_run(data, speakers)
     outer = outer_region(p)
     for pair, cap, key_size in (("xy", outer.cap_xy, spec.key_xy_size),
                                 ("xz", outer.cap_xz, spec.key_xz_size)):
         error = getattr(report, f"error_{pair}")
         bound = (cap + getattr(report, f"leak_{pair}")
-                 + fano_bits(error, key_size) / n)
+                 + fano_bits(error, key_size) / spec.n)
         assert getattr(report, f"rate_{pair}") <= bound + 1e-12, pair
+
+
+@pytest.mark.parametrize("speakers", [set(c) for k in range(4)
+                                      for c in combinations(range(3), k)])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_key_rates_obey_the_sum_rate_converse(speakers, data):
+    """rate_xy + rate_xz ≤ cap_sum + leak_xy + leak_xz + min(leak_xy,
+    leak_xz) + 2·(F₁ + F₂)/n, with the outer region's sum cap.
+
+    Write K₁ = K_XY, L₁ = L_XY, K₂ = K_XZ, L₂ = L_XZ, F for the transcript,
+    Cⁿ for the common-function labels (a function of Yⁿ and of Zⁿ), and Fᵢ
+    for the Fano term of pair i.
+
+    1. H(K₁K₂) = I(K₁K₂∧CⁿF) + H(K₁K₂|CⁿF).
+    2. I(K₁∧CⁿF) ≤ I(K₁∧ZⁿF) ≤ n·leak_xy. Also
+       I(K₂∧CⁿFK₁) ≤ I(K₂∧YⁿF) + H(K₁|YⁿF) ≤ n·leak_xz + F₁.
+    3. H(K₁K₂|CⁿF) ≤ I(Xⁿ∧YⁿZⁿ|CⁿF) + F₁ + F₂. No public message raises
+       I(Xⁿ∧YⁿZⁿ|Cⁿ, transcript), so this is at most n·I(X∧YZ|C) + F₁ + F₂.
+       Because C is a function of (Y, Z), I(X∧YZ|C) = I(X∧YZ) − I(X∧C) =
+       cap_sum.
+    4. I(K₁∧K₂) ≤ I(K₁∧L₂) + H(K₂|L₂) ≤ n·leak_xy + F₂, and by symmetry it
+       is also at most n·leak_xz + F₁.
+
+    H(K₁) + H(K₂) = H(K₁K₂) + I(K₁∧K₂) then gives the bound; 2·(F₁ + F₂)
+    is looser than the sum of the Fano terms above needs.
+    """
+    source = st.one_of(sources(), block_sources())
+    p, spec, report = draw_run(data, speakers, source)
+    fano = (fano_bits(report.error_xy, spec.key_xy_size)
+            + fano_bits(report.error_xz, spec.key_xz_size))
+    leaks = report.leak_xy + report.leak_xz \
+        + min(report.leak_xy, report.leak_xz)
+    bound = outer_region(p).cap_sum + leaks + 2 * fano / spec.n
+    assert report.rate_xy + report.rate_xz <= bound + 1e-12
 
 
 @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=3),
@@ -456,6 +496,18 @@ def test_zero_mass_padding_leaves_the_report_unchanged(data):
     probs = np.insert(p.probs, at, 0.0, axis=axis)
     padded = load_pmf(probs, p.variables, probs.shape)
     assert_same_report(compute_report(padded), compute_report(p))
+
+
+@given(sources())
+def test_inner_region_reaches_the_single_key_capacities(p):
+    """(I(X∧Y|Z), 0) and (0, I(X∧Z|Y)), the private-key capacities of one
+    pair with the other terminal as helper (Csiszár–Narayan 2000), lie in
+    the inner region up to the rounding of its hull vertices."""
+    dist = pmf_as_dict(p)
+    inner = inner_region(p)
+    for point in ((oracle_cmi(dist, (0,), (1,), (2,)), 0.0),
+                  (0.0, oracle_cmi(dist, (0,), (2,), (1,)))):
+        assert contains(inner, point, tol=NUM_TOL), point
 
 
 @given(sources(max_card=4))
