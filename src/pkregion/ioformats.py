@@ -26,6 +26,7 @@ import os
 import re
 import warnings
 from dataclasses import fields
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ import numpy as np
 from ._version import __version__
 from .dist import DEFAULT_SUM_TOL, JointPmf, load_pmf
 from .errors import InputFormatError
-from .protocol import EvaluationReport, ProtocolSpec, SlotSpec
+from .protocol import EvaluationReport, ProtocolSpec, SlotSpec, _Owned
 from .regions import _PROVENANCES, RegionReport
 
 __all__ = [
@@ -64,13 +65,13 @@ EVALUATION_SCHEMA = "pkregion-evaluation-v2"
 
 # -- reading ------------------------------------------------------------------
 
-def _load_json(path, tokens, read_table):
+def _load_json(path, tokens, closing, read_table):
     """The file's document, parsed as ``_parse_tables`` does, and the text
     json read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return _parse_tables(text, tokens, read_table)
+        return _parse_tables(text, tokens, closing, read_table)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     # bad syntax, an integer too long to read, or nesting too deep to read
@@ -90,26 +91,45 @@ def _load_json(path, tokens, read_table):
 LARGE_TABLE_CHARS = 2048
 
 # One pass over a file finds, outside strings, json's non-standard constants
-# and candidate tables. A string is matched whole so that a table written
-# inside one stays text. A protocol's candidates are [[ ... ]] of ASCII
-# digits, commas, brackets and JSON whitespace only. A pmf's run from a [
-# whose first token starts like a number to the next ], whatever lies
-# between, and are at least LARGE_TABLE_CHARS long: the pass over a 1.6 MB
-# list takes 1.3-1.7 ms instead of the 3.5-4.9 ms a class of number
-# characters costs, and the reader refuses whatever is not numbers. A
-# shorter list is passed through like any other text, so the strings and
-# constants in it are found.
+# and the starts of candidate tables. A string is matched whole so that a
+# table written inside one stays text. A protocol's candidate runs from a
+# [[ to the next ]], a pmf's from a [ whose first token starts like a number
+# to the next ]. The end is found by a search for that literal at C speed:
+# a pattern that walks each character of the table through a class costs
+# 2.0 ms on a 1.6 MB pmf list and 2.1-2.5 ms on a 0.8 MB protocol. The last
+# end found is kept, and serves every start before it, so the pass stays
+# linear. A candidate shorter than LARGE_TABLE_CHARS that holds a quote, N
+# or I is scanned on from just past its start, like any other text, so the
+# strings and constants in it are found; the reader refuses whatever is not
+# a table.
 _STRING_OR_CONSTANT = r"""
     "[^"\\]*(?:\\.[^"\\]*)*"
   | (?P<constant>NaN|Infinity)
 """
 _PROTOCOL_TOKENS = re.compile(_STRING_OR_CONSTANT + r"""
-  | (?P<table>\[[ \t\n\r]*\[[0-9,\[\] \t\n\r]*\][ \t\n\r]*\])
+  | (?P<table>\[[ \t\n\r]*\[)
 """, re.VERBOSE)
 _PMF_TOKENS = re.compile(_STRING_OR_CONSTANT + r"""
-  | (?P<table>\[[ \t\n\r]*[-0-9][^\]]{%d,}\])
-""" % (LARGE_TABLE_CHARS - 3), re.VERBOSE)
-_STRING_OR_CONSTANT_START = re.compile('["NI]')
+  | (?P<table>\[[ \t\n\r]*[-0-9])
+""", re.VERBOSE)
+_TABLE_CLOSING = re.compile(r"\][ \t\n\r]*\]")
+# a match of a candidate's span, which is all a reader is given; .* with
+# DOTALL jumps to the end of the span without walking it
+_SPAN = re.compile(".*", re.S)
+
+
+def _table_closing(text, pos):
+    """The span of the first ]] at or after ``pos``, or None."""
+    found = _TABLE_CLOSING.search(text, pos)
+    return found and found.span()
+
+
+def _list_closing(text, pos):
+    """The span of the first ] at or after ``pos``, or None."""
+    at = text.find("]", pos)
+    return (at, at + 1) if at >= 0 else None
+
+
 # loadtxt strips the spaces left around each field
 _ROW_BREAK = re.compile(r"\] *, *\[")
 _BLANKS_TO_SPACE = str.maketrans("\t\n\r", "   ")
@@ -156,11 +176,13 @@ def _read_int_table(match):
 def _read_float_list(match):
     """The float64 array of a candidate list's text, or None for json.
 
-    orjson rounds each number correctly, as json does. None when a piece
-    does not parse (a misplaced comma or sign, a leading zero, a number
-    past the float range, a cut inside a string or a nested value), a value
-    is not a number (a string, ``true``, ``null``, a list or an object), or
-    the list is empty.
+    orjson rounds each number correctly, as json does. None when the text
+    holds a character that starts a JSON value other than a number
+    (``"tfn[{``: a string, ``true``, ``false``, ``null``, a list or an
+    object), or a piece does not parse (a misplaced comma or sign, a leading
+    zero, a number past the float range, ``NaN``) or is empty (a trailing
+    comma). What parses is then numbers only, which numpy takes from
+    orjson's floats and ints into one growing array, piece by piece.
     """
     # imported here: at the top, its ~5 ms import would slow every run
     import orjson
@@ -168,28 +190,31 @@ def _read_float_list(match):
     # the pieces are cut from the file's text: a copy of the whole list
     # would add its size to the peak
     text, start, end = match.string, match.start() + 1, match.end() - 1
-    out = np.empty(text.count(",", start, end) + 1)
-    filled = 0
-    while start < end:
-        cut = text.find(",", start + _PIECE_CHARS, end)
-        cut = end if cut < 0 else cut
-        try:
+    if any(text.find(c, start, end) >= 0 for c in '"tfn[{'):
+        return None
+
+    def pieces(start):
+        while True:
+            cut = text.find(",", start + _PIECE_CHARS, end)
+            cut = end if cut < 0 else cut
             piece = orjson.loads("[" + text[start:cut] + "]")
-        except orjson.JSONDecodeError:
-            return None
-        if not set(map(type, piece)) <= {float, int}:
-            return None
-        out[filled:filled + len(piece)] = piece
-        filled += len(piece)
-        start = cut + 1
-    # n numbers take n - 1 commas; an empty piece drops a number
-    return out if filled == len(out) else None
+            if not piece:
+                raise ValueError("empty piece")
+            yield piece
+            if cut == end:
+                return
+            start = cut + 1
+
+    try:
+        return np.fromiter(chain.from_iterable(pieces(start)), np.float64)
+    except ValueError:  # orjson's errors are ValueErrors too
+        return None
 
 
-def _parse_tables(text, tokens, read_table):
-    """``json.loads(text)``, with each large table that ``tokens`` finds and
-    ``read_table`` reads from its match as an array, and the text json
-    read.
+def _parse_tables(text, tokens, closing, read_table):
+    """``json.loads(text)``, with each large table that ``tokens`` starts,
+    ``closing`` ends and ``read_table`` reads from its match as an array,
+    and the text json read.
 
     Each table read is replaced by ``NaN`` and handed back in text order
     through ``parse_constant``. A file goes to json whole when it holds a
@@ -200,22 +225,35 @@ def _parse_tables(text, tokens, read_table):
     """
     if len(text) < LARGE_TABLE_CHARS:
         return json.loads(text), text
-    tables, pieces, end = [], [], 0
-    for match in tokens.finditer(text):
+    tables, pieces, end, pos = [], [], 0, 0
+    # the last closing found; (len(text), -1) once there is none left
+    close_at, close_end = -1, -1
+    while match := tokens.search(text, pos):
+        pos = match.end()
         if match.lastgroup == "constant":
             return json.loads(text), text
-        start, stop = match.span()
-        if match.lastgroup != "table" or stop - start < LARGE_TABLE_CHARS:
+        if match.lastgroup != "table":
             continue
-        table = read_table(match)
-        if table is not None:
+        if close_at < pos:
+            close_at, close_end = closing(text, pos) or (len(text), -1)
+        start, stop = match.start(), close_end
+        if stop < 0:
+            continue
+        large = stop - start >= LARGE_TABLE_CHARS
+        if large and (table := read_table(_SPAN.match(text, start, stop))) \
+                is not None:
             pieces += (text[end:start], "NaN")
             end = stop
             tables.append(table)
-        # a pmf candidate left to json may hide from the pass a string,
-        # which would put the pass out of step, or a constant
-        elif _STRING_OR_CONSTANT_START.search(text, start, stop):
-            return json.loads(text), text
+        # A candidate left to json may hold a string, which would put the
+        # pass out of step, or a constant: a large one sends the file to
+        # json, a short one is scanned on from inside. Any other is passed
+        # over whole; a table within it is shorter still.
+        elif any(text.find(c, start, stop) >= 0 for c in '"NI'):
+            if large:
+                return json.loads(text), text
+            continue
+        pos = stop
     if not tables:
         return json.loads(text), text
     pieces.append(text[end:])
@@ -259,7 +297,7 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
     least ``LARGE_TABLE_CHARS`` characters is read by orjson, the rest of
     the file by json; both give the same bits and the same errors.
     """
-    doc = _load_json(path, _PMF_TOKENS, _read_float_list)[0]
+    doc = _load_json(path, _PMF_TOKENS, _list_closing, _read_float_list)[0]
     _expect_schema(doc, PMF_SCHEMA, path)
     variables = _field(doc, "variables", path)
     cardinalities = _field(doc, "cardinalities", path)
@@ -293,21 +331,22 @@ def read_protocol(path) -> ProtocolSpec:
     every other value by json. Both give the same tables and the same
     errors.
     """
-    doc, text = _load_json(path, _PROTOCOL_TOKENS, _read_int_table)
+    doc, text = _load_json(path, _PROTOCOL_TOKENS, _table_closing,
+                           _read_int_table)
     _expect_schema(doc, PROTOCOL_SCHEMA, path)
     # JSON booleans come only from true/false literals, which the text
     # numpy read cannot hold. A file without one hands the tables json read
     # over as arrays, which the constructors need not type-check cell by
     # cell. Each list is replaced by its array, so a table is held once,
-    # not twice.
+    # not twice; the reader owns every array, so none is copied again.
     has_bool_literal = "true" in text or "false" in text
     del text
 
     def table(obj, key):
         raw = _field(obj, key, path)
-        if not has_bool_literal:
+        if isinstance(raw, np.ndarray) or not has_bool_literal:
             try:
-                raw = obj[key] = np.asarray(raw)
+                raw = obj[key] = _Owned(np.asarray(raw))
             except ValueError:  # ragged: the constructor names the table
                 pass
         return raw

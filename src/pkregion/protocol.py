@@ -61,19 +61,34 @@ __all__ = [
 DEFAULT_BUDGET = 10 ** 7
 
 
+class _Owned:
+    """An array that a file reader has just built and that no caller holds:
+    a constructor takes it as its table without a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _int_table(name: str, raw, upper: int) -> np.ndarray:
     """Read-only int64 2-D lookup table with entries in [0, upper).
 
-    The table is always a fresh copy. Booleans, fractions and non-numbers
-    are rejected, never coerced; numpy would upcast booleans mixed into a
-    Python table of integers, so such a table's cells are type-checked. An
-    integer of 2**64 or more makes an object table, whose cells must all be
-    Python integers; the range check then names the entry.
+    The table is a fresh copy, so a caller's buffer is never frozen or
+    shared, unless it comes as an ``_Owned`` array. Booleans, fractions and
+    non-numbers are rejected, never coerced; numpy would upcast booleans
+    mixed into a Python table of integers, so such a table's cells are
+    type-checked. An integer of 2**64 or more makes an object table, whose
+    cells must all be Python integers; the range check then names the
+    entry.
     """
-    try:
-        table = np.array(raw)
-    except ValueError:  # nested rows of different lengths
-        raise MalformedTableError(f"{name} is not rectangular") from None
+    if isinstance(raw, _Owned):
+        raw = table = raw.array
+    else:
+        try:
+            table = np.array(raw)
+        except ValueError:  # nested rows of different lengths
+            raise MalformedTableError(f"{name} is not rectangular") from None
     if table.ndim != 2:
         raise MalformedTableError(f"{name} must be 2-D, got {table.ndim}-D")
     kind = table.dtype.kind

@@ -4,6 +4,7 @@ import json
 import operator
 import os
 import stat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pkregion.errors import (
     InputFormatError, MalformedTableError, ShapeMismatchError,
     SumOutOfToleranceError,
 )
+from pkregion import ioformats
 from pkregion.ioformats import (
     LARGE_TABLE_CHARS, check_document, dumps_deterministic,
     evaluation_document, pmf_document, protocol_document, read_pmf,
@@ -176,6 +178,27 @@ def test_read_protocol_rejects_malformed(tmp_path):
     with pytest.raises(InputFormatError,
                        match="top level must be a JSON object"):
         read_protocol(path)
+
+
+def test_tables_the_reader_parsed_are_not_copied_again(tmp_path):
+    """Each large table numpy's parser reads is the spec's table itself."""
+    rng = rng_for(704)
+    spec, _ = random_protocol(rng, (2, 2, 2), n=1, rounds=1)
+    large = [[0]] * LARGE_TABLE_CHARS
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps({**protocol_document(spec), "key_xy": large,
+                                "est_xz": large}))
+    parsed, read_int_table = [], ioformats._read_int_table
+
+    def read_table(match):
+        parsed.append(read_int_table(match))
+        return parsed[-1]
+
+    with mock.patch.object(ioformats, "_read_int_table", read_table):
+        back = read_protocol(path)
+    assert len(parsed) == 2
+    assert back.key_xy is parsed[0] and back.est_xz is parsed[1]
+    assert back.key_xy.tolist() == large and not back.key_xy.flags.writeable
 
 
 # -- report documents -------------------------------------------------------------------

@@ -9,6 +9,7 @@ import json
 import math
 import re
 import sys
+import time
 from dataclasses import replace
 from decimal import Decimal
 from itertools import combinations, product
@@ -918,3 +919,103 @@ def test_number_past_the_float_range_reaches_json(tmp_path):
     assert pmf_outcome(read_pmf, path) == (
         NonFiniteEntryError, "NON_FINITE_ENTRY: table entries must be finite "
         "numbers") == pmf_outcome(oracle_read_pmf, path)
+
+
+# -- the scan for large tables stays linear --------------------------------------
+
+# Candidate table starts per file. Searched for an end from every start,
+# the protocol file below whose starts have no end took 2.5 s instead of
+# 0.2 s (2-core x86 host); the check on ends searched catches it anyway.
+STARTS = 50_000
+# Nested starts per group: each start of a group is short of
+# LARGE_TABLE_CHARS, and all of them share the group's first end. Each
+# level holds a string, so that the pass scans every candidate from inside.
+NESTING = 100
+
+
+def nested(opening, groups):
+    """``groups`` lists, each ``opening`` and a string nested NESTING times
+    around 0."""
+    closing = "]" * opening.count("[")
+    group = (opening + '"s", ') * NESTING + "0" + closing * NESTING
+    return "[" + ", ".join([group] * groups) + "]"
+
+
+def read_in_time(read, oracle, closing, path, text):
+    """``read`` of ``text`` agrees with ``oracle``, looks for each end of a
+    table once, however many starts share it, and for no end at all once,
+    and finishes within a few seconds."""
+    path.write_text(text)
+    search, found = getattr(ioformats, closing), []
+
+    def search_once(text, pos):
+        found.append(search(text, pos))
+        return found[-1]
+
+    start = time.perf_counter()
+    with mock.patch.object(ioformats, closing, search_once):
+        outcome = read(path)
+    assert time.perf_counter() - start < 5.0
+    assert len(found) == len(set(found))
+    assert outcome == oracle(path)
+    return outcome
+
+
+def test_pmf_scan_is_linear_in_candidate_starts(tmp_path):
+    """A large list after many short candidates, each at most a group's
+    width from its ], is read by orjson as json would read it; a file whose
+    many starts have no ] after them fails as json does."""
+    probs = ", ".join(["0.001"] * 1000)
+    head = ('{"schema": "pkregion-pmf-v1", "variables": ["X", "Y", "Z"], '
+            '"cardinalities": [1000, 1, 1], ')
+    path = tmp_path / "pmf.json"
+    lists_read = []
+
+    def read_list(match):
+        lists_read.append(read_float_list(match))
+        return lists_read[-1]
+
+    def read(path):
+        with mock.patch.object(ioformats, "_read_float_list", read_list):
+            return pmf_outcome(read_pmf, path)
+
+    def oracle(path):
+        return pmf_outcome(oracle_read_pmf, path)
+
+    text = (head + f'"extra": {nested("[0, ", STARTS // NESTING)}, '
+            f'"pmf": [{probs}]}}')
+    assert text.count("[0, ") == STARTS
+    assert read_in_time(read, oracle, "_list_closing", path, text)[1] \
+        == (1000, 1, 1)
+    assert [table is None for table in lists_read] == [False]
+    # json stops at the 0, before the starts nest deeper than it can read
+    text = head + f'"pmf": [{probs}], "extra": 0 ' + "[0, " * STARTS
+    assert read_in_time(read, oracle, "_list_closing", path, text)[0] \
+        is InputFormatError
+
+
+def test_protocol_scan_is_linear_in_candidate_starts(tmp_path):
+    """The same for protocol files: many short [[ candidates, each at most a
+    group's width from its ]], then a large table; and many [[ with no ]]
+    after them."""
+    spec = ProtocolSpec(n=1, rounds=0, slots=(), key_xy=[[0]], est_xy=[[1]],
+                        key_xz=[[2]], est_xz=[[3]], key_xy_size=4,
+                        key_xz_size=4)
+    large = json.dumps([[k % 4] for k in range(LARGE_TABLE_CHARS)])
+    head = json.dumps(protocol_document(spec))[:-1]
+    path = tmp_path / "protocol.json"
+
+    def read(path):
+        return read_outcome(read_protocol, path)
+
+    def oracle(path):
+        return read_outcome(oracle_read_protocol, path)
+
+    text = (head + f', "extra": {nested("[[", STARTS // NESTING)}, '
+            f'"est_xz": {large}}}')
+    assert text.count("[[") >= STARTS
+    assert read_in_time(read, oracle, "_table_closing", path, text)[-1][1] \
+        == (LARGE_TABLE_CHARS, 1)
+    text = head + f', "est_xz": {large}, "extra": 0 ' + "[[0, " * STARTS
+    assert read_in_time(read, oracle, "_table_closing", path, text)[0] \
+        is InputFormatError

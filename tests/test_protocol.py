@@ -503,6 +503,18 @@ def test_tables_are_copied_from_read_only_views():
         assert not table.flags.writeable
 
 
+def test_a_callers_writable_table_is_copied():
+    """The constructors neither freeze nor share a caller's int64 array."""
+    table = np.zeros((4, 1), dtype=np.int64)
+    slot = SlotSpec(alphabet_size=2, table=table)
+    spec = no_message_protocol(table, table, table, table, 2, 1, 1)
+    assert table.flags.writeable
+    for held in (slot.table, spec.key_xy, spec.est_xy, spec.key_xz,
+                 spec.est_xz):
+        assert not np.shares_memory(held, table)
+        assert not held.flags.writeable
+
+
 def test_check_eps_pk_rejects_negative_eps():
     p = worked_pmf()
     zeros = np.zeros((4, 1), dtype=int)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pkregion import (
     DEFAULT_CI_TOL, conditional_independence_residual, load_pmf,
@@ -172,6 +173,82 @@ def test_mcf_agrees_with_union_find_components():
         p = random_pair_pmf(rng, max_card=4)
         _, _, n = oracles.components_by_union_find(pmf_as_dict(p), 0, 1)
         assert maximal_common_function(p, "Y", "Z").components == n
+
+
+@st.composite
+def supports(draw, max_card=40):
+    """The support of a (Y, Z) pair over up to ``max_card`` symbols each:
+    random cells, a long path of alternating Y and Z symbols, or one-cell
+    components, with the symbols shuffled. Rows and columns may be empty."""
+    rows, cols = draw(st.integers(1, max_card)), draw(st.integers(1, max_card))
+    edges = np.zeros((rows, cols), dtype=bool)
+    kind = draw(st.sampled_from(("cells", "path", "one-cell")))
+    if kind == "cells":
+        density = draw(st.sampled_from((0.02, 0.05, 0.1, 0.3)))
+        edges = rng_for(draw(st.integers(0, 2 ** 32 - 1))).random(
+            (rows, cols)) < density
+    elif kind == "path":
+        # y0 z0 y1 z1 ...: step s joins y_{(s+1)//2} and z_{s//2}
+        for step in range(draw(st.integers(1, 2 * min(rows, cols)))):
+            if (step + 1) // 2 < rows:
+                edges[(step + 1) // 2, step // 2] = True
+    else:
+        for k in draw(st.sets(st.integers(0, min(rows, cols) - 1))):
+            edges[k, k] = True
+    if not edges.any():
+        edges[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] \
+            = True
+    return edges[draw(st.permutations(range(rows)))][
+        :, draw(st.permutations(range(cols)))]
+
+
+def support_pmf(edges, rng):
+    weights = edges * rng.integers(1, 10, edges.shape)
+    return load_pmf(weights / weights.sum(), ("Y", "Z"), edges.shape)
+
+
+def assert_common_function_of(edges, cf):
+    """``cf`` is the union-find oracle's partition of the support of
+    ``edges``, numbered canonically."""
+    dist = {idx: 1.0 for idx in zip(*np.nonzero(edges))}
+    classes_a, classes_b, count = oracles.components_by_union_find(dist, 0, 1)
+    assert cf.components == count
+    assert cf.stat_a.as_partition() == classes_a
+    assert cf.stat_b.as_partition() == classes_b
+    # label k is the class with the k-th smallest Y symbol; every pair on
+    # the support has one label, and a symbol off it has -1
+    firsts = [min(cls) for cls in cf.stat_a.classes()]
+    assert firsts == sorted(firsts)
+    for y, z in zip(*np.nonzero(edges)):
+        assert cf.stat_a.labels[y] == cf.stat_b.labels[z]
+    assert [lab == -1 for lab in cf.stat_a.labels] \
+        == (~edges.any(axis=1)).tolist()
+    assert [lab == -1 for lab in cf.stat_b.labels] \
+        == (~edges.any(axis=0)).tolist()
+
+
+@settings(max_examples=300)
+@given(edges=supports())
+def test_mcf_agrees_with_union_find_on_large_supports(edges):
+    p = support_pmf(edges, rng_for(206))
+    assert_common_function_of(edges, maximal_common_function(p, "Y", "Z"))
+
+
+def test_mcf_on_a_300_step_path():
+    """A 300-step path of alternating Y and Z symbols is one component,
+    however its symbols are numbered; in the last order the smallest
+    symbol sits at one end and the rest count down from the other."""
+    rng = rng_for(207)
+    edges = np.zeros((151, 150), dtype=bool)
+    for step in range(300):
+        edges[(step + 1) // 2, step // 2] = True
+    countdown = np.r_[0, np.arange(150, 0, -1)]
+    for order in (np.arange(151), rng.permutation(151), countdown):
+        shuffled = np.empty_like(edges)
+        shuffled[order] = edges
+        cf = maximal_common_function(support_pmf(shuffled, rng), "Y", "Z")
+        assert cf.components == 1
+        assert_common_function_of(shuffled, cf)
 
 
 # -- conditional independence given the common part ---------------------------------
