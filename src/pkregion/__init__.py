@@ -16,11 +16,10 @@ and evaluates deterministic public-discussion protocols exactly against the
 from ._version import __version__
 from .dist import DEFAULT_SUM_TOL, NUM_TOL, JointPmf, cond_mutual_info, \
     entropy, load_pmf, marginal, source_roles
-from .errors import BudgetExceededError, DegenerateInputError, \
-    DuplicateVariableError, EmptySupportError, InputFormatError, \
-    MalformedTableError, NegativeEntryError, NonFiniteEntryError, \
-    OverlappingGroupsError, PkRegionError, ShapeMismatchError, \
-    SumOutOfToleranceError, UnknownVariableError
+from .errors import BudgetExceededError, DuplicateVariableError, \
+    EmptySupportError, InputFormatError, MalformedTableError, \
+    NegativeEntryError, NonFiniteEntryError, PkRegionError, \
+    ShapeMismatchError, SumOutOfToleranceError
 from .structure import DEFAULT_CI_TOL, CommonFunction, Statistic, \
     conditional_independence_residual, maximal_common_function, \
     minimal_sufficient_statistic
@@ -39,10 +38,8 @@ __all__ = [
     "entropy", "cond_mutual_info", "source_roles",
     # errors
     "PkRegionError", "NegativeEntryError", "NonFiniteEntryError",
-    "SumOutOfToleranceError",
-    "ShapeMismatchError", "DuplicateVariableError", "UnknownVariableError",
-    "OverlappingGroupsError", "EmptySupportError",
-    "DegenerateInputError", "BudgetExceededError", "MalformedTableError",
+    "SumOutOfToleranceError", "ShapeMismatchError", "DuplicateVariableError",
+    "EmptySupportError", "BudgetExceededError", "MalformedTableError",
     "InputFormatError",
     # structure
     "DEFAULT_CI_TOL", "Statistic", "CommonFunction",

@@ -26,15 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DuplicateVariableError,
-    NegativeEntryError,
-    NonFiniteEntryError,
-    OverlappingGroupsError,
-    ShapeMismatchError,
-    SumOutOfToleranceError,
-    UnknownVariableError,
-)
+from .errors import DuplicateVariableError, NegativeEntryError, \
+    NonFiniteEntryError, ShapeMismatchError, SumOutOfToleranceError
 
 __all__ = [
     "DEFAULT_SUM_TOL",
@@ -133,12 +126,18 @@ class JointPmf:
         return len(self.variables)
 
     def axis(self, name: str) -> int:
+        """Axis of the variable ``name``.
+
+        Raises
+        ------
+        ValueError
+            If ``name`` is not among the variables.
+        """
         try:
             return self.variables.index(name)
         except ValueError:
-            raise UnknownVariableError(
-                f"{name!r} not among variables {self.variables}"
-            ) from None
+            raise ValueError(
+                f"{name!r} not among variables {self.variables}") from None
 
     def normalize_group(self, group) -> tuple:
         """Return ``group`` as a tuple ordered by this pmf's variable order."""
@@ -188,8 +187,7 @@ def _table(p: JointPmf, names) -> np.ndarray:
     Raises
     ------
     ValueError
-        If a name repeats.
-    UnknownVariableError
+        If a name repeats or is not among the variables.
     """
     names = tuple(names)
     if len(set(names)) != len(names):
@@ -227,9 +225,9 @@ def cond_mutual_info(p: JointPmf, a, b, c=()) -> float:
 
     Raises
     ------
-    OverlappingGroupsError
-        If ``a`` and ``b`` overlap, or ``c`` overlaps either.
-    UnknownVariableError
+    ValueError
+        If ``a`` or ``b`` is empty, ``a`` and ``b`` overlap, ``c`` overlaps
+        either, or a name is not among the variables.
     """
     ga = p.normalize_group(a)
     gb = p.normalize_group(b)
@@ -238,9 +236,9 @@ def cond_mutual_info(p: JointPmf, a, b, c=()) -> float:
         raise ValueError("both information arguments must be nonempty groups")
     sa, sb, sc = set(ga), set(gb), set(gc)
     if sa & sb:
-        raise OverlappingGroupsError(f"groups {ga} and {gb} overlap")
+        raise ValueError(f"groups {ga} and {gb} overlap")
     if sc & (sa | sb):
-        raise OverlappingGroupsError(f"conditioning set {gc} overlaps an argument")
+        raise ValueError(f"conditioning set {gc} overlaps an argument")
     h_ac = entropy(p, ga + gc)
     h_bc = entropy(p, gb + gc)
     h_abc = entropy(p, ga + gb + gc)

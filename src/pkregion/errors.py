@@ -1,10 +1,15 @@
 """Semantic exception hierarchy with stable machine-readable error codes.
 
-A fault in a file or a table (a pmf, a protocol table or a report, read from
-a file or handed over as an array) raises a :class:`PkRegionError`, whose
-``code`` the CLI prints verbatim and callers may match on. Misuse of a
-Python argument (an empty variable group, a symbol outside its alphabet)
-and a bad CLI option value raise ``ValueError``.
+A fault in pmf, protocol or report data (read from a file or handed over
+as an array) and a run over the enumeration budget raise a
+:class:`PkRegionError`, whose ``code`` the CLI prints verbatim and callers
+may match on. A misused argument raises ``ValueError``: an unknown variable
+name, a variable group that is empty, repeats a name or overlaps another, a
+symbol outside its alphabet, a constructor's integer fields (blocklength,
+round count, alphabet sizes), statistic labels, an empty point list, a bad
+CLI option value and a non-finite float handed to ``dumps_deterministic``.
+A value of a type that ``dumps_deterministic`` cannot serialize raises
+``TypeError``, and a failed write by ``write_atomic`` ``OSError``.
 """
 
 __all__ = [
@@ -14,10 +19,7 @@ __all__ = [
     "SumOutOfToleranceError",
     "ShapeMismatchError",
     "DuplicateVariableError",
-    "UnknownVariableError",
-    "OverlappingGroupsError",
     "EmptySupportError",
-    "DegenerateInputError",
     "BudgetExceededError",
     "MalformedTableError",
     "InputFormatError",
@@ -64,28 +66,10 @@ class DuplicateVariableError(PkRegionError):
     code = "DUPLICATE_VARIABLE"
 
 
-class UnknownVariableError(PkRegionError):
-    """A referenced variable name is not part of the distribution."""
-
-    code = "UNKNOWN_VARIABLE"
-
-
-class OverlappingGroupsError(PkRegionError):
-    """Variable groups that must be disjoint share a variable."""
-
-    code = "OVERLAPPING_GROUPS"
-
-
 class EmptySupportError(PkRegionError):
     """An operation requires a variable with nonempty support."""
 
     code = "EMPTY_SUPPORT"
-
-
-class DegenerateInputError(PkRegionError):
-    """Geometric input too degenerate for the requested operation."""
-
-    code = "DEGENERATE_INPUT"
 
 
 class BudgetExceededError(PkRegionError):

@@ -155,7 +155,7 @@ class SlotSpec:
 
     def __post_init__(self):
         if self.alphabet_size < 1:
-            raise MalformedTableError("message alphabet size must be >= 1")
+            raise ValueError("message alphabet size must be >= 1")
         object.__setattr__(
             self, "table", _int_table("slot table", self.table, self.alphabet_size))
 

@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from .dist import NUM_TOL, JointPmf, source_roles, _clip0, _entropy_of
-from .errors import DegenerateInputError
 from .structure import DEFAULT_CI_TOL, CommonFunction, _ci_residual, \
     _common_function, _sufficient_statistic
 
@@ -59,14 +58,14 @@ def hull(points) -> tuple:
 
     Raises
     ------
-    DegenerateInputError
+    ValueError
         If no points are given.
     """
     pts = sorted({(round(float(r1), _COORD_DECIMALS) + 0.0,
                    round(float(r2), _COORD_DECIMALS) + 0.0)
                   for r1, r2 in points})
     if not pts:
-        raise DegenerateInputError("hull needs at least one point")
+        raise ValueError("hull needs at least one point")
     if len(pts) == 1:
         return (pts[0],)
     lower = []
@@ -137,7 +136,7 @@ class RateRegion:
         if not verts and all(present):
             verts = _cap_vertices(*caps)
         if not verts:
-            raise DegenerateInputError("a region needs at least one vertex")
+            raise ValueError("a region needs at least one vertex")
         object.__setattr__(self, "vertices", verts)
 
     @classmethod

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import JointPmf, _table
-from .errors import EmptySupportError, ShapeMismatchError
+from .errors import EmptySupportError
 
 __all__ = [
     "DEFAULT_CI_TOL",
@@ -60,11 +60,10 @@ class Statistic:
         labels = tuple(int(v) for v in self.labels)
         used = sorted({v for v in labels if v >= 0})
         if used != list(range(self.num_classes)):
-            raise ShapeMismatchError(
-                f"labels {used} are not contiguous over {self.num_classes} classes"
-            )
+            raise ValueError(
+                f"labels {used} are not contiguous over {self.num_classes} classes")
         if any(v < -1 for v in labels):
-            raise ShapeMismatchError("labels must be >= -1")
+            raise ValueError("labels must be >= -1")
         object.__setattr__(self, "labels", labels)
 
     def classes(self) -> tuple:
@@ -91,7 +90,7 @@ class CommonFunction:
     def __post_init__(self):
         if self.stat_a.num_classes != self.components or \
                 self.stat_b.num_classes != self.components:
-            raise ShapeMismatchError("both sides must use the same component labels")
+            raise ValueError("both sides must use the same component labels")
 
 
 def minimal_sufficient_statistic(p: JointPmf, of: str, wrt) -> Statistic:

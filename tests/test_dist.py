@@ -9,7 +9,7 @@ from pkregion import (
 )
 from pkregion.errors import (
     DuplicateVariableError, NegativeEntryError, NonFiniteEntryError,
-    ShapeMismatchError, SumOutOfToleranceError, UnknownVariableError,
+    ShapeMismatchError, SumOutOfToleranceError,
 )
 
 from conftest import pmf_as_dict, random_pmf, rng_for
@@ -75,10 +75,21 @@ def test_probs_are_read_only():
 
 def test_unknown_variable_raises():
     p = load_pmf([0.25] * 4, ("A", "B"), (2, 2))
-    with pytest.raises(UnknownVariableError):
+    with pytest.raises(ValueError, match="not among variables") as err:
         p.axis("C")
-    with pytest.raises(UnknownVariableError):
+    assert type(err.value) is ValueError
+    with pytest.raises(ValueError, match="not among variables") as err:
         entropy(p, "C")
+    assert type(err.value) is ValueError
+
+
+def test_overlapping_groups_raise():
+    p = load_pmf([0.125] * 8, ("A", "B", "C"), (2, 2, 2))
+    for a, b, c in ((("A", "B"), "B", ()), ("A", "B", ("B", "C")),
+                    ("A", "B", "A")):
+        with pytest.raises(ValueError, match="overlap") as err:
+            cond_mutual_info(p, a, b, c)
+        assert type(err.value) is ValueError
 
 
 def test_marginal_matches_oracle():

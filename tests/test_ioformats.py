@@ -153,6 +153,8 @@ def test_read_protocol_rejects_malformed(tmp_path):
             ("n", 0, "blocklength must be >= 1"),
             ("rounds", -1, "round count must be >= 0"),
             ("key_xy_size", 0, "key alphabet sizes must be >= 1"),
+            ("slots", [{**doc["slots"][0], "alphabet_size": 0}]
+             + doc["slots"][1:], "message alphabet size must be >= 1"),
             ("slots", {}, "slots must be a list"),
             ("slots", [1, 2, 3], "slot 1 needs alphabet_size and table"),
             # long enough to be read as an integer table

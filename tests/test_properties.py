@@ -902,7 +902,8 @@ def test_float_list_reader_reads_hard_cases_as_json(number):
 
 def test_float_list_reader_refuses_a_trailing_comma_at_a_cut():
     """A trailing comma where a piece ends leaves an empty last piece,
-    which parses; the count of numbers still sends the list to json."""
+    which orjson parses as an empty list; that empty piece sends the list
+    to json."""
     text = "[1.5, 2.5,]"
     with mock.patch.object(ioformats, "_PIECE_CHARS", 4):
         assert read_float_list(whole(text)) is None

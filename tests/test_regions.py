@@ -5,7 +5,6 @@ from pkregion import (
     RateRegion, compute_report, contains, exact_region, gap_metrics, hull,
     inner_region, load_pmf, outer_region,
 )
-from pkregion.errors import DegenerateInputError
 from pkregion.regions import _cap_vertices
 
 from conftest import det_correlated_pmf, random_pmf, rng_for
@@ -32,8 +31,9 @@ def test_hull_rounds_near_duplicates_together():
 
 
 def test_hull_empty_raises():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ValueError, match="at least one point") as err:
         hull([])
+    assert type(err.value) is ValueError
 
 
 def test_hull_is_counterclockwise():
