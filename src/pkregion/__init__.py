@@ -29,7 +29,7 @@ from .regions import RateRegion, RegionReport, compute_report, contains, \
 from .protocol import DEFAULT_BUDGET, EvaluationReport, ProtocolSpec, \
     SlotSpec, check_eps_pk, evaluate_protocol, rate_point, sequence_index, \
     transcript_index
-from .ioformats import read_pmf, read_protocol, validate_report
+from .ioformats import read_pmf, read_protocol
 
 __all__ = [
     "__version__",
@@ -55,5 +55,5 @@ __all__ = [
     "sequence_index", "transcript_index", "evaluate_protocol",
     "check_eps_pk", "rate_point",
     # input/output
-    "read_pmf", "read_protocol", "validate_report",
+    "read_pmf", "read_protocol",
 ]

@@ -1,7 +1,7 @@
 """Semantic exception hierarchy with stable machine-readable error codes.
 
-A fault in pmf, protocol or report data (read from a file or handed over
-as an array) and a run over the enumeration budget raise a
+A fault in pmf or protocol data (read from a file or handed over as an
+array) and a run over the enumeration budget raise a
 :class:`PkRegionError`, whose ``code`` the CLI prints verbatim and callers
 may match on. A misused argument raises ``ValueError``: an unknown variable
 name, a variable group that is empty, repeats a name or overlaps another, a
@@ -85,6 +85,6 @@ class MalformedTableError(PkRegionError):
 
 
 class InputFormatError(PkRegionError):
-    """An input document does not match its published schema."""
+    """A pmf or protocol file does not match its published schema."""
 
     code = "INPUT_FORMAT"

@@ -21,22 +21,19 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import re
 import warnings
 from dataclasses import fields
 from itertools import chain
-from operator import attrgetter, itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
 from ._version import __version__
 from .dist import DEFAULT_SUM_TOL, JointPmf, load_pmf
-from .errors import InputFormatError
+from .errors import InputFormatError, MalformedTableError
 from .protocol import EvaluationReport, ProtocolSpec, SlotSpec, _Owned
-from .regions import _PROVENANCES, RegionReport
+from .regions import RegionReport
 
 __all__ = [
     "PMF_SCHEMA",
@@ -51,7 +48,6 @@ __all__ = [
     "regions_document",
     "check_document",
     "evaluation_document",
-    "validate_report",
     "dumps_deterministic",
     "write_atomic",
 ]
@@ -329,7 +325,7 @@ def read_protocol(path) -> ProtocolSpec:
     A 2-D table of plain integers whose text has at least
     ``LARGE_TABLE_CHARS`` characters is read by numpy's integer parser;
     every other value by json. Both give the same tables and the same
-    errors.
+    errors, and every error names the file.
     """
     doc, text = _load_json(path, _PROTOCOL_TOKENS, _table_closing,
                            _read_int_table)
@@ -377,6 +373,8 @@ def read_protocol(path) -> ProtocolSpec:
             key_xy_size=ints["key_xy_size"],
             key_xz_size=ints["key_xz_size"],
         )
+    except MalformedTableError as exc:
+        raise MalformedTableError(f"{path}: {exc.message}") from exc
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
 
@@ -408,154 +406,58 @@ def protocol_document(spec: ProtocolSpec) -> dict:
     }
 
 
-def _is_number(value) -> bool:
-    """A finite real number, but not a boolean; an integer is finite however
-    long (``math.isfinite`` cannot take one past the float range)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
-        and (isinstance(value, numbers.Integral) or math.isfinite(value))
+def _head(schema, config) -> dict:
+    """The fields every report opens with."""
+    return {"schema": schema,
+            "tool": {"name": "pkregion", "version": __version__},
+            "config": dict(config)}
 
 
-# A kind is a leaf (what a value must be, as errors say it; test) or an
-# _Object: nested fields, whether null is allowed, and a rule on the whole.
-class _Object(NamedTuple):
-    fields: tuple
-    nullable: bool = False
-    rule: tuple = ("", lambda value: True)
+def _region(region) -> dict | None:
+    return None if region is None else {
+        "provenance": region.provenance,
+        "cap_xy": region.cap_xy,
+        "cap_xz": region.cap_xz,
+        "cap_sum": region.cap_sum,
+        "vertices": [list(v) for v in region.vertices],
+    }
 
 
-_NUMBER = ("be a finite number", _is_number)
-_PAIR = ("be two finite numbers", lambda v: isinstance(v, list)
-         and len(v) == 2 and all(map(_is_number, v)))
-_FLAG = ("be a boolean", lambda v: type(v) is bool)
-_TEXT = ("be a string", lambda v: isinstance(v, str))
-_CAP = ("be a finite number or null", lambda v: v is None or _is_number(v))
-_CAPS = ("cap_xy", "cap_xz", "cap_sum")
-_KEY_PAIRS = ("xy", "xz")
-
-_REGION = _Object(
-    (("provenance", attrgetter("provenance"), ("be a known provenance",
-      lambda v: isinstance(v, str) and v in _PROVENANCES)),
-     *((cap, attrgetter(cap), _CAP) for cap in _CAPS),
-     ("vertices", lambda region: [list(v) for v in region.vertices],
-      ("be [r1, r2] pairs of finite numbers", lambda v: isinstance(v, list)
-       and len(v) > 0 and all(map(_PAIR[1], v))))),
-    rule=("have three finite caps or three nulls",
-          lambda region: len({region[cap] is None for cap in _CAPS}) == 1))
-
-# The fields every report opens with; the getters read the config it echoes,
-# and the tool's fields are constants.
-_HEAD = (
-    ("tool", lambda config: config, _Object((
-        ("name", lambda _: "pkregion", _TEXT),
-        ("version", lambda _: __version__, _TEXT)))),
-    ("config", dict, ("be an object", lambda v: isinstance(v, dict))),
-)
-
-_TIGHTNESS = (
-    ("mcf_components", attrgetter("components"),
-     ("be an integer of at least 1", lambda v: type(v) is int and v >= 1)),
-    ("det_correlated", attrgetter("thm4_holds"), _FLAG),
-    ("ci_residual", attrgetter("ci_residual"), _NUMBER),
-)
-
-# Each report's fields after schema, tool and config, in emission order, as
-# (name, getter, kind). A getter reads what the builder is given (the
-# analysis; an evaluation's arguments as a tuple; a nested object's value)
-# only as the document is built: a check report derives only its own fields.
-_FIELDS = {
-    REGIONS_SCHEMA: (
-        ("quantities", attrgetter("quantities"), _Object(tuple(
-            (name, itemgetter(name), _NUMBER) for name in (
-                "i_x_y_given_z", "i_x_z_given_y", "i_x_yz", "i_x_mss_y",
-                "i_x_mss_z", "i_x_common")))),
-        *_TIGHTNESS,
-        ("regions", lambda report: report, _Object((
-            ("outer", attrgetter("outer"), _REGION),
-            ("inner", attrgetter("inner"), _REGION),
-            ("exact", attrgetter("exact"), _REGION._replace(nullable=True))))),
-        ("gaps", lambda report: report, _Object((
-            ("area", attrgetter("area_gap"), _NUMBER),
-            ("hausdorff", attrgetter("hausdorff_gap"), _NUMBER)))),
-    ),
-    CHECK_SCHEMA: _TIGHTNESS,
-    EVALUATION_SCHEMA: (
-        ("evaluation", itemgetter(0), _Object(tuple(
-            (field.name, attrgetter(field.name), _NUMBER)
-            for field in fields(EvaluationReport)))),
-        ("eps", lambda s: float(s[1]), _NUMBER),
-        ("eps_pk", lambda s: dict(zip(_KEY_PAIRS, map(bool, s[2]))),
-         ("hold booleans xy and xz", lambda v: isinstance(v, dict)
-          and all(type(v.get(key)) is bool for key in _KEY_PAIRS))),
-        ("rate_point", lambda s: [s[3][0], s[3][1]], _PAIR),
-        ("in_outer_region", lambda s: bool(s[4]), _FLAG),
-    ),
-}
-
-
-def _build(table, subject) -> dict:
-    """The object ``table`` reads from ``subject``; a getter's None is null."""
-    doc = {}
-    for name, get, kind in table:
-        value = get(subject)
-        if isinstance(kind, _Object) and value is not None:
-            value = _build(kind.fields, value)
-        doc[name] = value
-    return doc
-
-
-def _document(schema, subject, config) -> dict:
-    return {"schema": schema, **_build(_HEAD, config),
-            **_build(_FIELDS[schema], subject)}
+def _tightness(report: RegionReport) -> dict:
+    """The tightness fields: they read the common function and residual only."""
+    return {"mcf_components": report.components,
+            "det_correlated": report.thm4_holds,
+            "ci_residual": report.ci_residual}
 
 
 def regions_document(report: RegionReport, config: dict) -> dict:
-    return _document(REGIONS_SCHEMA, report, config)
+    return {
+        **_head(REGIONS_SCHEMA, config),
+        "quantities": dict(report.quantities),
+        **_tightness(report),
+        "regions": {
+            "outer": _region(report.outer),
+            "inner": _region(report.inner),
+            "exact": _region(report.exact),
+        },
+        "gaps": {"area": report.area_gap, "hausdorff": report.hausdorff_gap},
+    }
 
 
 def check_document(report: RegionReport, config: dict) -> dict:
-    return _document(CHECK_SCHEMA, report, config)
+    return {**_head(CHECK_SCHEMA, config), **_tightness(report)}
 
 
 def evaluation_document(report: EvaluationReport, eps: float, eps_pk,
                         point, in_outer: bool, config: dict) -> dict:
-    return _document(EVALUATION_SCHEMA, (report, eps, eps_pk, point, in_outer),
-                     config)
-
-
-# -- report validation ----------------------------------------------------------
-
-def _check(value, kind, path=()):
-    """Raise unless ``value``, at ``path`` in a report, is of ``kind``."""
-    head, *rest = path or ("report",)
-    where = f"{head} field {'.'.join(rest)!r}" if rest else head
-    if isinstance(kind, _Object):
-        if value is None and kind.nullable:
-            return
-        if not isinstance(value, dict):
-            raise InputFormatError(f"{where} must be an object")
-        for name, _, field_kind in kind.fields:
-            if name not in value:
-                raise InputFormatError(f"{where} is missing field {name!r}")
-            _check(value[name], field_kind, path + (name,))
-        kind = kind.rule
-    text, test = kind
-    if not test(value):
-        raise InputFormatError(f"{where} must {text}")
-
-
-def validate_report(doc) -> str:
-    """Check a parsed report against its declared schema; returns the schema.
-
-    Raises InputFormatError on an unknown schema, or on the first field, in
-    emission order, that is missing or not of the kind the table gives.
-    """
-    if not isinstance(doc, dict):
-        raise InputFormatError("a report must be a JSON object")
-    schema = doc.get("schema")
-    if not isinstance(schema, str) or schema not in _FIELDS:
-        raise InputFormatError(f"unknown report schema {schema!r}")
-    _check(doc, _Object(_HEAD + _FIELDS[schema]))
-    return schema
+    return {
+        **_head(EVALUATION_SCHEMA, config),
+        "evaluation": {f.name: getattr(report, f.name) for f in fields(report)},
+        "eps": float(eps),
+        "eps_pk": {"xy": bool(eps_pk[0]), "xz": bool(eps_pk[1])},
+        "rate_point": [point[0], point[1]],
+        "in_outer_region": bool(in_outer),
+    }
 
 
 # -- deterministic emission ------------------------------------------------------

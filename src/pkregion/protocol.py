@@ -76,11 +76,11 @@ def _int_table(name: str, raw, upper: int) -> np.ndarray:
 
     The table is a fresh copy, so a caller's buffer is never frozen or
     shared, unless it comes as an ``_Owned`` array. Booleans, fractions and
-    non-numbers are rejected, never coerced; numpy would upcast booleans
-    mixed into a Python table of integers, so such a table's cells are
-    type-checked. An integer of 2**64 or more makes an object table, whose
-    cells must all be Python integers; the range check then names the
-    entry.
+    non-numbers are rejected, never coerced; numpy would turn a boolean
+    mixed into a Python table of numbers into 1 or 1.0, so the cells of any
+    table that is not an array are type-checked first. An integer of 2**64
+    or more makes an object table, whose cells must all be Python integers;
+    the range check then names the entry.
     """
     if isinstance(raw, _Owned):
         raw = table = raw.array
@@ -92,15 +92,16 @@ def _int_table(name: str, raw, upper: int) -> np.ndarray:
     if table.ndim != 2:
         raise MalformedTableError(f"{name} must be 2-D, got {table.ndim}-D")
     kind = table.dtype.kind
-    if kind == "f":
+    if not isinstance(raw, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+            map(type, chain.from_iterable(raw))):
+        integral = False
+    elif kind == "f":
         integral = bool(np.isfinite(table).all()
                         and (table == np.floor(table)).all())
     elif kind == "O":
         integral = all(type(cell) is int for cell in table.flat)
     else:
-        integral = kind in "iu" and (
-            isinstance(raw, np.ndarray)
-            or bool not in set(map(type, chain.from_iterable(raw))))
+        integral = kind in "iu"
     if not integral:
         raise MalformedTableError(
             f"{name} entries must be integers, not booleans or fractions")

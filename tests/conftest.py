@@ -118,6 +118,42 @@ def square_pmf():
     return load_pmf(table, ("X", "Y", "Z"), (4, 2, 2))
 
 
+# Each report schema's fields in emission order; a nested object's fields
+# follow its name, and a region's are those of every non-null region.
+REPORT_HEAD = ("schema", "tool", "config")
+TIGHTNESS_FIELDS = ("mcf_components", "det_correlated", "ci_residual")
+REPORT_FIELDS = {
+    "pkregion-regions-v4": (*REPORT_HEAD, "quantities", *TIGHTNESS_FIELDS,
+                            "regions", "gaps"),
+    "pkregion-check-v4": (*REPORT_HEAD, *TIGHTNESS_FIELDS),
+    "pkregion-evaluation-v2": (*REPORT_HEAD, "evaluation", "eps", "eps_pk",
+                               "rate_point", "in_outer_region"),
+}
+NESTED_FIELDS = {
+    "tool": ("name", "version"),
+    "quantities": ("i_x_y_given_z", "i_x_z_given_y", "i_x_yz", "i_x_mss_y",
+                   "i_x_mss_z", "i_x_common"),
+    "regions": ("outer", "inner", "exact"),
+    "gaps": ("area", "hausdorff"),
+    "evaluation": ("error_xy", "error_xz", "leak_xy", "leak_xz", "unif_xy",
+                   "unif_xz", "rate_xy", "rate_xz"),
+    "eps_pk": ("xy", "xz"),
+}
+REGION_FIELDS = ("provenance", "cap_xy", "cap_xz", "cap_sum", "vertices")
+
+
+def assert_report_fields(doc, schema):
+    """``doc`` is a ``schema`` report that holds that schema's fields, and
+    no others, in emission order."""
+    assert doc["schema"] == schema
+    assert tuple(doc) == REPORT_FIELDS[schema]
+    for name, value in doc.items():
+        if name in NESTED_FIELDS:
+            assert tuple(value) == NESTED_FIELDS[name], name
+    for region in doc.get("regions", {}).values():
+        assert region is None or tuple(region) == REGION_FIELDS
+
+
 @pytest.fixture
 def worked_source():
     return worked_pmf()

@@ -9,11 +9,9 @@ from pathlib import Path
 import pkregion
 from pkregion import __version__
 from pkregion.cli import main
-from pkregion.ioformats import (
-    dumps_deterministic, pmf_document, validate_report,
-)
+from pkregion.ioformats import dumps_deterministic, pmf_document
 
-from conftest import bsc_pmf, worked_pmf
+from conftest import assert_report_fields, bsc_pmf, worked_pmf
 
 
 def write_pmf(tmp_path, p, name="source.json"):
@@ -47,7 +45,7 @@ def test_compute_success_emits_valid_document(tmp_path, capsys):
     code, out, err = run_cli(capsys, "compute", "--input", src)
     assert code == 0 and err == ""
     doc = json.loads(out)
-    assert validate_report(doc) == "pkregion-regions-v4"
+    assert_report_fields(doc, "pkregion-regions-v4")
     assert doc["regions"]["outer"]["vertices"] == [[0.0, 0.0], [1.0, 0.0],
                                                    [0.0, 1.0]]
     assert doc["det_correlated"] is True
@@ -59,7 +57,7 @@ def test_check_success(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", "--input", src)
     assert code == 0
     doc = json.loads(out)
-    assert validate_report(doc) == "pkregion-check-v4"
+    assert_report_fields(doc, "pkregion-check-v4")
     assert doc["det_correlated"] is False
     assert doc["ci_residual"] > 0.1
     assert doc["mcf_components"] == 1
@@ -73,7 +71,7 @@ def test_simulate_success(tmp_path, capsys, data_dir):
         "--eps", "0")
     assert code == 0
     doc = json.loads(out)
-    assert validate_report(doc) == "pkregion-evaluation-v2"
+    assert_report_fields(doc, "pkregion-evaluation-v2")
     assert doc["eps_pk"] == {"xy": True, "xz": True}
     assert doc["rate_point"] == [1.0, 1.0]
     assert doc["in_outer_region"] is True
@@ -474,7 +472,7 @@ def test_output_flag_writes_file_and_quiets_stdout(tmp_path, capsys):
     assert code == 0
     assert out == ""
     doc = json.loads(out_path.read_text())
-    assert validate_report(doc) == "pkregion-regions-v4"
+    assert_report_fields(doc, "pkregion-regions-v4")
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):

@@ -27,7 +27,8 @@ from pkregion import (
 )
 from pkregion import protocol
 from pkregion.errors import (
-    BudgetExceededError, InputFormatError, NonFiniteEntryError, PkRegionError,
+    BudgetExceededError, InputFormatError, MalformedTableError,
+    NonFiniteEntryError, PkRegionError,
 )
 from pkregion import ioformats
 from pkregion.ioformats import (
@@ -657,6 +658,8 @@ def oracle_read_protocol(path):
                         for s in doc["slots"]),
             key_xy_size=doc["key_xy_size"], key_xz_size=doc["key_xz_size"],
             **{key: doc[key] for key in KEY_TABLES})
+    except MalformedTableError as exc:
+        raise MalformedTableError(f"{path}: {exc.message}") from exc
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
 

@@ -475,9 +475,11 @@ def test_malformed_protocols_are_rejected():
 
 def test_non_integer_tables_are_rejected():
     zeros = np.zeros((4, 1), dtype=int)
-    # fractions used to be truncated and booleans read as 0/1
+    # fractions used to be truncated and booleans read as 0/1, also among
+    # floats
     for bad in ([[0.7]], [[True]], [[0], [True]], np.array([[False]]),
-                [[float("nan")]], [["1"]], [[2 ** 64], [True]], [[None]]):
+                [[float("nan")]], [["1"]], [[2 ** 64], [True]], [[None]],
+                [[1.0], [True]], [[True, 2.0]], [[np.True_], [0]]):
         with pytest.raises(MalformedTableError):
             SlotSpec(alphabet_size=2, table=bad)
         with pytest.raises(MalformedTableError):

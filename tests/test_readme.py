@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from pkregion import EvaluationReport, compute_report
 from pkregion.cli import main
+from pkregion.ioformats import check_document, evaluation_document, \
+    regions_document
+
+from conftest import worked_pmf
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -61,3 +66,16 @@ def test_cli_reference_lists_each_commands_flags(capsys):
         listed = {flag for flag, (_, commands) in rows.items()
                   if command in commands}
         assert accepted == listed, command
+
+
+def test_reports_table_names_the_fields_the_builders_emit():
+    """The field column of the "Reports" table names each top-level field of
+    the three reports once, and no other."""
+    section = README[README.index("### Reports"):
+                     README.index("## CLI reference")]
+    listed = re.findall(r"^\| `([a-z_]+)` \|", section, re.M)
+    report = compute_report(worked_pmf())
+    docs = (regions_document(report, {}), check_document(report, {}),
+            evaluation_document(EvaluationReport(*[0.0] * 8), 0.0,
+                                (True, True), (0.0, 0.0), True, {}))
+    assert sorted(listed) == sorted(set().union(*docs))
