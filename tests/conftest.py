@@ -118,8 +118,8 @@ def square_pmf():
     return load_pmf(table, ("X", "Y", "Z"), (4, 2, 2))
 
 
-# Each report schema's fields in emission order; a nested object's fields
-# follow its name, and a region's are those of every non-null region.
+# Each report schema's top-level fields in emission order, then the fields
+# of each nested object by its name, and those of every non-null region.
 REPORT_HEAD = ("schema", "tool", "config")
 TIGHTNESS_FIELDS = ("mcf_components", "det_correlated", "ci_residual")
 REPORT_FIELDS = {

@@ -233,7 +233,7 @@ def boolean_among_floats(text):
 # -- corpus ---------------------------------------------------------------------
 
 def build_corpus(corpus: Path) -> list:
-    """Write every input under ``corpus``; return (label, argv) per run."""
+    """Write every input under ``corpus``; return the argv of each run."""
     data = ROOT / "data"
     runs = []
 
@@ -278,11 +278,10 @@ def build_corpus(corpus: Path) -> list:
     for name, text in pmf_variants(pmf).items():
         path = write(f"malformed/{name}.json", text)
         runs += [["compute", "--input", path], ["check", "--input", path]]
-    interactive = generated["simulate-interactive-seed1"]
     source = str(corpus / "simulate-interactive-seed1" /
                  "bsc_seeded_source.json")
-    protocol = interactive["bsc_r1_n4.json"].decode()
-    for name, text in protocol_variants(protocol).items():
+    protocol = generated["simulate-interactive-seed1"]["bsc_r1_n4.json"]
+    for name, text in protocol_variants(protocol.decode()).items():
         path = write(f"malformed/{name}.json", text)
         runs.append(["simulate", "--input", source, "--protocol", path])
     runs.append(["simulate", "--input", source, "--protocol",
