@@ -15,27 +15,25 @@ and evaluates deterministic public-discussion protocols exactly against the
 
 from ._version import __version__
 from .dist import DEFAULT_SUM_TOL, NUM_TOL, JointPmf, cond_mutual_info, \
-    entropy, load_pmf, marginal, source_roles
+    entropy, load_pmf, source_roles
 from .errors import BudgetExceededError, DuplicateVariableError, \
     EmptySupportError, InputFormatError, MalformedTableError, \
     NegativeEntryError, NonFiniteEntryError, PkRegionError, \
     ShapeMismatchError, SumOutOfToleranceError
 from .structure import DEFAULT_CI_TOL, CommonFunction, Statistic, \
-    conditional_independence_residual, maximal_common_function, \
-    minimal_sufficient_statistic
+    maximal_common_function, minimal_sufficient_statistic
 from .auxsolver import max_aux_info_outer
 from .regions import RateRegion, RegionReport, compute_report, contains, \
     exact_region, gap_metrics, hull, inner_region, outer_region
 from .protocol import DEFAULT_BUDGET, EvaluationReport, ProtocolSpec, \
-    SlotSpec, check_eps_pk, evaluate_protocol, rate_point, sequence_index, \
-    transcript_index
+    SlotSpec, check_eps_pk, evaluate_protocol, rate_point
 from .ioformats import read_pmf, read_protocol
 
 __all__ = [
     "__version__",
     # distributions
-    "DEFAULT_SUM_TOL", "NUM_TOL", "JointPmf", "load_pmf", "marginal",
-    "entropy", "cond_mutual_info", "source_roles",
+    "DEFAULT_SUM_TOL", "NUM_TOL", "JointPmf", "load_pmf", "entropy",
+    "cond_mutual_info", "source_roles",
     # errors
     "PkRegionError", "NegativeEntryError", "NonFiniteEntryError",
     "SumOutOfToleranceError", "ShapeMismatchError", "DuplicateVariableError",
@@ -44,7 +42,6 @@ __all__ = [
     # structure
     "DEFAULT_CI_TOL", "Statistic", "CommonFunction",
     "minimal_sufficient_statistic", "maximal_common_function",
-    "conditional_independence_residual",
     # extractable auxiliaries
     "max_aux_info_outer",
     # regions
@@ -52,8 +49,7 @@ __all__ = [
     "outer_region", "inner_region", "exact_region", "compute_report",
     # protocols
     "DEFAULT_BUDGET", "SlotSpec", "ProtocolSpec", "EvaluationReport",
-    "sequence_index", "transcript_index", "evaluate_protocol",
-    "check_eps_pk", "rate_point",
+    "evaluate_protocol", "check_eps_pk", "rate_point",
     # input/output
     "read_pmf", "read_protocol",
 ]

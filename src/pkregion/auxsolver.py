@@ -17,8 +17,8 @@ I(Y∧Z|U) = 0. C is a function of Y and of Z, so
 
 using H(C|Z,U) = 0 and, by the Markov chain, I(Y∧Z|U,C) = I(Y∧Z|C). Both
 terms are nonnegative, so a separating U exists exactly when Y and Z are
-independent given C — the deterministic-correlation test of
-:func:`~pkregion.structure.conditional_independence_residual` — and then
+independent given C — the deterministic-correlation test that
+:attr:`~pkregion.regions.RegionReport.ci_residual` measures — and then
 U = C is one, carrying I(C∧X), the outer sum-cap term. The separating
 auxiliary thus labels no source exact that deterministic correlation does
 not.

@@ -22,7 +22,8 @@ import sys
 
 from ._version import __version__
 from .dist import DEFAULT_SUM_TOL
-from .errors import BudgetExceededError, PkRegionError
+from .errors import BudgetExceededError, MalformedTableError, \
+    PkRegionError
 from .ioformats import check_document, dumps_deterministic, \
     evaluation_document, read_pmf, read_protocol, regions_document, \
     write_atomic
@@ -141,7 +142,10 @@ def cmd_simulate(cfg: dict) -> dict:
     """Protocol evaluation plus the rate-point containment verdict."""
     p = read_pmf(cfg["input"], sum_tol=cfg["tol_sum"])
     spec = read_protocol(cfg["protocol"])
-    report = evaluate_protocol(p, spec, budget=cfg["budget"])
+    try:
+        report = evaluate_protocol(p, spec, budget=cfg["budget"])
+    except MalformedTableError as exc:  # a table shaped for another source
+        raise MalformedTableError(f"{cfg['protocol']}: {exc.message}") from exc
     verdicts = check_eps_pk(report, cfg["eps"])
     point = rate_point(report)
     inside = contains(outer_region(p), point, _CONTAIN_TOL)

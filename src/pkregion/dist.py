@@ -34,7 +34,6 @@ __all__ = [
     "NUM_TOL",
     "JointPmf",
     "load_pmf",
-    "marginal",
     "entropy",
     "cond_mutual_info",
     "source_roles",
@@ -91,10 +90,15 @@ class JointPmf:
             arr = np.asarray(self.probs)
         except ValueError:  # nested rows of different lengths
             raise ShapeMismatchError("table is not rectangular") from None
-        # text is refused in any table; an object table (Fractions, integers
+        # text and booleans are refused in any table. numpy reads a boolean
+        # among numbers as 1.0, so the cells of a table that is not an array
+        # are type-checked as given; an object table (Fractions, integers
         # past int64) converts entry by entry
-        if arr.dtype.kind not in "biufO" or arr.dtype.kind == "O" and any(
-                isinstance(v, (str, bytes)) for v in arr.flat):
+        cells = arr if isinstance(self.probs, np.ndarray) \
+            else np.asarray(self.probs, dtype=object)
+        if arr.dtype.kind not in "iufO" or cells.dtype.kind == "O" and any(
+                isinstance(v, (str, bytes, bool, np.bool_))
+                for v in cells.flat):
             raise NonFiniteEntryError("table entries must be real numbers")
         try:
             arr = arr.astype(np.float64, order="C")
@@ -197,15 +201,6 @@ def _table(p: JointPmf, names) -> np.ndarray:
     t = p.probs.sum(axis=drop) if drop else p.probs
     kept = sorted(axes)
     return t.transpose([kept.index(i) for i in axes])
-
-
-def marginal(p: JointPmf, group) -> JointPmf:
-    """Sum out every variable not in ``group``; keeps the original order."""
-    keep = p.normalize_group(group)
-    if not keep:
-        raise ValueError("marginal needs a nonempty variable group")
-    t = _table(p, keep)
-    return JointPmf(keep, t.shape, t)
 
 
 def entropy(p: JointPmf, group) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._version import __version__
 from .dist import DEFAULT_SUM_TOL, JointPmf, load_pmf
-from .errors import InputFormatError, MalformedTableError
+from .errors import InputFormatError, MalformedTableError, PkRegionError
 from .protocol import EvaluationReport, ProtocolSpec, SlotSpec, _Owned
 from .regions import RegionReport
 
@@ -291,7 +291,8 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
     The pmf must be a flat list of JSON numbers: strings, booleans, null
     and nested lists are rejected, not coerced. A list whose text has at
     least ``LARGE_TABLE_CHARS`` characters is read by orjson, the rest of
-    the file by json; both give the same bits and the same errors.
+    the file by json; both give the same bits and the same errors, and
+    every error names the file.
     """
     doc = _load_json(path, _PMF_TOKENS, _list_closing, _read_float_list)[0]
     _expect_schema(doc, PMF_SCHEMA, path)
@@ -315,6 +316,8 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
     try:
         return load_pmf(np.asarray(table, dtype=np.float64), variables,
                         cardinalities, sum_tol=sum_tol)
+    except PkRegionError as exc:
+        raise type(exc)(f"{path}: {exc.message}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
 

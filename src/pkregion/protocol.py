@@ -51,8 +51,6 @@ __all__ = [
     "SlotSpec",
     "ProtocolSpec",
     "EvaluationReport",
-    "sequence_index",
-    "transcript_index",
     "evaluate_protocol",
     "check_eps_pk",
     "rate_point",
@@ -117,37 +115,12 @@ def _int_table(name: str, raw, upper: int) -> np.ndarray:
     return table
 
 
-def sequence_index(symbols, cardinality: int) -> int:
-    """Index of an n-sequence, first symbol most significant."""
-    index = 0
-    for sym in symbols:
-        sym = int(sym)
-        if not 0 <= sym < cardinality:
-            raise ValueError(f"symbol {sym} outside alphabet of size {cardinality}")
-        index = index * cardinality + sym
-    return index
-
-
-def transcript_index(messages, alphabet_sizes) -> int:
-    """Index of a message prefix, earliest message most significant."""
-    messages = list(messages)
-    sizes = list(alphabet_sizes)
-    if len(messages) != len(sizes):
-        raise ValueError(f"{len(messages)} messages for {len(sizes)} slots")
-    index = 0
-    for msg, size in zip(messages, sizes):
-        msg = int(msg)
-        if not 0 <= msg < size:
-            raise ValueError(f"message {msg} outside alphabet of size {size}")
-        index = index * size + msg
-    return index
-
-
 @dataclass(frozen=True, eq=False)
 class SlotSpec:
     """One public transmission: message alphabet size plus lookup table.
 
-    ``table[own_index, transcript_index]`` is the symbol sent. A null
+    ``table[s, t]`` is the symbol sent by the terminal whose n-sequence has
+    index ``s`` after the transcript of index ``t``. A null
     transmission is alphabet size 1 with an all-zero table.
     """
 
@@ -299,7 +272,9 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
         if table.shape != (counts[side], heard):
             raise MalformedTableError(
                 f"{name} table has shape {table.shape}, "
-                f"expected {_expected_shape(counts[side], heard)}")
+                f"expected {_expected_shape(counts[side], heard)}: the "
+                f"source's {'XYZ'[side]} has {p.cardinalities[side]} "
+                f"symbols and n = {n}")
         heard *= size
 
     spoken = [(slot_no % 3, slot) for slot_no, slot in enumerate(spec.slots)

@@ -246,10 +246,9 @@ _MARGINALS = {"x": (1, 2), "y": (0, 2), "z": (0, 1),
 class RegionReport:
     """The analysis of one source: everything the pipeline knows about it.
 
-    Construction sums the six marginal tables of ``p`` (each over all its
-    dropped axes at once, as :func:`~pkregion.dist.marginal` sums it) and
-    builds the maximal common function C of the helpers (Y, Z). Every other
-    attribute is derived once, on first read.
+    Construction sums the six marginal tables of ``p``, each over all its
+    dropped axes at once, and builds the maximal common function C of the
+    helpers (Y, Z). Every other attribute is derived once, on first read.
 
     ``quantities`` maps names of the intermediate information terms (bits)
     to their values; ``components`` and ``ci_residual`` describe the common

@@ -34,7 +34,6 @@ __all__ = [
     "CommonFunction",
     "minimal_sufficient_statistic",
     "maximal_common_function",
-    "conditional_independence_residual",
 ]
 
 DEFAULT_CI_TOL = 1e-9
@@ -212,19 +211,12 @@ def _common_function(a: str, b: str, t: np.ndarray) -> CommonFunction:
     )
 
 
-def conditional_independence_residual(p: JointPmf, a: str, b: str) -> float:
-    """Worst-case deviation of P(a,b | component) from product form.
-
-    The max over components u and cells (a,b) in u of
-    ``|P(a,b|u) - P(a|u) P(b|u)|``, including zero-probability cells inside
-    the component block (support holes count as dependence).
-    """
-    t = _table(p, (a, b))
-    return _ci_residual(t, _common_function(a, b, t))
-
-
 def _ci_residual(t: np.ndarray, cf: CommonFunction) -> float:
-    """The residual from the joint table ``t`` of the pair (axes a, b)."""
+    """Worst-case deviation of P(a,b | component) from product form, from
+    the pair's joint table ``t`` (axes a, b) and common function ``cf``: the
+    max over components u and cells (a,b) in u of ``|P(a,b|u) - P(a|u)
+    P(b|u)|``, zero-probability cells inside a component block included
+    (support holes count as dependence)."""
     lab_a = np.asarray(cf.stat_a.labels)
     lab_b = np.asarray(cf.stat_b.labels)
     worst = 0.0

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -249,7 +250,10 @@ def test_huge_slot_alphabets_exit_2_at_once(tmp_path, capsys, data_dir):
                                  "--protocol", protocol)
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
-        assert "MALFORMED_TABLE" in err and "digits" not in err
+        # the file, then the source's sizes that set the expected rows
+        assert err.startswith(f"error: MALFORMED_TABLE: {protocol}: slot ")
+        assert re.search(r"the source's [YZ] has 2 symbols and n = 2$", err)
+        assert "digits" not in err
 
 
 def test_unreadably_long_integer_exits_2(tmp_path, capsys, data_dir):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pkregion import (
-    JointPmf, cond_mutual_info, entropy, load_pmf, marginal, source_roles,
+    JointPmf, cond_mutual_info, entropy, load_pmf, source_roles,
 )
 from pkregion.errors import (
     DuplicateVariableError, NegativeEntryError, NonFiniteEntryError,
@@ -43,10 +43,16 @@ def test_load_pmf_rejects_bad_inputs():
         load_pmf([1.0], ("A", "B"), (1,))
     with pytest.raises(ShapeMismatchError, match="not rectangular"):
         load_pmf([[0.5], [0.25, 0.25]], ("X", "Y"), (2, 2))
-    # strings are rejected, never parsed into numbers, also among objects
-    for text in (["0.5", "0.5"], [Fraction(1, 2), "0.5"]):
+    # strings and booleans are rejected, never read as numbers, also among
+    # numbers and objects
+    for text in (["0.5", "0.5"], [Fraction(1, 2), "0.5"], [True, False],
+                 [0.5, True], [np.True_, 0.0], [Fraction(1, 2), True],
+                 np.array([True, False]), np.array([0.5, True], dtype=object)):
         with pytest.raises(NonFiniteEntryError, match="real numbers"):
             load_pmf(text, ("X",), (2,))
+    with pytest.raises(NonFiniteEntryError, match="real numbers"):
+        JointPmf(("X", "Y", "Z"), (1, 2, 2),
+                 np.array([[[True, False], [False, False]]]))
 
 
 def test_load_pmf_rejects_non_finite_entries():
@@ -90,22 +96,6 @@ def test_overlapping_groups_raise():
         with pytest.raises(ValueError, match="overlap") as err:
             cond_mutual_info(p, a, b, c)
         assert type(err.value) is ValueError
-
-
-def test_marginal_matches_oracle():
-    rng = rng_for(101)
-    for trial in range(25):
-        p = random_pmf(rng)
-        keep = [name for name in p.variables if rng.random() < 0.6]
-        if not keep:
-            keep = [p.variables[0]]
-        m = marginal(p, keep)
-        dist = pmf_as_dict(p)
-        idxs = tuple(p.axis(name) for name in m.variables)
-        for combo in np.ndindex(*m.cardinalities):
-            expected = sum(pr for key, pr in dist.items()
-                           if tuple(key[i] for i in idxs) == combo)
-            assert m.probs[combo] == pytest.approx(expected, abs=1e-12)
 
 
 def test_entropy_and_cmi_match_oracle():

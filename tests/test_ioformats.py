@@ -10,7 +10,8 @@ import pytest
 from pkregion import compute_report, evaluate_protocol
 from pkregion import RegionReport
 from pkregion.errors import (
-    InputFormatError, MalformedTableError, ShapeMismatchError,
+    DuplicateVariableError, InputFormatError, MalformedTableError,
+    NegativeEntryError, NonFiniteEntryError, ShapeMismatchError,
     SumOutOfToleranceError,
 )
 from pkregion import ioformats
@@ -96,18 +97,21 @@ def test_read_pmf_error_paths(tmp_path):
     wrong_schema.write_text(json.dumps({"schema": "other-v9"}))
     with pytest.raises(InputFormatError):
         read_pmf(wrong_schema)
-    doc = pmf_document(worked_pmf())
-    doc["pmf"] = doc["pmf"][:-1]
-    short = tmp_path / "short.json"
-    short.write_text(json.dumps(doc))
-    with pytest.raises(ShapeMismatchError):
-        read_pmf(short)
-    doc = pmf_document(worked_pmf())
-    doc["pmf"][0] += 0.25
-    unnorm = tmp_path / "unnorm.json"
-    unnorm.write_text(json.dumps(doc))
-    with pytest.raises(SumOutOfToleranceError):
-        read_pmf(unnorm)
+    # every coded fault of the table names the file, as the schema faults do
+    for variables, table, error in (
+            (["X", "X", "Z"], [0.5, 0.5], DuplicateVariableError),
+            (["X", "Y", "Z"], [1.0], ShapeMismatchError),
+            (["X", "Y", "Z"], [1.5, -0.5], NegativeEntryError),
+            (["X", "Y", "Z"], [0.5, 0.25], SumOutOfToleranceError),
+            (["X", "Y", "Z"], [float("nan"), 1.0], NonFiniteEntryError)):
+        faulty = tmp_path / f"{error.code.lower()}.json"
+        faulty.write_text(json.dumps({
+            "schema": "pkregion-pmf-v1", "variables": variables,
+            "cardinalities": [2, 1, 1], "pmf": table}))
+        with pytest.raises(error, match=re.escape(
+                f"{error.code}: {faulty}: ")) as err:
+            read_pmf(faulty)
+        assert type(err.value) is error
     # a JSON boolean is no cardinality, though Python counts true as 1
     boolean = tmp_path / "boolean.json"
     boolean.write_text(json.dumps({

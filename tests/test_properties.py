@@ -921,8 +921,8 @@ def test_number_past_the_float_range_reaches_json(tmp_path):
                     f'"Z"], "cardinalities": [1000, 1, 1], "pmf": [{pmf}]}}')
     assert read_float_list(whole(f"[{pmf}]")) is None
     assert pmf_outcome(read_pmf, path) == (
-        NonFiniteEntryError, "NON_FINITE_ENTRY: table entries must be finite "
-        "numbers") == pmf_outcome(oracle_read_pmf, path)
+        NonFiniteEntryError, f"NON_FINITE_ENTRY: {path}: table entries must "
+        "be finite numbers") == pmf_outcome(oracle_read_pmf, path)
 
 
 # -- the scan for large tables stays linear --------------------------------------

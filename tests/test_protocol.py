@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from pkregion import (
     ProtocolSpec, SlotSpec, check_eps_pk, contains, evaluate_protocol,
-    load_pmf, outer_region, rate_point, sequence_index, transcript_index,
+    load_pmf, outer_region, rate_point,
 )
 from pkregion.errors import BudgetExceededError, MalformedTableError
 
@@ -52,24 +53,6 @@ def random_protocol(rng, cards, n, rounds, max_message=2, max_key=4):
 
 
 # -- indexing conventions ---------------------------------------------------------
-
-def test_sequence_index_first_symbol_most_significant():
-    assert sequence_index((1, 0), 3) == 3
-    assert sequence_index((0, 1), 3) == 1
-    assert sequence_index((), 3) == 0
-    with pytest.raises(ValueError):
-        sequence_index((3,), 3)
-
-
-def test_transcript_index_earliest_message_most_significant():
-    assert transcript_index((1, 0), (2, 3)) == 3
-    assert transcript_index((0, 2), (2, 3)) == 2
-    assert transcript_index((), ()) == 0
-    with pytest.raises(ValueError):
-        transcript_index((2,), (2,))
-    with pytest.raises(ValueError):
-        transcript_index((0, 0), (2,))
-
 
 def test_slot_origin_follows_x_y_z_cycle():
     """With distinct alphabet sizes per terminal, the evaluation only type
@@ -461,7 +444,10 @@ def test_malformed_protocols_are_rejected():
     spec = ProtocolSpec(n=2, rounds=0, slots=(),
                         key_xy=zeros, est_xy=zeros, key_xz=zeros, est_xz=zeros,
                         key_xy_size=1, key_xz_size=1)
-    with pytest.raises(MalformedTableError):
+    # the message says that the source, not the table, sets the rows
+    with pytest.raises(MalformedTableError, match=re.escape(
+            "key_xy table has shape (4, 1), expected (16, 1): the source's "
+            "X has 4 symbols and n = 2")):
         evaluate_protocol(p, spec)
     # null slots are shape-checked too, though they leave the transcript
     # constant

@@ -1,6 +1,8 @@
 """The README's examples print what the README says they print."""
 
 import ast
+import importlib
+import inspect
 import json
 import re
 from pathlib import Path
@@ -79,3 +81,18 @@ def test_reports_table_names_the_fields_the_builders_emit():
             evaluation_document(EvaluationReport(*[0.0] * 8), 0.0,
                                 (True, True), (0.0, 0.0), True, {}))
     assert sorted(listed) == sorted(set().union(*docs))
+
+
+def test_library_overview_names_what_each_module_exports():
+    """Each module row of the "Library overview" table names, in backticks,
+    exactly the functions and classes in that module's ``__all__``."""
+    section = README[README.index("## Library overview"):]
+    rows = dict(re.findall(r"^\| `pkregion\.([a-z]+)` \| (.*) \|$", section,
+                           re.M))
+    for name in ("dist", "structure", "auxsolver", "regions", "protocol",
+                 "ioformats"):
+        module = importlib.import_module(f"pkregion.{name}")
+        exported = {export for export in module.__all__
+                    if inspect.isfunction(obj := getattr(module, export))
+                    or inspect.isclass(obj)}
+        assert set(re.findall(r"`([^`]*)`", rows[name])) == exported, name

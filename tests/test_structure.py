@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pkregion import (
-    DEFAULT_CI_TOL, conditional_independence_residual, load_pmf,
-    maximal_common_function, minimal_sufficient_statistic,
+    DEFAULT_CI_TOL, RegionReport, load_pmf, maximal_common_function,
+    minimal_sufficient_statistic,
 )
 from pkregion.errors import EmptySupportError
 from pkregion.structure import CommonFunction, Statistic
@@ -139,8 +139,6 @@ def test_mcf_single_component_for_full_support(bsc_source):
 def test_pair_functions_reject_a_repeated_variable(worked_source):
     with pytest.raises(ValueError, match="distinct"):
         maximal_common_function(worked_source, "Y", "Y")
-    with pytest.raises(ValueError, match="distinct"):
-        conditional_independence_residual(worked_source, "Z", "Z")
 
 
 def test_mcf_labels_are_canonical():
@@ -255,13 +253,14 @@ def test_mcf_on_a_300_step_path():
 
 
 # -- conditional independence given the common part ---------------------------------
+# The residual of the helpers (Y, Z) is read off the per-source analysis.
 
 def test_residual_zero_on_worked_source(worked_source):
-    assert conditional_independence_residual(worked_source, "Y", "Z") <= 1e-12
+    assert RegionReport(worked_source).ci_residual <= 1e-12
 
 
 def test_residual_positive_on_bsc(bsc_source):
-    resid = conditional_independence_residual(bsc_source, "Y", "Z")
+    resid = RegionReport(bsc_source).ci_residual
     # single component, so the residual is max |P(y,z) - P(y)P(z)| = 0.2
     assert resid == pytest.approx(0.2, abs=1e-12)
 
@@ -270,7 +269,10 @@ def test_residual_matches_oracle():
     rng = rng_for(204)
     for trial in range(30):
         p = random_pair_pmf(rng, max_card=4)
-        got = conditional_independence_residual(p, "Y", "Z")
+        # the pair as the helpers of a source with a one-symbol X
+        source = load_pmf(p.probs[None], ("X", "Y", "Z"),
+                          (1,) + p.cardinalities)
+        got = RegionReport(source).ci_residual
         want = oracles.conditional_independence_residual_oracle(
             pmf_as_dict(p), 0, 1)
         assert got == pytest.approx(want, abs=1e-12)
@@ -284,10 +286,8 @@ def test_is_deterministically_correlated():
         p, m = det_correlated_pmf(rng)
         cf = maximal_common_function(p, "Y", "Z")
         assert cf.components == m
-        assert conditional_independence_residual(p, "Y", "Z") \
-            <= DEFAULT_CI_TOL
+        assert RegionReport(p).ci_residual <= DEFAULT_CI_TOL
     for trial in range(30):
         p = random_pmf(rng)  # full support, continuous entries: never exact
-        assert conditional_independence_residual(p, "Y", "Z") \
-            > DEFAULT_CI_TOL
+        assert RegionReport(p).ci_residual > DEFAULT_CI_TOL
 
