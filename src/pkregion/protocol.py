@@ -115,6 +115,16 @@ def _int_table(name: str, raw, upper: int) -> np.ndarray:
     return table
 
 
+def _count(value, least: int, what: str) -> int:
+    """``value`` as a Python int; ``ValueError`` unless it is an integer,
+    not a boolean, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what}: {value!r} is not an integer")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class SlotSpec:
     """One public transmission: message alphabet size plus lookup table.
@@ -128,10 +138,10 @@ class SlotSpec:
     table: np.ndarray
 
     def __post_init__(self):
-        if self.alphabet_size < 1:
-            raise ValueError("message alphabet size must be >= 1")
+        size = _count(self.alphabet_size, 1, "message alphabet size")
+        object.__setattr__(self, "alphabet_size", size)
         object.__setattr__(
-            self, "table", _int_table("slot table", self.table, self.alphabet_size))
+            self, "table", _int_table("slot table", self.table, size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,12 +166,12 @@ class ProtocolSpec:
     key_xz_size: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("blocklength must be >= 1")
-        if self.rounds < 0:
-            raise ValueError("round count must be >= 0")
-        if self.key_xy_size < 1 or self.key_xz_size < 1:
-            raise ValueError("key alphabet sizes must be >= 1")
+        for name, least, what in (("n", 1, "blocklength"),
+                                  ("rounds", 0, "round count"),
+                                  ("key_xy_size", 1, "key alphabet sizes"),
+                                  ("key_xz_size", 1, "key alphabet sizes")):
+            object.__setattr__(self, name,
+                               _count(getattr(self, name), least, what))
         slots = tuple(self.slots)
         if len(slots) != 3 * self.rounds:
             raise MalformedTableError(

@@ -1,16 +1,16 @@
 """Rate regions for simultaneous key pairs, and 2-D polytope utilities.
 
-Every region in this package has *cap form*: the set of nonnegative rate
-pairs (r_xy, r_xz) with r_xy ≤ a, r_xz ≤ b and r_xy + r_xz ≤ s for three
-nonnegative caps in bits. The outer bound and both exact characterizations
-are single cap-form regions; the inner bound is the convex hull of two of
-them and carries vertices only.
+A region is a convex polygon of nonnegative rate pairs (r_xy, r_xz) in
+bits, stored as its vertex list. The outer bound and both exact
+characterizations have *cap form*, r_xy ≤ a, r_xz ≤ b, r_xy + r_xz ≤ s for
+three nonnegative caps; the inner bound is the convex hull of two cap-form
+regions and carries vertices only.
 
-Geometry is closed-form throughout — a cap-form region has at most five
-vertices, hulls use the monotone chain on coordinates rounded to 12
-decimals, and the Hausdorff gap is the largest distance from a vertex of one
-region to the other. No linear-programming machinery is involved, which
-keeps results deterministic to the bit across platforms.
+Geometry is closed-form throughout: a cap-form region has at most five
+corners, every constructor hulls its points on coordinates rounded to 12
+decimals, and containment and the Hausdorff gap both read the Euclidean
+distance to the vertex polygon. No linear-programming machinery is
+involved, which keeps results deterministic to the bit across platforms.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import NUM_TOL, JointPmf, source_roles, _clip0, _entropy_of
+from .dist import JointPmf, source_roles, _clip0, _entropy_of
 from .structure import DEFAULT_CI_TOL, CommonFunction, _ci_residual, \
     _common_function, _sufficient_statistic
 
@@ -88,16 +88,10 @@ def _start_at_origin(verts: tuple) -> tuple:
 
 
 def _edge_list(verts: tuple) -> list:
-    if len(verts) == 1:
-        return [(verts[0], verts[0])]
-    if len(verts) == 2:
-        return [(verts[0], verts[1])]
     return [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
 
 
 def _polygon_area(verts: tuple) -> float:
-    if len(verts) < 3:
-        return 0.0
     twice = 0.0
     for (x0, y0), (x1, y1) in _edge_list(verts):
         twice += x0 * y1 - x1 * y0
@@ -108,11 +102,12 @@ def _polygon_area(verts: tuple) -> float:
 class RateRegion:
     """A 2-D rate region in bits, cap form or hull form.
 
-    Cap-form regions carry the three caps and their vertex list; hull-form
-    regions (provenance ``inner-hull``) carry vertices only, with all caps
-    ``None``. Vertices are counterclockwise starting from (0, 0), rounded
-    to 12 decimals, without duplicates. A cap-form region given no vertices
-    has them enumerated from its caps, once the caps are checked.
+    Cap-form regions carry the three caps; hull-form regions (provenance
+    ``inner-hull``) carry all caps ``None``. Whatever points a region is
+    built from — given, enumerated from its caps when none are given, or
+    copied by :func:`dataclasses.replace` — are stored as their convex
+    hull: vertices counterclockwise starting from (0, 0), rounded to 12
+    decimals, without duplicates.
     """
 
     cap_xy: float | None
@@ -132,12 +127,12 @@ class RateRegion:
             # a NaN cap fails the comparison too
             if cap is not None and not (cap >= 0.0):
                 raise ValueError(f"caps must be nonnegative, got {cap!r}")
-        verts = tuple((float(r1), float(r2)) for r1, r2 in self.vertices)
-        if not verts and all(present):
-            verts = _cap_vertices(*caps)
-        if not verts:
+        points = list(self.vertices)
+        if not points and all(present):
+            points = _cap_vertices(*caps)
+        if not points:
             raise ValueError("a region needs at least one vertex")
-        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "vertices", _start_at_origin(hull(points)))
 
     @classmethod
     def from_caps(cls, cap_xy: float, cap_xz: float, cap_sum: float,
@@ -148,33 +143,20 @@ class RateRegion:
 
     @classmethod
     def from_hull(cls, points, provenance: str = "inner-hull") -> "RateRegion":
-        return cls(None, None, None, _start_at_origin(hull(points)), provenance)
-
-    def is_cap_form(self) -> bool:
-        return self.cap_xy is not None
+        return cls(None, None, None, points, provenance)
 
 
 def _cap_vertices(a: float, b: float, s: float) -> tuple:
-    """Vertices of {(r1, r2) ≥ 0 : r1 ≤ a, r2 ≤ b, r1+r2 ≤ s}, closed-form.
+    """Corners of {(r1, r2) ≥ 0 : r1 ≤ a, r2 ≤ b, r1+r2 ≤ s}, closed-form.
 
-    Candidates are the origin, the axis intercepts, the two sum-cap
-    intersections with the box sides, and the box corner; those satisfying
-    all constraints survive, and the hull fixes order and duplicates.
+    With a1 = min(a, s) and b1 = min(b, s): the origin, the axis intercepts
+    (a1, 0) and (0, b1), and where the sum cap meets the sides r1 = a1 and
+    r2 = b1 (the box corner when the sum cap is slack). No corner passes a
+    cap; the hull orders them and drops those that coincide.
     """
-    candidates = [
-        (0.0, 0.0),
-        (min(a, s), 0.0),
-        (0.0, min(b, s)),
-        (a, s - a),
-        (s - b, b),
-        (a, b),
-    ]
-    kept = []
-    for r1, r2 in candidates:
-        if r1 >= -NUM_TOL and r2 >= -NUM_TOL and r1 <= a + NUM_TOL \
-                and r2 <= b + NUM_TOL and r1 + r2 <= s + NUM_TOL:
-            kept.append((min(max(r1, 0.0), a), min(max(r2, 0.0), b)))
-    return _start_at_origin(hull(kept))
+    a1, b1 = min(a, s), min(b, s)
+    return ((0.0, 0.0), (a1, 0.0), (a1, min(b, s - a1)),
+            (min(a, s - b1), b1), (0.0, b1))
 
 
 def _point_segment_distance(point, p0, p1) -> float:
@@ -188,28 +170,22 @@ def _point_segment_distance(point, p0, p1) -> float:
 
 
 def contains(region: RateRegion, point, tol: float = 0.0) -> bool:
-    """Whether ``point`` lies in the region, with ``tol`` slack.
+    """Whether ``point`` lies within Euclidean distance ``tol`` of the region.
 
-    Cap-form regions allow ``tol`` of slack on each half-plane inequality;
-    hull-form regions allow ``tol`` of Euclidean distance from the hull
-    (from the point or segment, for degenerate hulls), as measured by
-    :func:`gap_metrics`. A point with a NaN coordinate, or a NaN ``tol``, is
-    never contained.
+    The distance is the one :func:`gap_metrics` measures: 0 inside the
+    polygon, otherwise the distance to its nearest edge (to the point or
+    segment, for degenerate regions). A point with a NaN coordinate, or a
+    NaN ``tol``, is never contained.
     """
-    r1, r2 = float(point[0]), float(point[1])
-    if region.is_cap_form():
-        return (r1 >= -tol and r2 >= -tol
-                and r1 <= region.cap_xy + tol
-                and r2 <= region.cap_xz + tol
-                and r1 + r2 <= region.cap_sum + tol)
-    return _distance_to(region.vertices, (r1, r2)) <= tol
+    return _distance_to(region.vertices,
+                        (float(point[0]), float(point[1]))) <= tol
 
 
 def _distance_to(verts: tuple, point) -> float:
     """Euclidean distance from ``point`` to the convex polygon ``verts``.
 
-    Zero inside it; otherwise the distance to its nearest edge. Points, and
-    segments, are their own (single-edge) boundary.
+    Zero inside it; otherwise the distance to its nearest edge. A point is
+    one zero-length edge and a segment its two directions.
     """
     edges = _edge_list(verts)
     if len(verts) > 2 and all(_cross(p0, p1, point) >= 0.0

@@ -58,7 +58,7 @@ class Statistic:
     def __post_init__(self):
         labels = tuple(int(v) for v in self.labels)
         used = sorted({v for v in labels if v >= 0})
-        if used != list(range(self.num_classes)):
+        if self.num_classes < 0 or used != list(range(self.num_classes)):
             raise ValueError(
                 f"labels {used} are not contiguous over {self.num_classes} classes")
         if any(v < -1 for v in labels):

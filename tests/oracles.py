@@ -10,7 +10,7 @@ positions are referred to by index.
 
 import math
 import random
-from itertools import product
+from itertools import combinations, product
 
 
 # -- information quantities -----------------------------------------------------
@@ -278,6 +278,35 @@ def worked_source_targets():
         "components": components,
         "ci_residual": conditional_independence_residual_oracle(dist, 1, 2),
     }
+
+
+# -- cap-form regions ------------------------------------------------------------------
+
+def distance_to_caps(point, a, b, s):
+    """Euclidean distance from ``point`` to {r ≥ 0 : r1 ≤ a, r2 ≤ b, r1 + r2 ≤ s}.
+
+    The nearest point of the region meets the KKT conditions, so it is one
+    of the candidates: the point itself, its projection onto each of the
+    five constraint lines, and each pairwise intersection of those lines.
+    The answer is the distance to the nearest candidate that is feasible,
+    up to 1e-14 of rounding in the candidate's coordinates.
+    """
+    # each constraint as (normal, bound): normal · r <= bound
+    lines = [((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0), ((1.0, 0.0), a),
+             ((0.0, 1.0), b), ((1.0, 1.0), s)]
+    px, py = point
+    candidates = [(px, py)]
+    for (nx, ny), bound in lines:
+        t = (nx * px + ny * py - bound) / (nx * nx + ny * ny)
+        candidates.append((px - t * nx, py - t * ny))
+    for ((n1x, n1y), c1), ((n2x, n2y), c2) in combinations(lines, 2):
+        det = n1x * n2y - n1y * n2x
+        if det != 0.0:
+            candidates.append(((c1 * n2y - c2 * n1y) / det,
+                               (n1x * c2 - n2x * c1) / det))
+    return min(math.hypot(px - x, py - y) for x, y in candidates
+               if all(nx * x + ny * y <= bound + 1e-14
+                      for (nx, ny), bound in lines))
 
 
 # -- protocol evaluation ----------------------------------------------------------------

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from pkregion import (
@@ -37,7 +37,9 @@ from pkregion.ioformats import (
 )
 
 from conftest import pmf_as_dict
-from oracles import apply_partition, oracle_cmi, oracle_evaluate
+from oracles import (
+    apply_partition, distance_to_caps, oracle_cmi, oracle_evaluate,
+)
 
 FIGURES = ("error", "leak", "unif", "rate")
 
@@ -409,7 +411,7 @@ def assert_regions_match(region, other, mirrored=False, tol=1e-9):
     """Same provenance, caps and vertex set within ``tol``; with
     ``mirrored``, ``other`` is ``region`` reflected in r_xy = r_xz."""
     assert region.provenance == other.provenance
-    if region.is_cap_form():
+    if region.cap_xy is not None:
         cap_xy, cap_xz = region.cap_xy, region.cap_xz
         if mirrored:
             cap_xy, cap_xz = cap_xz, cap_xy
@@ -565,6 +567,91 @@ def test_hausdorff_gap_matches_dense_boundary_sampling(pair):
     _, hausdorff = gap_metrics(inner, outer)
     assert hausdorff == pytest.approx(sampled_hausdorff(inner, outer),
                                       abs=1e-12)
+
+
+# -- region geometry against the cap oracle --------------------------------------
+
+# vertices are rounded to 12 decimals: a region's distances are exact up to
+# well within this band
+ROUNDING_BAND = 1e-12
+
+
+@st.composite
+def cap_triples(draw):
+    """Caps (a, b, s), with zeros (point and segment regions) and with s
+    within 1e-15 relative of a, of b or of a + b."""
+    cap = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    a, b = draw(cap), draw(cap)
+    tie = draw(st.sampled_from((None, a, b, a + b)))
+    if tie is None:
+        return a, b, draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+    return a, b, tie * (1.0 + draw(st.floats(-1e-15, 1e-15)))
+
+
+@st.composite
+def probes(draw, a, b, s):
+    """A point uniform in a box around the caps, or one about ``tol`` away
+    from a point of a constraint line, with ``tol`` in {0, 1e-9, 1e-3}."""
+    tol = draw(st.sampled_from((0.0, 1e-9, 1e-3)))
+    if draw(st.booleans()):
+        return (draw(st.floats(-0.5, max(a, s) + 0.5)),
+                draw(st.floats(-0.5, max(b, s) + 0.5))), tol
+    u = draw(st.one_of(st.sampled_from((0.0, a, b, s, s - a, s - b)),
+                       st.floats(-0.5, max(a, b, s) + 0.5)))
+    base = draw(st.sampled_from(((0.0, u), (u, 0.0), (a, u), (u, b),
+                                 (u, s - u))))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    reach = tol * draw(st.floats(0.0, 2.0))
+    return (base[0] + reach * math.cos(angle),
+            base[1] + reach * math.sin(angle)), tol
+
+
+@settings(max_examples=500)
+@given(cap_triples(), st.data())
+def test_contains_agrees_with_the_cap_distance_oracle(caps, data):
+    """``contains`` is the Euclidean distance to the region against ``tol``,
+    for a cap-form region and for the hull of its vertices."""
+    point, tol = data.draw(probes(*caps))
+    distance = distance_to_caps(point, *caps)
+    if abs(distance - tol) <= ROUNDING_BAND:
+        return
+    region = RateRegion.from_caps(*caps, provenance="outer")
+    for tested in (region, RateRegion.from_hull(region.vertices)):
+        assert contains(tested, point, tol) == (distance <= tol), \
+            (tested.vertices, distance)
+
+
+@example((1.0 + 9e-13, 0.5, 1.0))
+@example((0.5, 1.0 + 9e-13, 1.0))
+@given(cap_triples())
+def test_cap_vertices_stay_within_the_caps(caps):
+    """No vertex passes min(a, s) on the r_xy axis or min(b, s) on the r_xz
+    axis by more than the rounding of the cap to 12 decimals (half a
+    rounding step, 5e-13)."""
+    a, b, s = caps
+    for r1, r2 in RateRegion.from_caps(a, b, s, provenance="outer").vertices:
+        assert r1 <= round(min(a, s), 12) and r2 <= round(min(b, s), 12)
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+                min_size=1, max_size=6))
+def test_every_constructor_stores_the_hull(points):
+    """Clockwise or duplicated points given to the constructor make the
+    region that ``from_hull`` makes of them, in hull and cap form."""
+    want = RateRegion.from_hull(points).vertices
+    for given_points in (points[::-1], points + points):
+        assert RateRegion(None, None, None, given_points,
+                          "inner-hull").vertices == want
+        assert RateRegion(1.0, 1.0, 1.0, given_points, "outer").vertices \
+            == want
+
+
+def test_a_clockwise_triangle_is_the_cap_triangle():
+    region = RateRegion(None, None, None, [(0, 0), (0, 1), (1, 0)],
+                        "inner-hull")
+    assert contains(region, (0.2, 0.2))
+    assert gap_metrics(region, RateRegion.from_caps(1, 1, 1, "outer")) \
+        == (0.0, 0.0)
 
 
 # -- reading protocol files ------------------------------------------------------

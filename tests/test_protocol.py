@@ -439,6 +439,23 @@ def test_malformed_protocols_are_rejected():
                      key_xy=np.full((4, 1), 3), est_xy=zeros,
                      key_xz=zeros, est_xz=zeros,
                      key_xy_size=2, key_xz_size=1)
+    # integer fields refuse booleans and non-integers, and store numpy
+    # integers as Python ints
+    fields = dict(n=1, rounds=0, slots=(), key_xy=zeros, est_xy=zeros,
+                  key_xz=zeros, est_xz=zeros, key_xy_size=1, key_xz_size=1)
+    for name in ("n", "rounds", "key_xy_size", "key_xz_size"):
+        for bad in (2.5, 1.0, True, np.True_, "1", None):
+            with pytest.raises(ValueError, match="is not an integer") as err:
+                ProtocolSpec(**{**fields, name: bad})
+            assert type(err.value) is ValueError
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="is not an integer") as err:
+            SlotSpec(bad, [[0], [1]])
+        assert type(err.value) is ValueError
+    spec = ProtocolSpec(**{**fields, "n": np.int64(2),
+                           "key_xy_size": np.int32(1)})
+    assert type(spec.n) is int and type(spec.key_xy_size) is int
+    assert type(SlotSpec(np.int64(2), [[0], [1]]).alphabet_size) is int
     # table shaped for the wrong blocklength fails at evaluation time
     p = worked_pmf()
     spec = ProtocolSpec(n=2, rounds=0, slots=(),

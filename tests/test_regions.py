@@ -54,7 +54,7 @@ def test_hull_is_counterclockwise():
 def test_from_caps_triangle():
     region = RateRegion.from_caps(1.0, 1.0, 1.0, provenance="outer")
     assert region.vertices == ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-    assert region.is_cap_form()
+    assert region.cap_xy is not None
 
 
 def test_from_caps_pentagon():
@@ -108,7 +108,7 @@ def test_cap_vertices_agree_with_grid():
                 assert contains(polygon, (x, y), tol=1e-9) == truth
 
 
-def test_cap_contains_uses_plain_inequalities():
+def test_cap_contains_measures_distance_to_the_caps():
     region = RateRegion.from_caps(1.0, 1.0, 1.5, provenance="outer")
     assert contains(region, (1.0, 0.5))
     assert contains(region, (0.75, 0.75))
@@ -130,10 +130,11 @@ def test_hull_form_contains():
     assert not contains(seg, (0.5, 1e-6))
     # NaN fails every edge test, so it is never contained
     nan = float("nan")
-    for hull_region in (region, point, seg):
-        assert not contains(hull_region, (nan, nan))
-        assert not contains(hull_region, (nan, 0.0), tol=1.0)
-        assert not contains(hull_region, (0.0, 0.0), tol=nan)
+    caps = RateRegion.from_caps(1.0, 1.0, 1.5, provenance="outer")
+    for each in (region, point, seg, caps):
+        assert not contains(each, (nan, nan))
+        assert not contains(each, (nan, 0.0), tol=1.0)
+        assert not contains(each, (0.0, 0.0), tol=nan)
 
 
 def test_down_set_property_of_cap_regions():
@@ -180,7 +181,7 @@ def test_outer_region_worked_source(worked_source):
 def test_inner_region_worked_source(worked_source):
     region = inner_region(worked_source)
     assert region.provenance == "inner-hull"
-    assert not region.is_cap_form()
+    assert region.cap_xy is None
     assert region.vertices == ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
 

@@ -25,6 +25,9 @@ def test_statistic_requires_contiguous_labels():
     with pytest.raises(ValueError, match="not contiguous") as err:
         Statistic("Y", (1,), 1)
     assert type(err.value) is ValueError
+    with pytest.raises(ValueError, match="not contiguous") as err:
+        Statistic("Y", (-1, -1), -1)
+    assert type(err.value) is ValueError
 
 
 def test_statistic_views():

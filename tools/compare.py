@@ -12,6 +12,9 @@ one corpus, with the same input paths, each in its own process that calls
 
 * every ``data/`` source through ``compute`` and ``check``, at the default
   ``--tol-ci`` and at 1;
+* ``compute`` and ``check`` of the tie source ``TIE_SOURCE``, whose second
+  inner region has an XY cap 4.4e-16 past its sum cap, so that a change to
+  how cap corners become vertices shows;
 * ``simulate`` of every ``data/`` source with both shipped protocols, at
   ``--eps`` 0 and 0.5, and with ``--budget 1`` (exit code 3);
 * every distinct request of the four benchmark workloads at seeds 1 and 51,
@@ -49,6 +52,16 @@ SEEDS = (1, 51)
 SOURCES = ("bsc_source.json", "independent_source.json",
            "worked_source.json", "xy_pair_source.json")
 PROTOCOLS = ("direct_extraction_n2.json", "worked_recovery_n1.json")
+# 2x3x3, integer weights / 20, Z fastest: region 2 of its inner bound has
+# caps (a, b, s) = (0.38446099142050016, 0.0, 0.3844609914204997)
+TIE_SOURCE = """{
+  "schema": "pkregion-pmf-v1",
+  "variables": ["X", "Y", "Z"],
+  "cardinalities": [2, 3, 3],
+  "pmf": [0.0, 0.0, 0.0, 0.0, 0.15, 0.1, 0.05, 0.0, 0.05,
+          0.0, 0.15, 0.15, 0.0, 0.0, 0.15, 0.1, 0.0, 0.1]
+}
+"""
 
 # Runs in each tree's own process: the runs' argv lists in, each run's
 # exit code, stdout and stderr out. An exception that escapes main is an
@@ -254,6 +267,8 @@ def build_corpus(corpus: Path) -> list:
             for eps in ("0", "0.5"):
                 runs.append(["simulate", "--input", src[name], "--protocol",
                              src[protocol], "--eps", eps])
+    path = write("tie_source.json", TIE_SOURCE)
+    runs += [["compute", "--input", path], ["check", "--input", path]]
     for source, protocol in zip(("xy_pair_source.json", "worked_source.json"),
                                 PROTOCOLS):
         runs.append(["simulate", "--input", src[source], "--protocol",
