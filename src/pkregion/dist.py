@@ -43,6 +43,16 @@ DEFAULT_SUM_TOL = 1e-9
 NUM_TOL = 1e-12
 
 
+def _count(value, least, what: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is an integer, not a
+    boolean, of at least ``least``. The one rule for every integer field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what}: {value!r} is not an integer")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return int(value)
+
+
 def _clip0(v: float) -> float:
     return 0.0 if -NUM_TOL <= v < 0.0 else v
 
@@ -75,7 +85,8 @@ class JointPmf:
 
     def __post_init__(self):
         names = tuple(str(v) for v in self.variables)
-        cards = tuple(int(c) for c in self.cardinalities)
+        cards = tuple(_count(c, 1, "cardinalities")
+                      for c in self.cardinalities)
         if len(set(names)) != len(names):
             raise DuplicateVariableError(f"duplicate variable names in {names}")
         if not names:
@@ -84,8 +95,6 @@ class JointPmf:
             raise ShapeMismatchError(
                 f"{len(names)} variable names but {len(cards)} cardinalities"
             )
-        if any(c < 1 for c in cards):
-            raise ShapeMismatchError(f"cardinalities must be positive, got {cards}")
         try:  # no dtype given: numpy would parse strings into numbers
             arr = np.asarray(self.probs)
         except ValueError:  # nested rows of different lengths
@@ -171,7 +180,7 @@ def load_pmf(table, variables, cardinalities,
     Raises
     ------
     ShapeMismatchError, NonFiniteEntryError, NegativeEntryError,
-    SumOutOfToleranceError, DuplicateVariableError
+    SumOutOfToleranceError, DuplicateVariableError, ValueError
     """
     p = JointPmf(tuple(variables), tuple(cardinalities), table)
     total = p.total()

@@ -278,13 +278,6 @@ def _field(doc, key, path):
     return doc[key]
 
 
-def _int_field(doc, key, path) -> int:
-    value = _field(doc, key, path)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputFormatError(f"{path}: {key} must be an integer")
-    return value
-
-
 def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
     """Load a three-variable source distribution file.
 
@@ -302,8 +295,7 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
     if not isinstance(variables, list) or len(variables) != 3 \
             or not all(isinstance(v, str) for v in variables):
         raise InputFormatError(f"{path}: variables must be three names")
-    if not isinstance(cardinalities, list) or len(cardinalities) != 3 \
-            or not all(type(c) is int for c in cardinalities):
+    if not isinstance(cardinalities, list) or len(cardinalities) != 3:
         raise InputFormatError(f"{path}: cardinalities must be three integers")
     # A large list arrives as a float array, already checked. For a list
     # json read, one pass over the entry types at C speed (~1.4 ms for
@@ -336,8 +328,10 @@ def read_protocol(path) -> ProtocolSpec:
     # JSON booleans come only from true/false literals, which the text
     # numpy read cannot hold. A file without one hands the tables json read
     # over as arrays, which the constructors need not type-check cell by
-    # cell. Each list is replaced by its array, so a table is held once,
-    # not twice; the reader owns every array, so none is copied again.
+    # cell: 36 us for a 128 x 1 table against 26 us for its array (2-core
+    # x86 host), some 40 us of a ~2 ms zero-round simulate-oneway request
+    # with four key tables. Each list is replaced by its array: a table is
+    # held once, not twice; the reader owns every array, none is copied.
     has_bool_literal = "true" in text or "false" in text
     del text
 
@@ -350,7 +344,8 @@ def read_protocol(path) -> ProtocolSpec:
                 pass
         return raw
 
-    ints = {key: _int_field(doc, key, path)
+    # checked by the constructors; read first, so a missing one is reported
+    ints = {key: _field(doc, key, path)
             for key in ("n", "rounds", "key_xy_size", "key_xz_size")}
     slots_raw = _field(doc, "slots", path)
     # a large integer table given as slots arrives as an array
@@ -363,18 +358,15 @@ def read_protocol(path) -> ProtocolSpec:
                     or "table" not in entry:
                 raise InputFormatError(
                     f"{path}: slot {i + 1} needs alphabet_size and table")
-            slots.append(SlotSpec(_int_field(entry, "alphabet_size", path),
+            slots.append(SlotSpec(entry["alphabet_size"],
                                   table(entry, "table")))
         return ProtocolSpec(
-            n=ints["n"],
-            rounds=ints["rounds"],
             slots=tuple(slots),
             key_xy=table(doc, "key_xy"),
             est_xy=table(doc, "est_xy"),
             key_xz=table(doc, "key_xz"),
             est_xz=table(doc, "est_xz"),
-            key_xy_size=ints["key_xy_size"],
-            key_xz_size=ints["key_xz_size"],
+            **ints,
         )
     except MalformedTableError as exc:
         raise MalformedTableError(f"{path}: {exc.message}") from exc

@@ -43,7 +43,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dist import JointPmf, source_roles, _clip0, _entropy_of
+from .dist import JointPmf, source_roles, _clip0, _count, _entropy_of
 from .errors import BudgetExceededError, MalformedTableError
 
 __all__ = [
@@ -113,16 +113,6 @@ def _int_table(name: str, raw, upper: int) -> np.ndarray:
     table = table.astype(np.int64, copy=False)
     table.flags.writeable = False
     return table
-
-
-def _count(value, least: int, what: str) -> int:
-    """``value`` as a Python int; ``ValueError`` unless it is an integer,
-    not a boolean, of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what}: {value!r} is not an integer")
-    if value < least:
-        raise ValueError(f"{what} must be >= {least}")
-    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,6 +247,8 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
 
     Raises
     ------
+    ValueError
+        If ``budget`` is not an integer of at least 0.
     BudgetExceededError
         If one terminal's sequence count exceeds ``budget``; this is checked
         first, so even a huge ``n`` stops at once. Otherwise, once every
@@ -269,6 +261,7 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
         checked before the budget, building up the transcript count, so a
         protocol that is both malformed and over budget raises this.
     """
+    budget = _count(budget, 0, "budget")
     source_roles(p)
     n = spec.n
     counts = nx, ny, nz = tuple(_sequence_count(label, card, n, budget)

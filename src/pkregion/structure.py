@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import JointPmf, _table
+from .dist import JointPmf, _count, _table
 from .errors import EmptySupportError
 
 __all__ = [
@@ -56,14 +56,15 @@ class Statistic:
     num_classes: int
 
     def __post_init__(self):
-        labels = tuple(int(v) for v in self.labels)
+        labels = tuple(_count(v, -1, "labels") for v in self.labels)
+        # any integer count: a negative one fails the contiguity test
+        classes = _count(self.num_classes, float("-inf"), "class count")
         used = sorted({v for v in labels if v >= 0})
-        if self.num_classes < 0 or used != list(range(self.num_classes)):
+        if used != list(range(len(used))) or len(used) != classes:
             raise ValueError(
-                f"labels {used} are not contiguous over {self.num_classes} classes")
-        if any(v < -1 for v in labels):
-            raise ValueError("labels must be >= -1")
+                f"labels {used} are not contiguous over {classes} classes")
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "num_classes", classes)
 
     def classes(self) -> tuple:
         """Symbols grouped by label, label order."""
@@ -87,8 +88,10 @@ class CommonFunction:
     components: int
 
     def __post_init__(self):
-        if self.stat_a.num_classes != self.components or \
-                self.stat_b.num_classes != self.components:
+        components = _count(self.components, 0, "component count")
+        object.__setattr__(self, "components", components)
+        if self.stat_a.num_classes != components or \
+                self.stat_b.num_classes != components:
             raise ValueError("both sides must use the same component labels")
 
 

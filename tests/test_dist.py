@@ -158,6 +158,16 @@ def test_jointpmf_direct_construction_validates():
         JointPmf(("A", "B", "C"), (2**62 + 1, 4, 1), np.full(4, 0.25))
     with pytest.raises(ShapeMismatchError, match="expected 18446744073709551616"):
         JointPmf(("A", "B", "C"), (2**32, 2**32, 1), np.full(4, 0.25))
+    # a cardinality is an integer of at least 1, never truncated or parsed
+    for bad in (2.7, 2.0, True, np.True_, "2", None):
+        with pytest.raises(ValueError, match="is not an integer") as err:
+            JointPmf(("A", "B"), (bad, 2), np.full(4, 0.25))
+        assert type(err.value) is ValueError
+    with pytest.raises(ValueError, match="must be >= 1") as err:
+        JointPmf(("A", "B"), (0, 2), np.full(4, 0.25))
+    assert type(err.value) is ValueError
+    p = JointPmf(("A", "B"), (np.int64(2), 2), np.full(4, 0.25))
+    assert all(type(c) is int for c in p.cardinalities)
 
 
 def test_jointpmf_rejects_non_finite_entries():

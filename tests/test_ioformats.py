@@ -119,6 +119,17 @@ def test_read_pmf_error_paths(tmp_path):
         "cardinalities": [True, 2, 2], "pmf": [0.25] * 4}))
     with pytest.raises(InputFormatError, match="cardinalities"):
         read_pmf(boolean)
+    # nor is 2.5 or 0; JointPmf's ValueError comes out coded, with the file
+    sizes = tmp_path / "sizes.json"
+    for cards, message in (([2.5, 2, 2], "cardinalities: 2.5 is not an "),
+                           ([0, 2, 2], "cardinalities must be >= 1")):
+        sizes.write_text(json.dumps({
+            "schema": "pkregion-pmf-v1", "variables": ["X", "Y", "Z"],
+            "cardinalities": cards, "pmf": [0.25] * 4}))
+        with pytest.raises(InputFormatError, match=re.escape(
+                f"INPUT_FORMAT: {sizes}: {message}")) as err:
+            read_pmf(sizes)
+        assert type(err.value) is InputFormatError
     two = tmp_path / "two.json"
     two.write_text(json.dumps({
         "schema": "pkregion-pmf-v1", "variables": ["X", "Y"],
@@ -155,6 +166,9 @@ def test_read_protocol_rejects_malformed(tmp_path):
             ("n", 0, "blocklength must be >= 1"),
             ("rounds", -1, "round count must be >= 0"),
             ("key_xy_size", 0, "key alphabet sizes must be >= 1"),
+            ("n", 2.5, "blocklength: 2.5 is not an integer"),
+            ("slots", [{**doc["slots"][0], "alphabet_size": True}]
+             + doc["slots"][1:], "message alphabet size: True is not an"),
             ("slots", [{**doc["slots"][0], "alphabet_size": 0}]
              + doc["slots"][1:], "message alphabet size must be >= 1"),
             ("slots", {}, "slots must be a list"),

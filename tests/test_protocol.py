@@ -456,8 +456,16 @@ def test_malformed_protocols_are_rejected():
                            "key_xy_size": np.int32(1)})
     assert type(spec.n) is int and type(spec.key_xy_size) is int
     assert type(SlotSpec(np.int64(2), [[0], [1]]).alphabet_size) is int
-    # table shaped for the wrong blocklength fails at evaluation time
+    # so does the budget; 0 is a budget that no run fits
     p = worked_pmf()
+    spec = ProtocolSpec(**fields)
+    for bad in (2.5, True, "100", None, -1):
+        with pytest.raises(ValueError) as err:
+            evaluate_protocol(p, spec, budget=bad)
+        assert type(err.value) is ValueError
+    with pytest.raises(BudgetExceededError):
+        evaluate_protocol(p, spec, budget=0)
+    # table shaped for the wrong blocklength fails at evaluation time
     spec = ProtocolSpec(n=2, rounds=0, slots=(),
                         key_xy=zeros, est_xy=zeros, key_xz=zeros, est_xz=zeros,
                         key_xy_size=1, key_xz_size=1)

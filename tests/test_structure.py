@@ -28,6 +28,12 @@ def test_statistic_requires_contiguous_labels():
     with pytest.raises(ValueError, match="not contiguous") as err:
         Statistic("Y", (-1, -1), -1)
     assert type(err.value) is ValueError
+    # a count is an integer: not a boolean, not an integral float
+    for count in (True, 1.0):
+        with pytest.raises(ValueError, match="is not an integer") as err:
+            Statistic("Y", (0,), count)
+        assert type(err.value) is ValueError
+    assert type(Statistic("Y", (0,), np.int64(1)).num_classes) is int
 
 
 def test_statistic_views():
@@ -42,6 +48,10 @@ def test_common_function_checks_class_counts():
     with pytest.raises(ValueError, match="same component labels") as err:
         CommonFunction(a, b, 2)
     assert type(err.value) is ValueError
+    for components in (True, 1.0):
+        with pytest.raises(ValueError, match="is not an integer") as err:
+            CommonFunction(b, b, components)
+        assert type(err.value) is ValueError
 
 
 # -- minimal sufficient statistic -------------------------------------------------

@@ -21,7 +21,8 @@ one corpus, with the same input paths, each in its own process that calls
   generated by ``perfbench/workloads.py``;
 * malformed variants of the pmf ``tight_8x32x32_c1`` of ``regions-tight``
   and of the protocol ``bsc_r1_n4`` of ``simulate-interactive`` (seed 1),
-  and protocols that hold a boolean among integral floats.
+  among them sizes and counts that are no integers or too small, and
+  protocols that hold a boolean among integral floats.
 
 Exit code, stdout and stderr are compared byte for byte. Each differing run
 is printed with what differs; for reports that differ, the largest absolute
@@ -143,6 +144,9 @@ def pmf_variants(text):
         out[f"pmf extra {length} list holding a quoted ], list as schema"] = \
             ahead(f'"extra": [{zeros}"]"]').replace(
                 '"pkregion-pmf-v1"', json.dumps(values), 1)
+    out.update({f"pmf cardinalities [{bad}, ...]": re.sub(
+        r'("cardinalities": *\[)[0-9]+', rf"\g<1>{bad}", text, count=1)
+        for bad in ("0", "2.5", "true")})
     out.update({
         "pmf trailing comma": with_values(values[:-1] + ",]"),
         "pmf blank list": with_values("[" + " " * (len(values) - 2) + "]"),
@@ -198,6 +202,11 @@ def protocol_variants(text):
     def with_table(new):
         return text[:start] + new + text[end:]
 
+    def with_field(key, value, within=text):
+        """The first integer field ``key`` of ``within`` set to ``value``."""
+        return re.sub(rf'"{key}": *[0-9]+', f'"{key}": {value}', within,
+                      count=1)
+
     def with_cells(replacements):
         """The table with cell i's text replaced, for each (i, text)."""
         new = table
@@ -225,9 +234,16 @@ def protocol_variants(text):
         "protocol true field": flagged,
         "protocol ragged row, true field": flagged.replace(table, ragged, 1),
         "protocol indent=2": json.dumps(json.loads(text), indent=2),
-        "protocol n NaN": re.sub(r'"n": *[0-9]+', '"n": NaN', text, 1),
-        "protocol slots for another round count": re.sub(
-            r'"rounds": *[0-9]+', '"rounds": 2', text, 1),
+        "protocol n NaN": with_field("n", "NaN"),
+        "protocol n 2.5": with_field("n", "2.5"),
+        "protocol n true": with_field("n", "true"),
+        "protocol key_xy_size 0": with_field("key_xy_size", "0"),
+        "protocol slot 1 alphabet_size true": with_field(
+            "alphabet_size", "true"),
+        # the slots are built first, so the slot is reported
+        "protocol n 2.5, slot 1 alphabet_size true": with_field(
+            "alphabet_size", "true", with_field("n", "2.5")),
+        "protocol slots for another round count": with_field("rounds", "2"),
         # numpy reads such a table as floats; the boolean must not become 1
         "protocol true and 1.0 cells": with_table(
             with_cells({0: "true", middle: "1.0"})),
