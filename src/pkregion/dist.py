@@ -58,10 +58,10 @@ def _clip0(v: float) -> float:
 
 
 def _entropy_of(table: np.ndarray) -> float:
-    v = table.reshape(-1)
-    v = v[v > 0.0]
-    # the + 0.0 turns a -0.0 (deterministic or all-zero table) into +0.0
-    return float(-(v * np.log2(v)).sum()) + 0.0
+    v = table[table > 0.0]
+    # np.add.reduce is what ndarray.sum calls, less its Python wrapper; the
+    # + 0.0 turns a -0.0 (deterministic or all-zero table) into +0.0
+    return float(-np.add.reduce(v * np.log2(v))) + 0.0
 
 
 @dataclass(frozen=True, eq=False)

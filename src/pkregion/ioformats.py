@@ -457,17 +457,27 @@ def evaluation_document(report: EvaluationReport, eps: float, eps_pk,
 
 # -- deterministic emission ------------------------------------------------------
 
+# json.dumps quotes a str with this function
+_quote = json.encoder.encode_basestring_ascii
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
 def _format_float(v: float) -> str:
     if not math.isfinite(v):
         raise ValueError(f"cannot serialize non-finite value {v!r}")
     text = format(v, ".17g")
-    if "." not in text and "e" not in text and "E" not in text:
+    if "." not in text and "e" not in text:
         text += ".0"
     return text
 
 
-def _emit(value, indent: int) -> str:
-    pad = "  " * indent
+def _scalar(value) -> str:
+    """The text of a value that is not a container."""
+    # exact float and str first: they are nearly every value of a report
+    if type(value) is float:
+        return _format_float(value)
+    if type(value) is str:
+        return _quote(value)
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -477,29 +487,55 @@ def _emit(value, indent: int) -> str:
     if isinstance(value, (float, np.floating)):
         return _format_float(float(value))
     if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = (f"{pad}  {json.dumps(str(k))}: {_emit(v, indent + 1)}"
-                for k, v in value.items())
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            return "[]"
-        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
-            return "[" + ", ".join(_emit(v, indent) for v in items) + "]"
-        rows = (f"{pad}  {_emit(v, indent + 1)}" for v in items)
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        return _quote(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _emit(value, pad: str, out: list) -> None:
+    """Append the text of ``value`` to ``out``; ``pad`` is the indent of
+    the line it starts on, and its members go two spaces deeper."""
+    if not isinstance(value, _CONTAINERS):
+        out.append(_scalar(value))
+        return
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+        if not isinstance(value, list):  # a 0-d array
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "{\n"
+        for key, item in value.items():
+            out += (sep, inner, _quote(str(key)), ": ")
+            _emit(item, inner, out)
+            sep = ",\n"
+        out += ("\n", pad, "}")
+    elif not value:
+        out.append("[]")
+    elif not any(isinstance(item, _CONTAINERS) for item in value):
+        out += ("[", ", ".join(map(_scalar, value)), "]")
+    else:
+        sep = "[\n"
+        for item in value:
+            out += (sep, inner)
+            _emit(item, inner, out)
+            sep = ",\n"
+        out += ("\n", pad, "]")
+
+
 def dumps_deterministic(doc) -> str:
-    """Serialize a document to byte-reproducible JSON text."""
-    return _emit(doc, 0) + "\n"
+    """Serialize a document to byte-reproducible JSON text.
+
+    Two-space indent, one member per line; a list of scalars on one line,
+    joined by ``", "``; keys and strings escaped to ASCII as json does;
+    floats at 17 significant digits, with ``.0`` on integral values.
+    """
+    out = []
+    _emit(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_atomic(path, text: str) -> None:
@@ -521,8 +557,8 @@ def write_atomic(path, text: str) -> None:
         fd = os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY
                      | getattr(os, "O_BINARY", 0), 0o666)
         tmp = name
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:

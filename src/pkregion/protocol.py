@@ -204,18 +204,19 @@ def _kron_power(base: np.ndarray, n: int) -> np.ndarray:
     """n-fold i.i.d. product of ``base``, in the sequence index convention.
 
     Axis i of the result indexes the n-sequences of axis i of ``base``; each
-    cell is one multiply of a cell of the (n−1)-fold table by one of ``base``,
-    in that order, as in ``np.kron``. Each step is that outer product with
-    the axes of the two factors interleaved, so a single reshape merges
-    them; it gives the bits of ``np.kron`` without its per-call set-up.
+    cell is the product of one cell of ``base`` per position, multiplied
+    first to last, as in ``np.kron``. Each step puts the next factor on new
+    outer axes, so the multiply runs over the whole table so far in one
+    long inner loop (multiplication commutes, so the bits do not change);
+    one transpose at the end orders each axis's factors first to last.
     """
     table = base
-    right = base.reshape([s for b in base.shape for s in (1, b)])
     for _ in range(n - 1):
-        left = table.reshape([s for a in table.shape for s in (a, 1)])
-        table = (left * right).reshape(
-            [a * b for a, b in zip(table.shape, base.shape)])
-    return table
+        table = base.reshape(base.shape + (1,) * table.ndim) * table
+    # the factor of position k (0 first) is on the axes of group n - 1 - k
+    order = [(n - 1 - k) * base.ndim + axis
+             for axis in range(base.ndim) for k in range(n)]
+    return table.transpose(order).reshape([s ** n for s in base.shape])
 
 
 def _sequence_count(label: str, card: int, n: int, budget: int) -> int:

@@ -16,7 +16,7 @@ involved, which keeps results deterministic to the bit across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -240,7 +240,7 @@ class RegionReport:
 
     def __post_init__(self):
         _, y, z = source_roles(self.p)
-        tables = {name: self.p.probs.sum(axis=drop)
+        tables = {name: np.add.reduce(self.p.probs, axis=drop)
                   for name, drop in _MARGINALS.items()}
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "common",
@@ -300,8 +300,11 @@ class RegionReport:
         yz = self.tables["yz"]
         stat = _sufficient_statistic(self.p.variables[axis],
                                      yz if axis == 1 else yz.T)
-        xcs = np.stack([self.p.probs.take(cls, axis=axis).sum(axis=axis)
-                        for cls in stat.classes()], axis=-1)
+        probs, classes = self.p.probs, stat.classes()
+        xcs = np.empty(probs.shape[:axis] + probs.shape[axis + 1:]
+                       + (len(classes),))
+        for s, cls in enumerate(classes):
+            xcs[..., s] = np.add.reduce(probs.take(cls, axis=axis), axis=axis)
         xs = xcs.sum(axis=1)
         i_x_s = _clip0(h["x"] + _entropy_of(xs.sum(axis=0)) - _entropy_of(xs))
         cap = _clip0(_entropy_of(xcs) + h["yz"] - h["xyz"]
@@ -340,7 +343,9 @@ class RegionReport:
 
     @cached_property
     def exact(self) -> RateRegion | None:
-        return replace(self.outer, provenance="exact-thm4") \
+        outer = self.outer
+        return RateRegion(outer.cap_xy, outer.cap_xz, outer.cap_sum,
+                          outer.vertices, "exact-thm4") \
             if self.thm4_holds else None
 
     @cached_property

@@ -131,15 +131,18 @@ def minimal_sufficient_statistic(p: JointPmf, of: str, wrt) -> Statistic:
 def _sufficient_statistic(of: str, m: np.ndarray) -> Statistic:
     """The minimal sufficient statistic of ``of`` from its joint table ``m``
     (one row per symbol of ``of``, one column per cell of the group)."""
-    weights = m.sum(axis=1)
-    support = np.flatnonzero(weights > 0.0)
+    weights = np.add.reduce(m, axis=1)
+    support = (weights > 0.0).nonzero()[0]
     if support.size == 0:
         raise EmptySupportError(f"{of!r} has empty support")
-    rows = np.round(m[support] / weights[support, None], _ROW_DECIMALS) + 0.0
+    rows = (m[support] / weights[support, None]).round(_ROW_DECIMALS) + 0.0
+    # each row is keyed by its slice of one buffer, not by a view per row
+    flat, width = rows.tobytes(), rows.shape[1] * rows.itemsize
     labels = [-1] * m.shape[0]
     seen: dict = {}
-    for sym, row in zip(support.tolist(), rows):
-        labels[sym] = seen.setdefault(row.tobytes(), len(seen))
+    for at, sym in enumerate(support.tolist()):
+        labels[sym] = seen.setdefault(flat[at * width:(at + 1) * width],
+                                      len(seen))
     return Statistic(of, tuple(labels), len(seen))
 
 
@@ -192,7 +195,8 @@ def _common_function(a: str, b: str, t: np.ndarray) -> CommonFunction:
         # adds about 0.25 MB of resident pages to a process.)
         order = np.lexsort((near, root[:rows]))
         tree, hook = root[order], near[order]
-        first = np.ones(rows, dtype=bool)
+        first = np.empty(rows, dtype=bool)
+        first[0] = True
         np.not_equal(tree[1:], tree[:-1], out=first[1:])
         root[tree[first]] = hook[first]
         # pointer jumping, until every row points at a root again
@@ -201,8 +205,9 @@ def _common_function(a: str, b: str, t: np.ndarray) -> CommonFunction:
     # No tree has a smaller one next to it, so each is a component, rooted
     # at its smallest row; components are numbered in the order of their
     # roots, and label[rows] marks a symbol with no support.
-    heads = np.flatnonzero(root[:rows] == np.arange(rows))
-    label = np.full(rows + 1, -1)
+    heads = (root[:rows] == np.arange(rows)).nonzero()[0]
+    label = np.empty(rows + 1, dtype=np.intp)
+    label.fill(-1)
     label[heads] = np.arange(len(heads))
     comp = len(heads)
     if comp == 0:

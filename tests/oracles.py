@@ -2,15 +2,20 @@
 
 Everything here is pure-Python and dict-based on purpose: no numpy, no
 imports from the package under test. Slow and obviously correct beats fast
-and shared-bug-prone for reference values.
+and shared-bug-prone for reference values. The one use of numpy is in the
+reference emitter, which must recognise numpy's scalars and arrays to
+write them as the package does.
 
 Distributions are dicts mapping outcome tuples to probabilities; variable
 positions are referred to by index.
 """
 
+import json
 import math
 import random
 from itertools import combinations, product
+
+import numpy as np
 
 
 # -- information quantities -----------------------------------------------------
@@ -363,3 +368,52 @@ def oracle_evaluate(pmf, cards, proto):
         "rate_xy": h_k_xy / n,
         "rate_xz": h_k_xz / n,
     }
+
+
+# -- report emission --------------------------------------------------------------------
+
+# The package's recursive emitter as it stood before it became one pass over
+# a token list; oracle_dumps(doc) is dumps_deterministic(doc) by that rule.
+
+def _format_float(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError(f"cannot serialize non-finite value {v!r}")
+    text = format(v, ".17g")
+    if "." not in text and "e" not in text and "E" not in text:
+        text += ".0"
+    return text
+
+
+def _emit(value, indent: int) -> str:
+    pad = "  " * indent
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _format_float(float(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = (f"{pad}  {json.dumps(str(k))}: {_emit(v, indent + 1)}"
+                for k, v in value.items())
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+        if not items:
+            return "[]"
+        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
+            return "[" + ", ".join(_emit(v, indent) for v in items) + "]"
+        rows = (f"{pad}  {_emit(v, indent + 1)}" for v in items)
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def oracle_dumps(doc) -> str:
+    return _emit(doc, 0) + "\n"

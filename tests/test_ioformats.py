@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import stat
@@ -6,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from pkregion import compute_report, evaluate_protocol
 from pkregion import RegionReport
@@ -22,6 +25,7 @@ from pkregion.ioformats import (
     _format_float,
 )
 
+import oracles
 from conftest import assert_report_fields, random_pmf, rng_for, worked_pmf
 from test_protocol import random_protocol
 
@@ -71,6 +75,64 @@ def test_dumps_byte_stability():
     assert dumps_deterministic(doc) == dumps_deterministic(doc)
     assert dumps_deterministic(doc) == dumps_deterministic(json.loads(
         dumps_deterministic(doc)))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FLOATS = st.one_of(_FINITE, st.sampled_from(
+    [-0.0, 3.0, -2.0 ** 53, 5e-324, 2.2250738585072014e-308 / 3, 1e300,
+     -1e300, 1e-300, -1e-300]))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2 ** 63),
+    _FLOATS, st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9", "\u2028",
+                     "\U0001f600", 'a"b\\c\n\t']),
+    _FLOATS.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_))
+# a 0-d array is no list: both emitters refuse it
+_SHAPES = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+_ARRAYS = st.one_of(arrays(np.float64, _SHAPES, elements=_FINITE),
+                    arrays(np.int64, _SHAPES), arrays(np.bool_, _SHAPES))
+_DOCUMENTS = st.recursive(
+    _SCALARS | _ARRAYS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text() | st.integers(), inner, max_size=4)),
+    max_leaves=24)
+
+
+def emitted(dumps, doc):
+    """The text ``dumps`` writes for ``doc``, or the type and message of
+    the error it raises."""
+    try:
+        return dumps(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(_DOCUMENTS)
+def test_dumps_matches_the_reference_emitter(doc):
+    assert emitted(dumps_deterministic, doc) == \
+        emitted(oracles.oracle_dumps, doc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 np.float64("nan"), np.float32("-inf")])
+def test_dumps_refuses_non_finite_floats(bad):
+    for doc in (bad, [1.0, bad], {"a": [[0.5, bad]]}):
+        for dumps in (dumps_deterministic, oracles.oracle_dumps):
+            with pytest.raises(ValueError, match="non-finite"):
+                dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, object(), b"x", 1j,
+                                 np.array(0.5)])
+def test_dumps_refuses_unknown_types(bad):
+    for doc in (bad, [1.0, bad], {"a": [bad, [0]]}):
+        for dumps in (dumps_deterministic, oracles.oracle_dumps):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                dumps(doc)
 
 
 # -- pmf and protocol files ------------------------------------------------------------
@@ -288,6 +350,9 @@ def test_write_atomic_writes_exact_bytes(tmp_path):
     path = tmp_path / "out.json"
     write_atomic(path, "{}\n")
     assert path.read_bytes() == b"{}\n"
+    # UTF-8, with no line ending translated
+    write_atomic(path, "\u00e9\r\n\n")
+    assert path.read_bytes() == b"\xc3\xa9\r\n\n"
     write_atomic(path, '{"replaced": true}\n')
     assert json.loads(path.read_text()) == {"replaced": True}
     # no stray temporary files stay behind

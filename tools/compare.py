@@ -6,9 +6,10 @@ Usage (from the repository root)::
 
 BASE and HEAD are git revisions; HEAD defaults to the working tree. Each
 revision is checked out with ``git worktree`` under
-``.perfbench_work/compare/`` and removed again at the end. Both trees run
-one corpus, with the same input paths, each in its own process that calls
-``pkregion.cli.main`` once per run. The corpus:
+``.perfbench_work/compare/`` and removed again at the end, by
+``checkouts.py``. Both trees run one corpus, with the same input paths,
+each in its own process that calls ``pkregion.cli.main`` once per run. The
+corpus:
 
 * every ``data/`` source through ``compute`` and ``check``, at the default
   ``--tol-ci`` and at 1;
@@ -43,7 +44,8 @@ import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from checkouts import ROOT, clean_env, names, resolve, source_trees
+
 WORK = ROOT / ".perfbench_work" / "compare"
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -328,17 +330,10 @@ def build_corpus(corpus: Path) -> list:
 
 # -- running --------------------------------------------------------------------
 
-def git(*args) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, text=True,
-                          capture_output=True).stdout.strip()
-
-
 def start(src: Path, runs_path: Path, results_path: Path, corpus: Path):
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("PKREGION_") and k != "PYTHONPATH"}
     return subprocess.Popen(
         [sys.executable, "-c", RUNNER, str(src), str(runs_path),
-         str(results_path)], cwd=corpus, env=env)
+         str(results_path)], cwd=corpus, env=clean_env())
 
 
 def leaves(value, path=""):
@@ -412,24 +407,12 @@ def main(args) -> int:
         print("usage: python tools/compare.py BASE [HEAD]", file=sys.stderr)
         return 2
     clock = time.perf_counter()
-    head_rev = args[1] if len(args) > 1 else None
-    shas = [git("rev-parse", "--verify", "--short=12", f"{rev}^{{commit}}")
-            for rev in args]
+    shas = resolve(args)
     shutil.rmtree(WORK, ignore_errors=True)
-    git("worktree", "prune")  # trees of a run that was killed
     corpus = WORK / "corpus"
     runs = build_corpus(corpus)
     (WORK / "runs.json").write_text(json.dumps(runs))
-    trees, added = [], []
-    try:
-        for sha in shas:
-            tree = WORK / sha
-            if tree not in added:
-                git("worktree", "add", "--detach", str(tree), sha)
-                added.append(tree)
-            trees.append(tree / "src")
-        if head_rev is None:
-            trees.append(ROOT / "src")
+    with source_trees(shas, WORK) as trees:
         procs = [start(src, WORK / "runs.json", WORK / f"results{i}.json",
                        corpus) for i, src in enumerate(trees)]
         if any([proc.wait() for proc in procs]):
@@ -437,12 +420,8 @@ def main(args) -> int:
             return 2
         base, head = (json.loads((WORK / f"results{i}.json").read_text())
                       for i in range(2))
-    finally:
-        for tree in added:
-            git("worktree", "remove", "--force", str(tree))
     count, differ = report(runs, base, head, corpus)
-    names = " ".join(shas) + ("" if head_rev else " working-tree")
-    print(f"compare {names}: {len(runs)} runs, {count} differ "
+    print(f"compare {names(shas)}: {len(runs)} runs, {count} differ "
           f"(exit code {differ['exit code']}, stdout {differ['stdout']}, "
           f"stderr {differ['stderr']}) in {time.perf_counter() - clock:.1f} s")
     return 1 if count else 0
