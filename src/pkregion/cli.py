@@ -94,9 +94,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every
-    later :func:`main` call in the process.
+def _build_parser() -> tuple:
+    """The command-line parser and the action holding its command
+    subparsers, built on first use and shared by every later :func:`main`
+    call in the process.
 
     Parsing leaves the parser unchanged, and it holds neither environment
     values nor handler functions: :func:`_merge_config` reads ``PKREGION_*``
@@ -119,7 +120,27 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag, parse, _, _, commands, help_text in _OPTIONS:
             if name in commands:
                 cmd.add_argument(flag, type=parse, help=help_text)
-    return parser
+    return parser, sub
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The parsed command line, as the full parser gives it.
+
+    When the first argument names a command, that command's subparser,
+    which the full parser would hand the rest to, parses the rest alone;
+    it skips the top-level pass. Anything it leaves unrecognised, and any
+    other command line (none, ``-h``, an unknown command), goes through the
+    full parser, so every usage, help and error text is argparse's own.
+    """
+    parser, sub = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = sub.choices.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def cmd_compute(cfg: dict) -> dict:
@@ -154,7 +175,7 @@ def cmd_simulate(cfg: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     if args.command == "version":
         print(f"pkregion {__version__}")
         return 0

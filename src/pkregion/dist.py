@@ -46,11 +46,15 @@ NUM_TOL = 1e-12
 def _count(value, least, what: str) -> int:
     """``value`` as an int; ``ValueError`` unless it is an integer, not a
     boolean, of at least ``least``. The one rule for every integer field."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what}: {value!r} is not an integer")
+    # an exact int, nearly every value, passes on one type test
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value,
+                                                     (int, np.integer)):
+            raise ValueError(f"{what}: {value!r} is not an integer")
+        value = int(value)
     if value < least:
         raise ValueError(f"{what} must be >= {least}")
-    return int(value)
+    return value
 
 
 def _clip0(v: float) -> float:
@@ -122,7 +126,8 @@ class JointPmf:
                 )
             arr = arr.reshape(cards)
         # min and max propagate NaN: two reductions, no temporary arrays
-        lo, hi = float(arr.min()), float(arr.max())
+        lo = float(np.minimum.reduce(arr, axis=None))
+        hi = float(np.maximum.reduce(arr, axis=None))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise NonFiniteEntryError("table entries must be finite numbers")
         if lo < 0.0:
@@ -160,7 +165,7 @@ class JointPmf:
         return tuple(self.variables[i] for i in axes)
 
     def total(self) -> float:
-        return float(self.probs.sum())
+        return float(np.add.reduce(self.probs, axis=None))
 
 
 def load_pmf(table, variables, cardinalities,

@@ -557,8 +557,14 @@ def write_atomic(path, text: str) -> None:
         fd = os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY
                      | getattr(os, "O_BINARY", 0), 0o666)
         tmp = name
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        # written straight to the descriptor: a file object would add a
+        # buffer and an fstat call to every report
+        try:
+            data = memoryview(text.encode("utf-8"))
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:

@@ -105,11 +105,14 @@ def _int_table(name: str, raw, upper: int) -> np.ndarray:
             f"{name} entries must be integers, not booleans or fractions")
     # checked before the int64 cast, which would wrap an entry of 2**63
     upper = min(upper, 2 ** 63)
-    if table.size and (int(table.min()) < 0 or int(table.max()) >= upper):
-        raise MalformedTableError(
-            f"{name} entries must lie in [0, {upper}), got "
-            f"[{int(table.min())}, {int(table.max())}]"
-        )
+    if table.size:
+        # the ufuncs' own reductions: ndarray.min and .max add a Python layer
+        low = int(np.minimum.reduce(table, axis=None))
+        high = int(np.maximum.reduce(table, axis=None))
+        if low < 0 or high >= upper:
+            raise MalformedTableError(
+                f"{name} entries must lie in [0, {upper}), got "
+                f"[{low}, {high}]")
     table = table.astype(np.int64, copy=False)
     table.flags.writeable = False
     return table
@@ -268,11 +271,11 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
     counts = nx, ny, nz = tuple(_sequence_count(label, card, n, budget)
                                 for label, card in zip("XYZ", p.cardinalities))
     heard = 1
-    for name, table, side, size in chain(
-            ((f"slot {slot_no + 1}", slot.table, slot_no % 3,
-              slot.alphabet_size) for slot_no, slot in enumerate(spec.slots)),
-            ((name, getattr(spec, name), side, 1) for name, side in (
-                ("key_xy", 0), ("est_xy", 1), ("key_xz", 0), ("est_xz", 2)))):
+    for name, table, side, size in (
+            *[(f"slot {slot_no + 1}", slot.table, slot_no % 3,
+               slot.alphabet_size) for slot_no, slot in enumerate(spec.slots)],
+            ("key_xy", spec.key_xy, 0, 1), ("est_xy", spec.est_xy, 1, 1),
+            ("key_xz", spec.key_xz, 0, 1), ("est_xz", spec.est_xz, 2, 1)):
         if table.shape != (counts[side], heard):
             raise MalformedTableError(
                 f"{name} table has shape {table.shape}, "
@@ -285,19 +288,18 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
               if slot.alphabet_size > 1]
     speakers = {side for side, _ in spoken}
     plan = {}
-    for axes in sorted({tuple(sorted({*pair, *speakers}))
+    for axes in sorted({tuple(sorted(speakers.union(pair)))
                         for pair in ((0, 1), (0, 2), (1, 2))}):
-        plan.setdefault(tuple(count if axis in axes else 1
-                              for axis, count in enumerate(counts)), axes)
+        plan.setdefault(tuple([counts[axis] if axis in axes else 1
+                               for axis in range(3)]), axes)
     if sum(map(math.prod, plan)) > budget:
         raise BudgetExceededError(
             " + ".join("*".join(str(counts[axis]) for axis in axes)
                        for axes in plan.values())
             + f" sequence cells exceed the budget of {budget}")
-    grids = xg, yg, zg = tuple(
-        np.arange(count, dtype=np.int64).reshape(
-            [count if axis == side else 1 for axis in range(3)])
-        for side, count in enumerate(counts))
+    grids = xg, yg, zg = (np.arange(nx, dtype=np.int64).reshape(nx, 1, 1),
+                          np.arange(ny, dtype=np.int64).reshape(1, ny, 1),
+                          np.arange(nz, dtype=np.int64).reshape(1, 1, nz))
     transcript = 0
     for side, slot in spoken:
         message = slot.table[grids[side], transcript]
@@ -305,9 +307,12 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
     k_xy, l_xy = spec.key_xy[xg, transcript], spec.est_xy[yg, transcript]
     k_xz, l_xz = spec.key_xz[xg, transcript], spec.est_xz[zg, transcript]
     # the secrecy tables count only the transcripts that occur, ranked in
-    # index order (a sort of the sweep: nothing per transcript index)
-    seen, rank = np.unique(transcript, return_inverse=True)
-    occurring, transcript = seen.size, rank.reshape(np.shape(transcript))
+    # index order (a sort of the sweep: nothing per transcript index); with
+    # no speaker the one transcript, 0, is its own rank
+    occurring = 1
+    if spoken:
+        seen, rank = np.unique(transcript, return_inverse=True)
+        occurring, transcript = seen.size, rank.reshape(transcript.shape)
     # each helper is paired with the key it must not learn
     kxy, kxz = spec.key_xy_size, spec.key_xz_size
     for label, key_size, helper in (("Z", kxy, nz), ("Y", kxz, ny)):
@@ -320,7 +325,8 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
     tables = {}
     for shape in plan:
         drop = tuple(axis for axis, size in enumerate(shape) if size == 1)
-        tables[shape] = _kron_power(p.probs.sum(axis=drop), n).reshape(shape)
+        tables[shape] = _kron_power(np.add.reduce(p.probs, axis=drop),
+                                    n).reshape(shape)
     # one code for the transcript together with the helper's sequence
     tr_z, tr_y = transcript * nz + zg, transcript * ny + yg
 
@@ -335,13 +341,13 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
         table = np.bincount(codes.reshape(-1),
                             weights=tables[codes.shape].reshape(-1),
                             minlength=a_size * b_size).reshape(a_size, b_size)
-        h_a = _entropy_of(table.sum(axis=1))
-        return _clip0(h_a + _entropy_of(table.sum(axis=0))
+        h_a = _entropy_of(np.add.reduce(table, axis=1))
+        return _clip0(h_a + _entropy_of(np.add.reduce(table, axis=0))
                       - _entropy_of(table)), h_a
 
     def disagreement(a, b):
         differ = a != b
-        return float(tables[differ.shape][differ].sum())
+        return float(np.add.reduce(tables[differ.shape][differ]))
 
     leak_k_xy, h_k_xy = info_bits(k_xy, kxy, tr_z, occurring * nz)
     leak_k_xz, h_k_xz = info_bits(k_xz, kxz, tr_y, occurring * ny)

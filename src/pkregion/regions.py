@@ -281,8 +281,9 @@ class RegionReport:
         for sym, lab in enumerate(cf.stat_a.labels):
             if lab >= 0:
                 qcx[lab] += txy[:, sym]
-        return _clip0(_entropy_of(qcx.sum(axis=1))
-                      + _entropy_of(txy.sum(axis=1)) - _entropy_of(qcx))
+        return _clip0(_entropy_of(np.add.reduce(qcx, axis=1))
+                      + _entropy_of(np.add.reduce(txy, axis=1))
+                      - _entropy_of(qcx))
 
     def _statistic_caps(self, axis: int):
         """I(X∧S) and the cap triple of the achievable region of S, the

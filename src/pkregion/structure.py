@@ -6,9 +6,9 @@ Three objects drive the region computations downstream:
   (the coarsest relabeling that preserves the conditional law),
 * the maximal common function of two variables (the finest random variable
   that is almost surely a deterministic function of each; its classes are
-  the connected components of the support bipartite graph, found by
-  propagating the smallest symbol index over the support matrix with
-  pointer jumping),
+  the connected components of the support bipartite graph, found by a
+  breadth-first search over each symbol's neighbours held as the bits of
+  an int),
 * the conditional-independence residual given the maximal common function,
   whose vanishing (up to a tolerance) is the deterministic-correlation test.
 
@@ -59,7 +59,7 @@ class Statistic:
         labels = tuple(_count(v, -1, "labels") for v in self.labels)
         # any integer count: a negative one fails the contiguity test
         classes = _count(self.num_classes, float("-inf"), "class count")
-        used = sorted({v for v in labels if v >= 0})
+        used = sorted(set(labels) - {-1})
         if used != list(range(len(used))) or len(used) != classes:
             raise ValueError(
                 f"labels {used} are not contiguous over {classes} classes")
@@ -153,15 +153,14 @@ def maximal_common_function(p: JointPmf, a: str, b: str) -> CommonFunction:
     wherever the pair has positive probability. Equal labels on both sides;
     canonical numbering by the smallest contained ``a``-symbol.
 
-    Each ``a``-symbol points at itself or a smaller one of its component.
-    Every round passes the smallest pointer across the support matrix to
-    each column and back, hooks each tree onto the smallest tree two steps
-    from it, and shortens every pointer to its tree's root by pointer
-    jumping; a round that hooks nothing ends the search. Every round costs
-    O(|a||b|) in whole-array operations and at least halves, over two
-    rounds, the number of trees in a component, so the worst case is
-    O(|a||b| log(|a| + |b|)), which a long path of alternating ``a`` and
-    ``b`` symbols approaches.
+    Each symbol's neighbours on the other side are the bits of one Python
+    int, packed from its row of the support matrix. A breadth-first search
+    from each unlabeled ``a``-symbol, in symbol order, labels one side of
+    the frontier at a time and takes the other side's next frontier as the
+    union of their neighbours less the symbols already found. Every symbol
+    is visited once, so the search takes O(|a| + |b|) steps, each an
+    operation on ints of at most max(|a|, |b|) bits; packing costs O(|a||b|)
+    in whole-array operations.
 
     Raises
     ------
@@ -173,50 +172,55 @@ def maximal_common_function(p: JointPmf, a: str, b: str) -> CommonFunction:
     return _common_function(a, b, _table(p, (a, b)))
 
 
+def _neighbours(edges: np.ndarray) -> list:
+    """Each row's columns in the boolean matrix ``edges``, as the bits of an
+    int: bit j for column j."""
+    # packed from rows in C order, at about 6x the speed of a transpose's;
+    # each row's bytes are then one bytes object, less its trailing zero
+    # bytes (numpy strips them), which are the int's high zeros
+    packed = np.packbits(np.ascontiguousarray(edges), axis=1,
+                         bitorder="little")
+    rows = packed.view(f"S{packed.shape[1]}").ravel().tolist()
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+def _label(found: int, labels: list, nbrs: list, comp: int) -> int:
+    """Label ``comp`` on each symbol whose bit ``found`` holds; the union of
+    their neighbours."""
+    near = 0
+    while found:
+        low = found & -found
+        found ^= low
+        at = low.bit_length() - 1
+        labels[at] = comp
+        near |= nbrs[at]
+    return near
+
+
 def _common_function(a: str, b: str, t: np.ndarray) -> CommonFunction:
     """The maximal common function of ``a`` and ``b`` from their joint
     table ``t`` (axes ``a``, ``b``)."""
     edges = t > 0.0
-    rows = edges.shape[0]
-    # root[i] is a row of i's component, never above i, or rows for a row
-    # with no support; trees start as single rows, and every row points
-    # straight at its tree's root
-    root = np.arange(rows + 1)
-    while True:
-        # the smallest root next to each column, and two steps from each
-        # row; rows where there is none
-        col = np.where(edges, root[:rows, None], rows).min(axis=0)
-        near = np.where(edges, col, rows).min(axis=1)
-        if not (near != root[:rows]).any():
-            break
-        # each tree hooks its root onto the smallest root near a member:
-        # ordered by tree, then by near, the first row of each tree holds it.
-        # (lexsort, not np.sort of one key: the default sort's SIMD code
-        # adds about 0.25 MB of resident pages to a process.)
-        order = np.lexsort((near, root[:rows]))
-        tree, hook = root[order], near[order]
-        first = np.empty(rows, dtype=bool)
-        first[0] = True
-        np.not_equal(tree[1:], tree[:-1], out=first[1:])
-        root[tree[first]] = hook[first]
-        # pointer jumping, until every row points at a root again
-        while not ((jumped := root[root]) == root).all():
-            root = jumped
-    # No tree has a smaller one next to it, so each is a component, rooted
-    # at its smallest row; components are numbered in the order of their
-    # roots, and label[rows] marks a symbol with no support.
-    heads = (root[:rows] == np.arange(rows)).nonzero()[0]
-    label = np.empty(rows + 1, dtype=np.intp)
-    label.fill(-1)
-    label[heads] = np.arange(len(heads))
-    comp = len(heads)
+    nbrs_a, nbrs_b = _neighbours(edges), _neighbours(edges.T)
+    label_a, label_b = [-1] * len(nbrs_a), [-1] * len(nbrs_b)
+    comp = 0
+    for start, mask in enumerate(nbrs_a):
+        if not mask or label_a[start] >= 0:
+            continue
+        # the frontier alternates sides: the symbols next to the last
+        # frontier that the search has not found yet
+        found_a = seen_a = 1 << start
+        seen_b = 0
+        while found_a:
+            found_b = _label(found_a, label_a, nbrs_a, comp) & ~seen_b
+            seen_b |= found_b
+            found_a = _label(found_b, label_b, nbrs_b, comp) & ~seen_a
+            seen_a |= found_a
+        comp += 1
     if comp == 0:
         raise EmptySupportError(f"pair ({a!r}, {b!r}) has empty support")
-    return CommonFunction(
-        Statistic(a, label[root[:rows]].tolist(), comp),
-        Statistic(b, label[col].tolist(), comp),
-        comp,
-    )
+    return CommonFunction(Statistic(a, label_a, comp),
+                          Statistic(b, label_b, comp), comp)
 
 
 def _ci_residual(t: np.ndarray, cf: CommonFunction) -> float:

@@ -7,8 +7,10 @@ import time
 from itertools import product
 from pathlib import Path
 
+import pytest
+
 import pkregion
-from pkregion import __version__
+from pkregion import __version__, cli
 from pkregion.cli import main
 from pkregion.ioformats import dumps_deterministic, pmf_document
 
@@ -464,6 +466,29 @@ def test_repeated_calls_match_fresh_processes(tmp_path, capsys, monkeypatch,
     # within the looser tolerance
     verdicts = [json.loads(out)["det_correlated"] for _, out, _ in results[1:3]]
     assert verdicts == [True, False]
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "-h"), ("-h",), (), ("frobnicate",), ("version", "extra"),
+    ("simulate", "--budget"), ("compute", "--budget", "5"),
+    ("check", "--tol-ci", "abc"), ("compute", "--inp", "{source}"),
+    ("compute", "--input={source}")])
+def test_parser_matches_fresh_processes(argv, capsys, monkeypatch, data_dir):
+    """Help, usage errors, an abbreviated flag and a flag joined to its
+    value: one process's call gives what a fresh process gives, and parses
+    as the full parser does."""
+    monkeypatch.setenv("COLUMNS", "80")  # the width of the usage message
+    argv = [arg.format(source=f"{data_dir}/worked_source.json")
+            for arg in argv]
+    assert run_cli(capsys, *argv) == run_fresh_process(*argv)
+
+    def parsed(parse):
+        try:
+            return vars(parse(argv)), capsys.readouterr()
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr()
+
+    assert parsed(cli._parse) == parsed(cli._build_parser()[0].parse_args)
 
 
 # -- output handling -----------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -375,4 +377,44 @@ def test_write_atomic_failure_leaves_no_file(tmp_path):
     with pytest.raises(OSError):
         write_atomic(target, "data")
     assert not target.exists()
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_atomic_writes_the_whole_report_in_short_writes(tmp_path,
+                                                              monkeypatch):
+    """A write may take fewer bytes than it is given: every byte still
+    reaches the file."""
+    real_write = os.write
+    monkeypatch.setattr(os, "write",
+                        lambda fd, data: real_write(fd, bytes(data[:7])))
+    path = tmp_path / "out.json"
+    text = dumps_deterministic(pmf_document(worked_pmf()))
+    write_atomic(path, text)
+    assert path.read_bytes() == text.encode()
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_write_atomic_failed_write_names_the_target(tmp_path):
+    """A write that fails part way (here at a 16-byte file size limit, in
+    a child process) raises an OSError that names the target and leaves
+    no temporary file."""
+    pytest.importorskip("resource")
+    package_root = os.path.dirname(os.path.dirname(ioformats.__file__))
+    target = tmp_path / "out.json"
+    script = """if True:
+        import resource, signal, sys
+        from pkregion.ioformats import write_atomic
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE,
+                           (16, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+        try:
+            write_atomic(sys.argv[1], "x" * 100)
+        except OSError as exc:
+            print(exc.filename)
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(target)], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": package_root})
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, f"{target}\n", "")
     assert os.listdir(tmp_path) == []

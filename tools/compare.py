@@ -20,6 +20,9 @@ corpus:
   ``--eps`` 0 and 0.5, and with ``--budget 1`` (exit code 3);
 * every distinct request of the four benchmark workloads at seeds 1 and 51,
   generated by ``perfbench/workloads.py``;
+* command lines that the parser refuses or answers with help, and flags
+  given as an abbreviation or joined to their value (``PARSER_RUNS``), at
+  a usage width of 80 columns;
 * malformed variants of the pmf ``tight_8x32x32_c1`` of ``regions-tight``
   and of the protocol ``bsc_r1_n4`` of ``simulate-interactive`` (seed 1),
   among them sizes and counts that are no integers or too small, and
@@ -65,6 +68,15 @@ TIE_SOURCE = """{
           0.0, 0.15, 0.15, 0.0, 0.0, 0.15, 0.1, 0.0, 0.1]
 }
 """
+
+# Help, usage errors, an abbreviated flag and a flag joined to its value;
+# {source} stands for a data/ source. A parser error is an exit code with
+# argparse's usage message on stderr.
+PARSER_RUNS = (
+    ("compute", "-h"), ("-h",), (), ("frobnicate",), ("version", "extra"),
+    ("simulate", "--budget"), ("compute", "--budget", "5"),
+    ("check", "--tol-ci", "abc"), ("compute", "--inp", "{source}"),
+    ("compute", "--input={source}"))
 
 # Runs in each tree's own process: the runs' argv lists in, each run's
 # exit code, stdout and stderr out. An exception that escapes main is an
@@ -285,6 +297,8 @@ def build_corpus(corpus: Path) -> list:
             for eps in ("0", "0.5"):
                 runs.append(["simulate", "--input", src[name], "--protocol",
                              src[protocol], "--eps", eps])
+    runs += [[arg.format(source=src["worked_source.json"]) for arg in argv]
+             for argv in PARSER_RUNS]
     path = write("tie_source.json", TIE_SOURCE)
     runs += [["compute", "--input", path], ["check", "--input", path]]
     for source, protocol in zip(("xy_pair_source.json", "worked_source.json"),
@@ -333,7 +347,8 @@ def build_corpus(corpus: Path) -> list:
 def start(src: Path, runs_path: Path, results_path: Path, corpus: Path):
     return subprocess.Popen(
         [sys.executable, "-c", RUNNER, str(src), str(runs_path),
-         str(results_path)], cwd=corpus, env=clean_env())
+         str(results_path)], cwd=corpus,
+        env={**clean_env(), "COLUMNS": "80"})
 
 
 def leaves(value, path=""):
