@@ -27,8 +27,7 @@ from .errors import BudgetExceededError, MalformedTableError, \
 from .ioformats import check_document, dumps_deterministic, \
     evaluation_document, read_pmf, read_protocol, regions_document, \
     write_atomic
-from .protocol import DEFAULT_BUDGET, check_eps_pk, evaluate_protocol, \
-    rate_point
+from .protocol import DEFAULT_BUDGET, evaluate_protocol, rate_point
 from .regions import RegionReport, compute_report, contains, outer_region
 from .structure import DEFAULT_CI_TOL
 
@@ -167,11 +166,8 @@ def cmd_simulate(cfg: dict) -> dict:
         report = evaluate_protocol(p, spec, budget=cfg["budget"])
     except MalformedTableError as exc:  # a table shaped for another source
         raise MalformedTableError(f"{cfg['protocol']}: {exc.message}") from exc
-    verdicts = check_eps_pk(report, cfg["eps"])
-    point = rate_point(report)
-    inside = contains(outer_region(p), point, _CONTAIN_TOL)
-    return evaluation_document(report, cfg["eps"], verdicts, point, inside,
-                               cfg)
+    inside = contains(outer_region(p), rate_point(report), _CONTAIN_TOL)
+    return evaluation_document(report, inside, cfg)
 
 
 def main(argv=None) -> int:

@@ -115,7 +115,7 @@ class JointPmf:
             raise NonFiniteEntryError("table entries must be real numbers")
         try:
             arr = arr.astype(np.float64, order="C")
-        except (TypeError, ValueError, OverflowError):  # None, 10**400, ...
+        except (TypeError, ValueError, OverflowError):  # 10**400, object()
             raise NonFiniteEntryError(
                 "table entries must be finite numbers") from None
         if arr.shape != cards:

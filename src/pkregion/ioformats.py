@@ -32,7 +32,8 @@ import numpy as np
 from ._version import __version__
 from .dist import DEFAULT_SUM_TOL, JointPmf, load_pmf
 from .errors import InputFormatError, MalformedTableError, PkRegionError
-from .protocol import EvaluationReport, ProtocolSpec, SlotSpec, _Owned
+from .protocol import EvaluationReport, ProtocolSpec, SlotSpec, _Owned, \
+    check_eps_pk, rate_point
 from .regions import RegionReport
 
 __all__ = [
@@ -443,14 +444,18 @@ def check_document(report: RegionReport, config: dict) -> dict:
     return {**_head(CHECK_SCHEMA, config), **_tightness(report)}
 
 
-def evaluation_document(report: EvaluationReport, eps: float, eps_pk,
-                        point, in_outer: bool, config: dict) -> dict:
+def evaluation_document(report: EvaluationReport, in_outer: bool,
+                        config: dict) -> dict:
+    """The ε-verdicts at ``config["eps"]`` and the rate point are derived
+    from ``report``; ``in_outer`` needs the source, so the caller gives it."""
+    eps = float(config["eps"])
+    xy_ok, xz_ok = check_eps_pk(report, eps)
     return {
         **_head(EVALUATION_SCHEMA, config),
         "evaluation": {f.name: getattr(report, f.name) for f in fields(report)},
-        "eps": float(eps),
-        "eps_pk": {"xy": bool(eps_pk[0]), "xz": bool(eps_pk[1])},
-        "rate_point": [point[0], point[1]],
+        "eps": eps,
+        "eps_pk": {"xy": bool(xy_ok), "xz": bool(xz_ok)},
+        "rate_point": list(rate_point(report)),
         "in_outer_region": bool(in_outer),
     }
 

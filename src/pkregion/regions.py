@@ -16,7 +16,7 @@ involved, which keeps results deterministic to the bit across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -130,8 +130,6 @@ class RateRegion:
         points = list(self.vertices)
         if not points and all(present):
             points = _cap_vertices(*caps)
-        if not points:
-            raise ValueError("a region needs at least one vertex")
         object.__setattr__(self, "vertices", _start_at_origin(hull(points)))
 
     @classmethod
@@ -142,8 +140,9 @@ class RateRegion:
                    provenance)
 
     @classmethod
-    def from_hull(cls, points, provenance: str = "inner-hull") -> "RateRegion":
-        return cls(None, None, None, points, provenance)
+    def from_hull(cls, points) -> "RateRegion":
+        """Build the hull-form region (``inner-hull``) of ``points``."""
+        return cls(None, None, None, points, "inner-hull")
 
 
 def _cap_vertices(a: float, b: float, s: float) -> tuple:
@@ -277,10 +276,11 @@ class RegionReport:
         marginal, summed in another order, can differ in the last bit.
         """
         txy, cf = self.tables["xy"], self.common
+        labels = np.array(cf.stat_a.labels, dtype=np.intp)
+        on = labels >= 0
         qcx = np.zeros((cf.components, txy.shape[0]), dtype=np.float64)
-        for sym, lab in enumerate(cf.stat_a.labels):
-            if lab >= 0:
-                qcx[lab] += txy[:, sym]
+        # unbuffered: each Y column adds into its label's row, in symbol order
+        np.add.at(qcx, labels[on], txy.T[on])
         return _clip0(_entropy_of(np.add.reduce(qcx, axis=1))
                       + _entropy_of(np.add.reduce(txy, axis=1))
                       - _entropy_of(qcx))
@@ -344,9 +344,7 @@ class RegionReport:
 
     @cached_property
     def exact(self) -> RateRegion | None:
-        outer = self.outer
-        return RateRegion(outer.cap_xy, outer.cap_xz, outer.cap_sum,
-                          outer.vertices, "exact-thm4") \
+        return replace(self.outer, provenance="exact-thm4") \
             if self.thm4_holds else None
 
     @cached_property

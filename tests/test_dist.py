@@ -98,6 +98,17 @@ def test_overlapping_groups_raise():
         assert type(err.value) is ValueError
 
 
+def test_empty_groups_raise():
+    p = load_pmf([0.125] * 8, ("A", "B", "C"), (2, 2, 2))
+    for call, message in (
+            (lambda: entropy(p, ()), "entropy needs a nonempty"),
+            (lambda: cond_mutual_info(p, (), "B"), "must be nonempty"),
+            (lambda: cond_mutual_info(p, "A", (), "C"), "must be nonempty")):
+        with pytest.raises(ValueError, match=message) as err:
+            call()
+        assert type(err.value) is ValueError
+
+
 def test_entropy_and_cmi_match_oracle():
     rng = rng_for(102)
     for trial in range(50):
@@ -174,4 +185,9 @@ def test_jointpmf_rejects_non_finite_entries():
     # only load_pmf used to check; a directly built table summed to nan
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(NonFiniteEntryError):
+            JointPmf(("A", "B"), (2, 2), [0.5, bad, 0.5, 0.0])
+    # None converts to NaN; an integer past the float range, or an entry
+    # that is no number, does not convert at all
+    for bad in (None, 10 ** 400, object()):
+        with pytest.raises(NonFiniteEntryError, match="finite numbers"):
             JointPmf(("A", "B"), (2, 2), [0.5, bad, 0.5, 0.0])

@@ -66,10 +66,11 @@ def test_dumps_handles_numpy_scalars_and_arrays():
         "i": np.int64(3),
         "f": np.float64(0.25),
         "b": np.bool_(True),
+        "s": np.str_("x"),
         "arr": np.arange(3),
     }
     assert json.loads(dumps_deterministic(doc)) == {
-        "i": 3, "f": 0.25, "b": True, "arr": [0, 1, 2]}
+        "i": 3, "f": 0.25, "b": True, "s": "x", "arr": [0, 1, 2]}
 
 
 def test_dumps_byte_stability():
@@ -200,6 +201,13 @@ def test_read_pmf_error_paths(tmp_path):
         "cardinalities": [2, 2, 1], "pmf": [0.25] * 4}))
     with pytest.raises(InputFormatError, match="variables must be three names"):
         read_pmf(two)
+    two.write_text(json.dumps({
+        "schema": "pkregion-pmf-v1", "variables": ["X", "Y", "Z"],
+        "cardinalities": [2, 2], "pmf": [0.25] * 4}))
+    with pytest.raises(InputFormatError,
+                       match="cardinalities must be three integers") as err:
+        read_pmf(two)
+    assert type(err.value) is InputFormatError
 
 
 def test_protocol_roundtrip(tmp_path):
@@ -331,11 +339,13 @@ def test_evaluation_document_validates(square_source):
                         key_xz=key2, est_xz=identity,
                         key_xy_size=4, key_xz_size=4)
     rep = evaluate_protocol(square_source, spec)
-    doc = evaluation_document(rep, 0.0, (True, True), (1.0, 1.0), True, {})
+    doc = evaluation_document(rep, True, {"eps": 0.0})
     assert_report_fields(doc, "pkregion-evaluation-v2")
     assert_report_fields(json.loads(dumps_deterministic(doc)),
                          "pkregion-evaluation-v2")
+    assert doc["eps"] == 0.0
     assert doc["eps_pk"] == {"xy": True, "xz": True}
+    assert doc["rate_point"] == [rep.rate_xy, rep.rate_xz]
 
 
 def test_exact_entry_may_be_null(bsc_source):
@@ -377,6 +387,21 @@ def test_write_atomic_failure_leaves_no_file(tmp_path):
     with pytest.raises(OSError):
         write_atomic(target, "data")
     assert not target.exists()
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_atomic_passes_other_failures_through(tmp_path, monkeypatch):
+    """A failure that is no OSError (here an interrupt during the write)
+    comes out as it was raised, and leaves no temporary file."""
+    interrupt = KeyboardInterrupt()
+
+    def interrupted(fd, data):
+        raise interrupt
+
+    monkeypatch.setattr(os, "write", interrupted)
+    with pytest.raises(KeyboardInterrupt) as err:
+        write_atomic(tmp_path / "out.json", "{}\n")
+    assert err.value is interrupt
     assert os.listdir(tmp_path) == []
 
 

@@ -434,6 +434,11 @@ def test_malformed_protocols_are_rejected():
         ProtocolSpec(n=1, rounds=1, slots=(),  # wrong slot count
                      key_xy=zeros, est_xy=zeros, key_xz=zeros, est_xz=zeros,
                      key_xy_size=1, key_xz_size=1)
+    with pytest.raises(MalformedTableError, match="must be a SlotSpec"):
+        ProtocolSpec(n=1, rounds=1, slots=(null_slot(4), [[0], [0], [0]],
+                                           null_slot(4)),
+                     key_xy=zeros, est_xy=zeros, key_xz=zeros, est_xz=zeros,
+                     key_xy_size=1, key_xz_size=1)
     with pytest.raises(MalformedTableError):
         ProtocolSpec(n=1, rounds=0, slots=(),
                      key_xy=np.full((4, 1), 3), est_xy=zeros,

@@ -78,8 +78,8 @@ def test_reports_table_names_the_fields_the_builders_emit():
     listed = re.findall(r"^\| `([a-z_]+)` \|", section, re.M)
     report = compute_report(worked_pmf())
     docs = (regions_document(report, {}), check_document(report, {}),
-            evaluation_document(EvaluationReport(*[0.0] * 8), 0.0,
-                                (True, True), (0.0, 0.0), True, {}))
+            evaluation_document(EvaluationReport(*[0.0] * 8), True,
+                                {"eps": 0.0}))
     assert sorted(listed) == sorted(set().union(*docs))
 
 

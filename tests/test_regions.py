@@ -90,6 +90,10 @@ def test_region_validation():
     for caps in ((nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan)):
         with pytest.raises(ValueError, match="caps must be nonnegative"):
             RateRegion.from_caps(*caps, provenance="outer")
+    # a region of no points is refused by the hull it is stored as
+    with pytest.raises(ValueError, match="at least one point") as err:
+        RateRegion.from_hull([])
+    assert type(err.value) is ValueError
 
 
 def test_cap_vertices_agree_with_grid():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pkregion import (
-    DEFAULT_CI_TOL, RegionReport, load_pmf, maximal_common_function,
+    DEFAULT_CI_TOL, JointPmf, RegionReport, load_pmf, maximal_common_function,
     minimal_sufficient_statistic,
 )
 from pkregion.errors import EmptySupportError
@@ -135,6 +135,14 @@ def test_mss_groups_rows_by_12_decimal_rounding_bucket():
             == labels, (a, b)
 
 
+def test_mss_needs_a_group_without_its_variable(worked_source):
+    for wrt, message in ((("Y", "Z"), "its own conditioning group"),
+                         ((), "nonempty variable group")):
+        with pytest.raises(ValueError, match=message) as err:
+            minimal_sufficient_statistic(worked_source, of="Y", wrt=wrt)
+        assert type(err.value) is ValueError
+
+
 # -- maximal common function -------------------------------------------------------
 
 def test_mcf_on_worked_source(worked_source):
@@ -152,6 +160,12 @@ def test_mcf_single_component_for_full_support(bsc_source):
 def test_pair_functions_reject_a_repeated_variable(worked_source):
     with pytest.raises(ValueError, match="distinct"):
         maximal_common_function(worked_source, "Y", "Y")
+
+
+def test_mcf_empty_support_raises():
+    empty = JointPmf(("Y", "Z"), (2, 2), np.zeros((2, 2)))
+    with pytest.raises(EmptySupportError):
+        maximal_common_function(empty, "Y", "Z")
 
 
 def test_mcf_labels_are_canonical():

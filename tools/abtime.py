@@ -7,12 +7,18 @@ Usage (from the repository root)::
 BASE and HEAD are git revisions; HEAD defaults to the working tree. Each
 revision is checked out with ``git worktree`` under
 ``.perfbench_work/abtime/`` and removed again at the end, by
-``checkouts.py``, as ``tools/compare.py`` does.
+``checkouts.py``, as ``tools/compare.py`` does. Before any timing,
+``python -m compileall -q`` writes the bytecode of both trees' ``src/``:
+where it is missing and the environment sets ``PYTHONDONTWRITEBYTECODE``,
+every fresh process compiles the package anew (about 14 ms on a 2-core x86
+host), so a tree that alone had bytecode would seem faster.
 
 The requests are every distinct request of the four benchmark workloads at
 seed 1, built by ``perfbench/workloads.py``. One worker process per tree
-times each call of ``pkregion.cli.main`` with ``perf_counter``. After the
-call, outside the timed part, it checks the report with
+times each call of ``pkregion.cli.main`` with ``perf_counter``, with the
+garbage collector disabled, so that collections fall between calls and not
+on whichever call an allocation count happens to tip. After the call,
+outside the timed part, it checks the report with
 ``perfbench/checks.py`` against the values ``perfbench/reference.py``
 computes from the oracles, as the benchmark's serving process does. The
 parent sends each request to both workers in turn, in ABBA order: BASE
@@ -64,7 +70,7 @@ FRESH_SOURCE = "worked_source.json"
 # Runs in each tree's own process: the plan's requests, then one request
 # index a line on stdin; one line [seconds, problems] back for each.
 WORKER = """
-import json, sys, time
+import gc, json, sys, time
 src, perfbench, plan, out = sys.argv[1:]
 sys.path[:0] = [src, perfbench]
 import checks
@@ -75,12 +81,14 @@ for line in sys.stdin:
     index = int(line)
     req = requests[index]
     output = f"{out}/{index:03d}.json"
+    gc.disable()
     start = time.perf_counter()
     try:
         code = pkregion.cli.main(req["argv"] + ["--output", output])
     except Exception as exc:  # a crash fails this request, not the run
         code = f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
+    gc.enable()
     problems = [f"exit code {code}"] if code != 0 else \\
         checks.failures(req["command"], output, req["ref"])
     print(json.dumps([elapsed, problems]), flush=True)
@@ -221,6 +229,8 @@ def main(args) -> int:
     shutil.rmtree(WORK, ignore_errors=True)
     requests = build_requests()
     with source_trees(shas, WORK) as trees:
+        subprocess.run([sys.executable, "-m", "compileall", "-q",
+                        *map(str, trees)], check=True)
         pairs, failures = time_requests(trees, requests)
         fresh, fresh_failures = time_fresh(trees)
     print(f"abtime {names(shas)}: HEAD/BASE time ratios, seed {SEED}, "
