@@ -12,9 +12,12 @@ characters are read by C parsers into arrays, and json reads the rest of
 the document: a protocol file's 2-D tables of plain integers by numpy's
 integer parser, a pmf file's flat number lists by orjson, in pieces of about
 64 KiB. On floats at 17 digits the list reader overtakes json at 1200-1600
-characters, so 2048 (about 80 numbers) is just past that. Any other valid
-layout of the same tables, or a file with no large table, goes through json
-alone and reads to the same result, bit for bit, with the same errors.
+characters, so 2048 (about 80 numbers) is just past that. The scan that
+finds the tables does not know strings or constants: json decides those,
+and a file where a table found could lie in a string, or that holds a
+constant of its own, goes through json alone. So does any other valid
+layout of the same tables, or a file with no large table; each reads to
+the same result, bit for bit, with the same errors.
 """
 
 from __future__ import annotations
@@ -62,13 +65,13 @@ EVALUATION_SCHEMA = "pkregion-evaluation-v2"
 
 # -- reading ------------------------------------------------------------------
 
-def _load_json(path, tokens, closing, read_table):
+def _load_json(path, starts, closing, read_table):
     """The file's document, parsed as ``_parse_tables`` does, and the text
     json read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return _parse_tables(text, tokens, closing, read_table)
+        return _parse_tables(text, starts, closing, read_table)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     # bad syntax, an integer too long to read, or nesting too deep to read
@@ -87,28 +90,16 @@ def _load_json(path, tokens, closing, read_table):
 # numbers) 45-50%. Integer tables keep the same threshold.
 LARGE_TABLE_CHARS = 2048
 
-# One pass over a file finds, outside strings, json's non-standard constants
-# and the starts of candidate tables. A string is matched whole so that a
-# table written inside one stays text. A protocol's candidate runs from a
-# [[ to the next ]], a pmf's from a [ whose first token starts like a number
-# to the next ]. The end is found by a search for that literal at C speed:
-# a pattern that walks each character of the table through a class costs
-# 2.0 ms on a 1.6 MB pmf list and 2.1-2.5 ms on a 0.8 MB protocol. The last
-# end found is kept, and serves every start before it, so the pass stays
-# linear. A candidate shorter than LARGE_TABLE_CHARS that holds a quote, N
-# or I is scanned on from just past its start, like any other text, so the
-# strings and constants in it are found; the reader refuses whatever is not
-# a table.
-_STRING_OR_CONSTANT = r"""
-    "[^"\\]*(?:\\.[^"\\]*)*"
-  | (?P<constant>NaN|Infinity)
-"""
-_PROTOCOL_TOKENS = re.compile(_STRING_OR_CONSTANT + r"""
-  | (?P<table>\[[ \t\n\r]*\[)
-""", re.VERBOSE)
-_PMF_TOKENS = re.compile(_STRING_OR_CONSTANT + r"""
-  | (?P<table>\[[ \t\n\r]*[-0-9])
-""", re.VERBOSE)
+# One pass over a file finds the starts of candidate tables: in a protocol a
+# [[, in a pmf a [ whose first token starts like a number. It knows no
+# strings and no constants; json decides those (see _parse_tables). A
+# candidate runs to the next ]] or ], found by a search for that literal at
+# C speed: a pattern that walks each character of the table through a class
+# costs 2.0 ms on a 1.6 MB pmf list and 2.1-2.5 ms on a 0.8 MB protocol. The
+# pass goes on past that end whether or not the table was read, so it stays
+# linear; whatever a candidate holds is left to json.
+_PROTOCOL_STARTS = re.compile(r"\[[ \t\n\r]*\[")
+_PMF_STARTS = re.compile(r"\[[ \t\n\r]*[-0-9]")
 _TABLE_CLOSING = re.compile(r"\][ \t\n\r]*\]")
 # a match of a candidate's span, which is all a reader is given; .* with
 # DOTALL jumps to the end of the span without walking it
@@ -116,15 +107,15 @@ _SPAN = re.compile(".*", re.S)
 
 
 def _table_closing(text, pos):
-    """The span of the first ]] at or after ``pos``, or None."""
+    """The end of the first ]] at or after ``pos``, or None."""
     found = _TABLE_CLOSING.search(text, pos)
-    return found and found.span()
+    return found and found.end()
 
 
 def _list_closing(text, pos):
-    """The span of the first ] at or after ``pos``, or None."""
+    """The end of the first ] at or after ``pos``, or None."""
     at = text.find("]", pos)
-    return (at, at + 1) if at >= 0 else None
+    return at + 1 if at >= 0 else None
 
 
 # loadtxt strips the spaces left around each field
@@ -208,61 +199,46 @@ def _read_float_list(match):
         return None
 
 
-def _parse_tables(text, tokens, closing, read_table):
-    """``json.loads(text)``, with each large table that ``tokens`` starts,
+def _parse_tables(text, starts, closing, read_table):
+    """``json.loads(text)``, with each large table that ``starts`` begins,
     ``closing`` ends and ``read_table`` reads from its match as an array,
     and the text json read.
 
-    Each table read is replaced by ``NaN`` and handed back in text order
-    through ``parse_constant``. A file goes to json whole when it holds a
-    constant of its own, is too short to hold a large table, or has a large
-    candidate left unread that holds a quote, ``N`` or ``I``. When the rest
-    does not parse, or its schema is not a string (the schema check quotes
-    it), json parses the original text, so errors read exactly as json's.
+    Each table read is replaced by ``-Infinity`` and handed back in text
+    order through ``parse_constant``. The pass does not know strings, so a
+    placeholder may lie inside one, and json checks that none does: the
+    text it reads must hold no ``NaN`` and no ``Infinity`` that is not a
+    placeholder, and every placeholder must come back. When a check fails,
+    the text does not parse, or its schema is not a string (the schema
+    check quotes it), json parses the original text, so values and errors
+    read exactly as json's.
     """
     if len(text) < LARGE_TABLE_CHARS:
         return json.loads(text), text
     tables, pieces, end, pos = [], [], 0, 0
-    # the last closing found; (len(text), -1) once there is none left
-    close_at, close_end = -1, -1
-    while match := tokens.search(text, pos):
-        pos = match.end()
-        if match.lastgroup == "constant":
-            return json.loads(text), text
-        if match.lastgroup != "table":
-            continue
-        if close_at < pos:
-            close_at, close_end = closing(text, pos) or (len(text), -1)
-        start, stop = match.start(), close_end
-        if stop < 0:
-            continue
-        large = stop - start >= LARGE_TABLE_CHARS
-        if large and (table := read_table(_SPAN.match(text, start, stop))) \
-                is not None:
-            pieces += (text[end:start], "NaN")
-            end = stop
+    while match := starts.search(text, pos):
+        start, pos = match.start(), closing(text, match.end())
+        if pos is None:
+            break
+        if pos - start >= LARGE_TABLE_CHARS and (table := read_table(
+                _SPAN.match(text, start, pos))) is not None:
+            pieces += (text[end:start], "-Infinity")
+            end = pos
             tables.append(table)
-        # A candidate left to json may hold a string, which would put the
-        # pass out of step, or a constant: a large one sends the file to
-        # json, a short one is scanned on from inside. Any other is passed
-        # over whole; a table within it is shorter still.
-        elif any(text.find(c, start, stop) >= 0 for c in '"NI'):
-            if large:
-                return json.loads(text), text
-            continue
-        pos = stop
-    if not tables:
-        return json.loads(text), text
-    pieces.append(text[end:])
-    rest = "".join(pieces)
-    placeholders = iter(tables)
-    try:
-        doc = json.loads(rest, parse_constant=lambda _: next(placeholders))
-    except (ValueError, RecursionError):
-        return json.loads(text), text
-    if not (isinstance(doc, dict) and isinstance(doc.get("schema"), str)):
-        return json.loads(text), text
-    return doc, rest
+    if tables:
+        pieces.append(text[end:])
+        rest = "".join(pieces)
+        placeholders = iter(tables)
+        if rest.count("Infinity") == len(tables) and "NaN" not in rest:
+            try:
+                doc = json.loads(
+                    rest, parse_constant=lambda _: next(placeholders))
+            except (ValueError, RecursionError):
+                doc = None
+            if next(placeholders, None) is None and isinstance(doc, dict) \
+                    and isinstance(doc.get("schema"), str):
+                return doc, rest
+    return json.loads(text), text
 
 
 def _expect_schema(doc, schema, path):
@@ -288,7 +264,7 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
     the file by json; both give the same bits and the same errors, and
     every error names the file.
     """
-    doc = _load_json(path, _PMF_TOKENS, _list_closing, _read_float_list)[0]
+    doc = _load_json(path, _PMF_STARTS, _list_closing, _read_float_list)[0]
     _expect_schema(doc, PMF_SCHEMA, path)
     variables = _field(doc, "variables", path)
     cardinalities = _field(doc, "cardinalities", path)
@@ -315,6 +291,13 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
         raise InputFormatError(f"{path}: {exc}") from exc
 
 
+def _as_json(value):
+    """``value`` as json gives it: a table read as an array, as its list.
+    A table given where an integer or the slots belong is then refused as
+    json's list."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def read_protocol(path) -> ProtocolSpec:
     """Load a protocol file; tables are validated on construction.
 
@@ -323,7 +306,7 @@ def read_protocol(path) -> ProtocolSpec:
     every other value by json. Both give the same tables and the same
     errors, and every error names the file.
     """
-    doc, text = _load_json(path, _PROTOCOL_TOKENS, _table_closing,
+    doc, text = _load_json(path, _PROTOCOL_STARTS, _table_closing,
                            _read_int_table)
     _expect_schema(doc, PROTOCOL_SCHEMA, path)
     # JSON booleans come only from true/false literals, which the text
@@ -346,11 +329,10 @@ def read_protocol(path) -> ProtocolSpec:
         return raw
 
     # checked by the constructors; read first, so a missing one is reported
-    ints = {key: _field(doc, key, path)
+    ints = {key: _as_json(_field(doc, key, path))
             for key in ("n", "rounds", "key_xy_size", "key_xz_size")}
-    slots_raw = _field(doc, "slots", path)
-    # a large integer table given as slots arrives as an array
-    if not isinstance(slots_raw, (list, np.ndarray)):
+    slots_raw = _as_json(_field(doc, "slots", path))
+    if not isinstance(slots_raw, list):
         raise InputFormatError(f"{path}: slots must be a list")
     try:
         slots = []
@@ -359,7 +341,7 @@ def read_protocol(path) -> ProtocolSpec:
                     or "table" not in entry:
                 raise InputFormatError(
                     f"{path}: slot {i + 1} needs alphabet_size and table")
-            slots.append(SlotSpec(entry["alphabet_size"],
+            slots.append(SlotSpec(_as_json(entry["alphabet_size"]),
                                   table(entry, "table")))
         return ProtocolSpec(
             slots=tuple(slots),

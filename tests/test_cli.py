@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pkregion
-from pkregion import __version__, cli
+from pkregion import EvaluationReport, __version__, cli, ioformats
 from pkregion.cli import main
 from pkregion.ioformats import dumps_deterministic, pmf_document
 
@@ -93,6 +94,24 @@ def test_invalid_input_exits_2_and_names_the_code(tmp_path, capsys):
     assert "SUM_OUT_OF_TOLERANCE" in err
 
 
+def test_default_sum_tolerance_is_1e_9(tmp_path, capsys):
+    """``--tol-sum`` defaults to 1e-9: a total 0.9e-9 from 1 is accepted,
+    one 1.1e-9 from 1 exits 2, on either side."""
+    doc = pmf_document(worked_pmf())
+    probs = doc["pmf"]
+    largest = probs.index(max(probs))
+    path = tmp_path / "source.json"
+    for sign in (1, -1):
+        for deviation, want in ((0.9e-9, 0), (1.1e-9, 2)):
+            shifted = probs.copy()
+            shifted[largest] += sign * deviation
+            path.write_text(json.dumps({**doc, "pmf": shifted}))
+            code, out, err = run_cli(capsys, "compute", "--input", str(path))
+            assert code == want
+            assert err.startswith("error: SUM_OUT_OF_TOLERANCE: ") \
+                == bool(want)
+
+
 def test_nan_pmf_exits_2(tmp_path, capsys):
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps({
@@ -168,6 +187,33 @@ def test_out_of_range_protocol_entry_is_named_as_given(tmp_path, capsys,
         assert (code, out) == (2, ""), (entry, key_size)
         assert "MALFORMED_TABLE" in err
         assert f"got [0, {entry}]" in err
+
+
+def test_integer_field_given_as_a_large_table_fails_as_json_reads_it(
+        tmp_path, capsys, monkeypatch, data_dir):
+    """An integer field given as a table long enough for numpy's parser is
+    refused with json's list, the stderr that reading the whole file with
+    json gives, not with numpy's repr of the array."""
+    table = [[0] * 8] * 300
+    protocol = json.loads(
+        Path(data_dir, "worked_recovery_n1.json").read_text())
+    path = tmp_path / "protocol.json"
+    argv = ("simulate", "--input", f"{data_dir}/worked_source.json",
+            "--protocol", str(path))
+    slots = [{**protocol["slots"][0], "alphabet_size": table},
+             *protocol["slots"][1:]]
+    for field, value, what in (
+            ("n", table, "blocklength"), ("rounds", table, "round count"),
+            ("key_xy_size", table, "key alphabet sizes"),
+            ("key_xz_size", table, "key alphabet sizes"),
+            ("slots", slots, "message alphabet size")):
+        path.write_text(json.dumps({**protocol, field: value}))
+        with monkeypatch.context() as patch:
+            patch.setattr(ioformats, "LARGE_TABLE_CHARS", math.inf)
+            by_json = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv) == by_json == (
+            2, "", f"error: INPUT_FORMAT: {path}: {what}: {table} is not "
+            "an integer\n")
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):
@@ -395,6 +441,27 @@ def test_each_command_reads_only_its_own_variables(tmp_path, capsys,
                 "--input", f"{data_dir}/xy_pair_source.json",
                 "--protocol", f"{data_dir}/direct_extraction_n2.json")
             assert (code, out) == (2, "") and message in err
+
+
+def test_in_outer_region_allows_a_distance_of_1e_9(capsys, monkeypatch,
+                                                  data_dir):
+    """A rate point 0.9e-9 outside the outer region is reported inside it,
+    one 1.1e-9 outside is not. The evaluation is patched to give the rate
+    point: no protocol of a small source lands that close to the edge."""
+    # the outer region of X = (Y, Z) is the unit square: (1 + d, 0.5) is d
+    # from its right edge
+    argv = ("simulate", "--input", f"{data_dir}/xy_pair_source.json",
+            "--protocol", f"{data_dir}/direct_extraction_n2.json")
+    for distance, inside in ((0.9e-9, True), (1.1e-9, False)):
+        report = EvaluationReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                  1.0 + distance, 0.5)
+        monkeypatch.setattr(cli, "evaluate_protocol",
+                            lambda p, spec, budget: report)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["rate_point"] == [1.0 + distance, 0.5]
+        assert doc["in_outer_region"] is inside
 
 
 def test_config_echo_lists_every_knob(tmp_path, capsys, data_dir):

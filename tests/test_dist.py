@@ -73,6 +73,19 @@ def test_load_pmf_sum_tolerance_is_configurable():
     assert p.total() == pytest.approx(0.9999)
 
 
+def test_default_sum_tolerance_is_1e_9():
+    """A total 0.9e-9 from 1 is accepted, one 1.1e-9 from 1 refused, on
+    either side."""
+    for sign in (1, -1):
+        for deviation, accepted in ((0.9e-9, True), (1.1e-9, False)):
+            table = [0.125 + sign * deviation] + [0.125] * 7
+            if accepted:
+                load_pmf(table, ("X", "Y", "Z"), (2, 2, 2))
+            else:
+                with pytest.raises(SumOutOfToleranceError):
+                    load_pmf(table, ("X", "Y", "Z"), (2, 2, 2))
+
+
 def test_probs_are_read_only():
     p = load_pmf([0.25] * 4, ("A", "B"), (2, 2))
     with pytest.raises(ValueError):

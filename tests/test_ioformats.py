@@ -405,6 +405,27 @@ def test_write_atomic_passes_other_failures_through(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def test_write_atomic_raises_the_first_failure_when_cleanup_fails(
+        tmp_path, monkeypatch):
+    """When the temp file cannot be removed either, the failure that came
+    first still comes out, naming the target."""
+    failure = PermissionError(13, "Permission denied")
+
+    def refuse(*args):
+        raise failure
+
+    monkeypatch.setattr(os, "replace", refuse)
+    monkeypatch.setattr(os, "unlink", refuse)
+    target = tmp_path / "out.json"
+    with pytest.raises(PermissionError) as err:
+        write_atomic(target, "{}\n")
+    assert err.value.__cause__ is failure
+    assert (err.value.errno, err.value.filename) == (13, str(target))
+    monkeypatch.undo()
+    [left] = os.listdir(tmp_path)  # the temp file that could not go
+    assert left.startswith(".pkregion-") and left.endswith(".tmp")
+
+
 def test_write_atomic_writes_the_whole_report_in_short_writes(tmp_path,
                                                               monkeypatch):
     """A write may take fewer bytes than it is given: every byte still

@@ -695,8 +695,20 @@ CELL_MUTATIONS = {
     "3-D cell": lambda v: "[1, 2]",
     "NaN": lambda v: "NaN",
 }
+# A field put just ahead of a table, which json reads but the scan, knowing
+# no strings and no constants, could misread; the file then goes to json
+# whole. A [[ or [0 in a string starts a candidate that runs into the table
+# after it, which must still read as json reads it.
+FIELDS_AHEAD = {
+    "Infinity in a string": '"note": "Infinity"',
+    "NaN in a string": '"note": "NaN"',
+    "-Infinity in an unknown field": '"extra": -Infinity',
+    "[[ in a string": '"note": "[["',
+    "[0 in a string": '"note": "[0"',
+}
 TABLE_MUTATIONS = (None, "empty row", "ragged row", "trailing comma",
-                   "missing comma", "table in a string")
+                   "missing comma", "table in a string", "empty rows only",
+                   *FIELDS_AHEAD)
 
 
 def table_span(text, key):
@@ -704,8 +716,17 @@ def table_span(text, key):
     return start, re.compile(r"\][ \t\n\r]*\]").search(text, start).end()
 
 
+def field_ahead(text, key, mutation):
+    """``text`` with the field ``FIELDS_AHEAD[mutation]`` put just ahead of
+    the one stored under ``key``."""
+    at = text.index(json.dumps(key))
+    return text[:at] + FIELDS_AHEAD[mutation] + ", " + text[at:]
+
+
 def mutate(text, key, mutation, rng):
     """``text`` with one mutation made in the table stored under ``key``."""
+    if mutation in FIELDS_AHEAD:
+        return field_ahead(text, key, mutation)
     start, end = table_span(text, key)
     table = text[start:end]
     if mutation in CELL_MUTATIONS:
@@ -715,6 +736,8 @@ def mutate(text, key, mutation, rng):
                  + table[cell.end():])
     elif mutation == "empty row":
         table = table[:1] + "[]," + table[1:]
+    elif mutation == "empty rows only":  # as long as the table it replaces
+        table = "[" + ", ".join(["[]"] * (len(table) // 4 + 1)) + "]"
     elif mutation in ("ragged row", "trailing comma"):
         row_end = table.index("]")
         table = (table[:row_end] + (",0" if mutation == "ragged row" else ",")
@@ -827,7 +850,8 @@ EXTRA_LIST_MUTATIONS = ("NaN in a short list", "NaN in a long list",
                         "schema string after a short list",
                         "schema string after a long list")
 LIST_MUTATIONS = (None, "trailing comma", "empty list", "second pmf key",
-                  "list in a string", "list as schema", *EXTRA_LIST_MUTATIONS)
+                  "list in a string", "list as schema", *EXTRA_LIST_MUTATIONS,
+                  *FIELDS_AHEAD)
 
 
 def pmf_span(text):
@@ -837,6 +861,8 @@ def pmf_span(text):
 
 def mutate_pmf(text, mutation, rng):
     """``text`` with one mutation made in, or with, its pmf list."""
+    if mutation in FIELDS_AHEAD:
+        return field_ahead(text, "pmf", mutation)
     start, end = pmf_span(text)
     values = text[start:end]
     if mutation in NUMBER_MUTATIONS:

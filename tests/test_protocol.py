@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from pkregion import (
-    ProtocolSpec, SlotSpec, check_eps_pk, contains, evaluate_protocol,
-    load_pmf, outer_region, rate_point,
+    EvaluationReport, ProtocolSpec, SlotSpec, check_eps_pk, contains,
+    evaluate_protocol, load_pmf, outer_region, rate_point,
 )
 from pkregion.errors import BudgetExceededError, MalformedTableError
 
@@ -541,3 +542,19 @@ def test_check_eps_pk_rejects_negative_eps():
     for eps in (-0.1, float("nan")):
         with pytest.raises(ValueError):
             check_eps_pk(report, eps)
+
+
+def test_check_eps_pk_fails_a_pair_on_any_one_figure_just_above_eps():
+    """Each of ``error``, ``leak`` and ``unif`` one step above ``eps``, the
+    others at 0, fails its own pair only; at ``eps`` exactly, both pass."""
+    names = [f"{figure}_{pair}" for figure in ("error", "leak", "unif")
+             for pair in ("xy", "xz")]
+    for eps in (0.0, 0.25):
+        above = math.nextafter(eps, math.inf)
+        for name in names:
+            for value, want in ((eps, (True, True)), (above, (
+                    name.endswith("xz"), name.endswith("xy")))):
+                report = EvaluationReport(
+                    **{**dict.fromkeys(names, 0.0), name: value},
+                    rate_xy=0.0, rate_xz=0.0)
+                assert check_eps_pk(report, eps) == want, (name, value)

@@ -25,8 +25,14 @@ corpus:
   a usage width of 80 columns;
 * malformed variants of the pmf ``tight_8x32x32_c1`` of ``regions-tight``
   and of the protocol ``bsc_r1_n4`` of ``simulate-interactive`` (seed 1),
-  among them sizes and counts that are no integers or too small, and
-  protocols that hold a boolean among integral floats.
+  among them sizes and counts that are no integers or too small, ``n`` and
+  a slot's ``alphabet_size`` given as a 300x8 table, and protocols that
+  hold a boolean among integral floats;
+* variants of the same two files with a field put just ahead of the pmf
+  list or the ``key_xy`` table (``FIELDS_AHEAD``): a string holding
+  ``Infinity``, ``NaN``, ``[[`` or ``[0``, and an unknown field holding
+  ``-Infinity``. The scan for large tables knows no strings or constants,
+  so these files go to json whole.
 
 Exit code, stdout and stderr are compared byte for byte. Each differing run
 is printed with what differs; for reports that differ, the largest absolute
@@ -129,6 +135,24 @@ PMF_NUMBER_MUTATIONS = {
 # an extra list this many zeros long is past the large-table threshold
 # (ioformats.LARGE_TABLE_CHARS, 2048 characters)
 LONG_ZEROS = 2048
+# name -> a field that json reads, put just ahead of a large table
+FIELDS_AHEAD = {
+    "Infinity string": '"note": "Infinity"',
+    "NaN string": '"note": "NaN"',
+    "-Infinity field": '"extra": -Infinity',
+    "[[ string": '"note": "[["',
+    "[0 string": '"note": "[0"',
+}
+# a table past the threshold, given where an integer belongs
+LARGE_TABLE = json.dumps([[0] * 8] * 300)
+
+
+def fields_ahead(text, key, prefix):
+    """Name -> ``text`` with each of ``FIELDS_AHEAD`` put just ahead of the
+    field ``key``."""
+    at = text.index(json.dumps(key))
+    return {f"{prefix} {name} ahead of {key}": text[:at] + field + ", "
+            + text[at:] for name, field in FIELDS_AHEAD.items()}
 
 
 def pmf_variants(text):
@@ -174,6 +198,7 @@ def pmf_variants(text):
         "pmf tab after [": with_values("[\t" + values[1:]),
         "pmf ] removed": with_values(values[:-1]),
     })
+    out.update(fields_ahead(text, "pmf", "pmf"))
     return out
 
 
@@ -258,10 +283,14 @@ def protocol_variants(text):
         "protocol n 2.5, slot 1 alphabet_size true": with_field(
             "alphabet_size", "true", with_field("n", "2.5")),
         "protocol slots for another round count": with_field("rounds", "2"),
+        "protocol n as a large table": with_field("n", LARGE_TABLE),
+        "protocol slot 1 alphabet_size as a large table": with_field(
+            "alphabet_size", LARGE_TABLE),
         # numpy reads such a table as floats; the boolean must not become 1
         "protocol true and 1.0 cells": with_table(
             with_cells({0: "true", middle: "1.0"})),
     })
+    out.update(fields_ahead(text, "key_xy", "protocol"))
     return out
 
 
