@@ -7,17 +7,20 @@ through a temp file and an atomic rename; failures leave no partial files.
 
 Schema identifiers are embedded in every document and checked on read.
 
-Number tables whose text has at least ``LARGE_TABLE_CHARS`` (2048)
-characters are read by C parsers into arrays, and json reads the rest of
-the document: a protocol file's 2-D tables of plain integers by numpy's
-integer parser, a pmf file's flat number lists by orjson, in pieces of about
-64 KiB. On floats at 17 digits the list reader overtakes json at 1200-1600
-characters, so 2048 (about 80 numbers) is just past that. The scan that
+An input file is read once, as bytes. Number tables whose text has at
+least ``LARGE_TABLE_CHARS`` (2048) characters are found and parsed on those
+bytes by C parsers into arrays: a protocol file's 2-D tables of plain
+integers by numpy's integer parser, a pmf file's flat number list by orjson,
+in pieces of about 64 KiB. On floats at 17 digits the list reader overtakes
+json at 1200-1600 characters, so 2048 (about 80 numbers) is just past that.
+Only the rest of the file, the text json reads, is decoded. The scan that
 finds the tables does not know strings or constants: json decides those,
 and a file where a table found could lie in a string, or that holds a
 constant of its own, goes through json alone. So does any other valid
-layout of the same tables, or a file with no large table; each reads to
-the same result, bit for bit, with the same errors.
+layout of the same tables, a file with no large table, a file that is not
+UTF-8 and one whose rest json refuses: json then reads the whole text, as
+the file opened as text gives it, so each reads to the same result, bit for
+bit, and fails with the same errors as before.
 """
 
 from __future__ import annotations
@@ -65,16 +68,17 @@ EVALUATION_SCHEMA = "pkregion-evaluation-v2"
 
 # -- reading ------------------------------------------------------------------
 
-def _load_json(path, starts, closing, read_table):
-    """The file's document, parsed as ``_parse_tables`` does, and the text
-    json read."""
+def _load_json(path, starts, closing, read_table, key=None):
+    """The file's document, parsed from its bytes as ``_parse_tables``
+    does, and the text json read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return _parse_tables(text, starts, closing, read_table)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return _parse_tables(data, starts, closing, read_table, key)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    # bad syntax, an integer too long to read, or nesting too deep to read
+    # bad syntax, bytes that are not UTF-8, an integer too long to read, or
+    # nesting too deep to read
     except (ValueError, RecursionError) as exc:
         raise InputFormatError(f"cannot parse {path} as JSON: {exc}") from exc
 
@@ -87,40 +91,43 @@ def _load_json(path, starts, closing, read_table):
 # of %.17e floats (25 characters a number, 2-core x86 host), read_pmf with
 # the list reader and with json alone break even at 1200-1600 characters
 # (48-64 numbers); at 2000 the list reader is 5-12% faster, at 12 800 (512
-# numbers) 45-50%. Integer tables keep the same threshold.
+# numbers) 45-50%. Integer tables keep the same threshold. A table read is
+# ASCII, so its bytes are its characters.
 LARGE_TABLE_CHARS = 2048
 
-# One pass over a file finds the starts of candidate tables: in a protocol a
-# [[, in a pmf a [ whose first token starts like a number. It knows no
-# strings and no constants; json decides those (see _parse_tables). A
-# candidate runs to the next ]] or ], found by a search for that literal at
-# C speed: a pattern that walks each character of the table through a class
-# costs 2.0 ms on a 1.6 MB pmf list and 2.1-2.5 ms on a 0.8 MB protocol. The
-# pass goes on past that end whether or not the table was read, so it stays
-# linear; whatever a candidate holds is left to json.
-_PROTOCOL_STARTS = re.compile(r"\[[ \t\n\r]*\[")
-_PMF_STARTS = re.compile(r"\[[ \t\n\r]*[-0-9]")
-_TABLE_CLOSING = re.compile(r"\][ \t\n\r]*\]")
+# One pass over a file's bytes finds the starts of candidate tables: in a
+# protocol a [[, in a pmf a [ whose first token starts like a number. It
+# knows no strings and no constants; json decides those (see _parse_tables).
+# A candidate runs to the next ]] or ], found by a search for that literal
+# at C speed: a pattern that walks each character of the table through a
+# class costs 2.0 ms on a 1.6 MB pmf list and 2.1-2.5 ms on a 0.8 MB
+# protocol. The pass goes on past that end whether or not the table was
+# read, so it stays linear; whatever a candidate holds is left to json. No
+# byte of a multi-byte UTF-8 character is ASCII, so the pass finds on the
+# bytes what it would find on the text.
+_PROTOCOL_STARTS = re.compile(rb"\[[ \t\n\r]*\[")
+_PMF_STARTS = re.compile(rb"\[[ \t\n\r]*[-0-9]")
+_TABLE_CLOSING = re.compile(rb"\][ \t\n\r]*\]")
 # a match of a candidate's span, which is all a reader is given; .* with
 # DOTALL jumps to the end of the span without walking it
-_SPAN = re.compile(".*", re.S)
+_SPAN = re.compile(b".*", re.S)
 
 
-def _table_closing(text, pos):
+def _table_closing(data, pos):
     """The end of the first ]] at or after ``pos``, or None."""
-    found = _TABLE_CLOSING.search(text, pos)
+    found = _TABLE_CLOSING.search(data, pos)
     return found and found.end()
 
 
-def _list_closing(text, pos):
+def _list_closing(data, pos):
     """The end of the first ] at or after ``pos``, or None."""
-    at = text.find("]", pos)
+    at = data.find(b"]", pos)
     return at + 1 if at >= 0 else None
 
 
 # loadtxt strips the spaces left around each field
 _ROW_BREAK = re.compile(r"\] *, *\[")
-_BLANKS_TO_SPACE = str.maketrans("\t\n\r", "   ")
+_BLANKS_TO_SPACE = bytes.maketrans(b"\t\n\r", b"   ")
 # orjson reads a float list in pieces of about this many characters, cut at
 # commas. On a 1.6 MB pmf the pieces keep read_pmf's traced peak at the 3.3 MB
 # that reading the file takes; the whole list at once peaks at 5.9 MB, json
@@ -129,17 +136,23 @@ _PIECE_CHARS = 1 << 16
 
 
 def _read_int_table(match):
-    """The int64 array a candidate table's text spells, or None for json.
+    """The int64 array a candidate table's bytes spell, or None for json.
 
-    None when a row is ragged or empty, a field is not a plain integer
-    below 2**63, a cell is an array, there is no digit at all, or a number
-    has a leading zero, which loadtxt reads and json refuses: the text then
-    holds more digits than the shortest rendering of the values.
+    None when a byte is not ASCII, a row is ragged or empty, a field is not
+    a plain integer below 2**63, a cell is an array, there is no digit at
+    all, or a number has a leading zero, which loadtxt reads and json
+    refuses: the text then holds more digits than the shortest rendering of
+    the values.
     """
-    body = match.group().translate(_BLANKS_TO_SPACE)[1:-1].strip()[1:-1]
-    if not body.strip(", []"):  # loadtxt would warn on an input with no data
+    data, start, end = match.string, match.start(), match.end()
+    # the rows: what lies between the span's inner [ and ], cut from the
+    # file's bytes and translated; then decoded, and split into rows
+    body = data[data.index(b"[", start + 1) + 1:
+                data.rindex(b"]", start, end - 1)].translate(_BLANKS_TO_SPACE)
+    # loadtxt would warn on an input with no data
+    if not body.isascii() or not body.strip(b", []"):
         return None
-    rows = _ROW_BREAK.split(body)
+    rows = _ROW_BREAK.split(body.decode("ascii"))
     try:
         # numpy before 2.0 reads an integer past int64 through a float and
         # warns; as an error, the warning makes loadtxt raise ValueError
@@ -153,7 +166,7 @@ def _read_int_table(match):
         return None
     # Read whole, the body holds table.size - 1 commas, two brackets per
     # row break, spaces, and digits.
-    digits = (len(body) - body.count(" ") - (table.size - 1)
+    digits = (len(body) - body.count(b" ") - (table.size - 1)
               - 2 * (len(rows) - 1))
     shortest = table.size + sum(
         np.count_nonzero(table >= 10 ** k)
@@ -162,30 +175,30 @@ def _read_int_table(match):
 
 
 def _read_float_list(match):
-    """The float64 array of a candidate list's text, or None for json.
+    """The float64 array of a candidate list's bytes, or None for json.
 
-    orjson rounds each number correctly, as json does. None when the text
-    holds a character that starts a JSON value other than a number
-    (``"tfn[{``: a string, ``true``, ``false``, ``null``, a list or an
-    object), or a piece does not parse (a misplaced comma or sign, a leading
-    zero, a number past the float range, ``NaN``) or is empty (a trailing
-    comma). What parses is then numbers only, which numpy takes from
-    orjson's floats and ints into one growing array, piece by piece.
+    orjson rounds each number correctly, as json does. None when the list
+    holds a byte that starts a JSON value other than a number (``"tfn[{``:
+    a string, ``true``, ``false``, ``null``, a list or an object), or a
+    piece does not parse (a misplaced comma or sign, a leading zero, a
+    number past the float range, ``NaN``, a byte past ASCII) or is empty (a
+    trailing comma). What parses is then numbers only, which numpy takes
+    from orjson's floats and ints into one growing array, piece by piece.
     """
     # imported here: at the top, its ~5 ms import would slow every run
     import orjson
 
-    # the pieces are cut from the file's text: a copy of the whole list
+    # the pieces are cut from the file's bytes: a copy of the whole list
     # would add its size to the peak
-    text, start, end = match.string, match.start() + 1, match.end() - 1
-    if any(text.find(c, start, end) >= 0 for c in '"tfn[{'):
+    data, start, end = match.string, match.start() + 1, match.end() - 1
+    if any(data.find(c, start, end) >= 0 for c in b'"tfn[{'):
         return None
 
     def pieces(start):
         while True:
-            cut = text.find(",", start + _PIECE_CHARS, end)
+            cut = data.find(b",", start + _PIECE_CHARS, end)
             cut = end if cut < 0 else cut
-            piece = orjson.loads("[" + text[start:cut] + "]")
+            piece = orjson.loads(b"[" + data[start:cut] + b"]")
             if not piece:
                 raise ValueError("empty piece")
             yield piece
@@ -199,45 +212,58 @@ def _read_float_list(match):
         return None
 
 
-def _parse_tables(text, starts, closing, read_table):
-    """``json.loads(text)``, with each large table that ``starts`` begins,
-    ``closing`` ends and ``read_table`` reads from its match as an array,
-    and the text json read.
+def _parse_tables(data, starts, closing, read_table, key=None):
+    """``json.loads`` of the text ``data`` holds, with each large table that
+    ``starts`` begins, ``closing`` ends and ``read_table`` reads from its
+    match as an array, and the text json read.
 
-    Each table read is replaced by ``-Infinity`` and handed back in text
-    order through ``parse_constant``. The pass does not know strings, so a
-    placeholder may lie inside one, and json checks that none does: the
-    text it reads must hold no ``NaN`` and no ``Infinity`` that is not a
-    placeholder, and every placeholder must come back. When a check fails,
-    the text does not parse, or its schema is not a string (the schema
-    check quotes it), json parses the original text, so values and errors
-    read exactly as json's.
+    Tables are found and read on the bytes, and only the rest of the file
+    is decoded. Each table read is replaced by ``-Infinity`` and handed back
+    in file order through ``parse_constant``. The pass does not know
+    strings, so a placeholder may lie inside one, and json checks that none
+    does: the text it reads must hold no ``NaN`` and no ``Infinity`` that is
+    not a placeholder, and every placeholder must come back. With ``key``
+    given, the table read must be the document's value of ``key``. When a
+    check fails, the rest is not UTF-8 (the error's offset would not be the
+    file's) or does not parse, or its schema is not a string (the schema
+    check quotes it), json parses the whole file's text, as
+    ``open(path, encoding="utf-8")`` reads it, so values and errors read
+    exactly as json's.
     """
-    if len(text) < LARGE_TABLE_CHARS:
-        return json.loads(text), text
-    tables, pieces, end, pos = [], [], 0, 0
-    while match := starts.search(text, pos):
-        start, pos = match.start(), closing(text, match.end())
-        if pos is None:
-            break
-        if pos - start >= LARGE_TABLE_CHARS and (table := read_table(
-                _SPAN.match(text, start, pos))) is not None:
-            pieces += (text[end:start], "-Infinity")
-            end = pos
-            tables.append(table)
-    if tables:
-        pieces.append(text[end:])
-        rest = "".join(pieces)
-        placeholders = iter(tables)
-        if rest.count("Infinity") == len(tables) and "NaN" not in rest:
-            try:
-                doc = json.loads(
-                    rest, parse_constant=lambda _: next(placeholders))
-            except (ValueError, RecursionError):
-                doc = None
+    if len(data) >= LARGE_TABLE_CHARS:
+        tables, pieces, end, pos = [], [], 0, 0
+        while match := starts.search(data, pos):
+            start, pos = match.start(), closing(data, match.end())
+            if pos is None:
+                break
+            if pos - start >= LARGE_TABLE_CHARS and (table := read_table(
+                    _SPAN.match(data, start, pos))) is not None:
+                pieces += (data[end:start], b"-Infinity")
+                end = pos
+                tables.append(table)
+        if tables:
+            pieces.append(data[end:])
+            rest = b"".join(pieces)
+            placeholders = iter(tables)
+            doc = None
+            if rest.count(b"Infinity") == len(tables) and b"NaN" not in rest:
+                try:
+                    rest = rest.decode("utf-8")
+                    doc = json.loads(
+                        rest, parse_constant=lambda _: next(placeholders))
+                except (ValueError, RecursionError):
+                    pass
             if next(placeholders, None) is None and isinstance(doc, dict) \
-                    and isinstance(doc.get("schema"), str):
+                    and isinstance(doc.get("schema"), str) and (
+                        key is None
+                        or len(tables) == 1 and doc.get(key) is tables[0]):
                 return doc, rest
+    # decoded with universal newlines, as a file opened as text; looking
+    # for a CR first spares two replaces that take 1.7 ms on a 1.6 MB file
+    # holding none
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return json.loads(text), text
 
 
@@ -259,12 +285,14 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
     """Load a three-variable source distribution file.
 
     The pmf must be a flat list of JSON numbers: strings, booleans, null
-    and nested lists are rejected, not coerced. A list whose text has at
-    least ``LARGE_TABLE_CHARS`` characters is read by orjson, the rest of
-    the file by json; both give the same bits and the same errors, and
+    and nested lists are rejected, not coerced. A pmf list whose text has
+    at least ``LARGE_TABLE_CHARS`` characters is read by orjson, the rest
+    of the file by json; a file where another field holds such a list is
+    read by json alone. Both give the same bits and the same errors, and
     every error names the file.
     """
-    doc = _load_json(path, _PMF_STARTS, _list_closing, _read_float_list)[0]
+    doc = _load_json(path, _PMF_STARTS, _list_closing, _read_float_list,
+                     "pmf")[0]
     _expect_schema(doc, PMF_SCHEMA, path)
     variables = _field(doc, "variables", path)
     cardinalities = _field(doc, "cardinalities", path)

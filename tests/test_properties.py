@@ -678,8 +678,27 @@ def spaced_text(doc):
                   json.dumps(doc, separators=(",", ":")))
 
 
+def crlf_text(doc):
+    """Two-space indent, each line ended by CR LF: the file opened as text
+    reads LF alone, and json counts lines and characters in that text."""
+    return json.dumps(doc, indent=2).replace("\n", "\r\n")
+
+
+def cr_text(doc):
+    """The benchmark generator's layout with each line ended by a lone CR,
+    which the file opened as text reads as LF."""
+    return fixed_width_text(doc).replace("\n", "\r")
+
+
+def non_ascii_text(doc):
+    """A string past ASCII ahead of every table: json counts characters,
+    the scan bytes."""
+    return json.dumps({"note": "Zürich, 北京 ✓", **doc}, ensure_ascii=False)
+
+
 LAYOUTS = (json.dumps, lambda doc: json.dumps(doc, indent=2),
-           dumps_deterministic, fixed_width_text, spaced_text)
+           dumps_deterministic, fixed_width_text, spaced_text, crlf_text,
+           cr_text, non_ascii_text)
 
 # a cell's text -> its replacement
 CELL_MUTATIONS = {
@@ -758,7 +777,7 @@ def oracle_read_protocol(path):
     """The reference reader: plain ``json.loads``, then the constructors on
     the decoded lists."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise InputFormatError(f"cannot parse {path} as JSON: {exc}") from exc
     try:
@@ -814,7 +833,7 @@ def test_protocol_reader_agrees_with_json(tmp_path_factory, mutation, rows,
         text = layout(doc)
         start, end = table_span(text, target)
         assert end - start >= LARGE_TABLE_CHARS
-        path.write_text(mutate(text, target, mutation, rng))
+        path.write_text(mutate(text, target, mutation, rng), encoding="utf-8")
         assert read_outcome(read_protocol, path) \
             == read_outcome(oracle_read_protocol, path), layout
 
@@ -915,8 +934,9 @@ read_float_list = ioformats._read_float_list
 
 
 def whole(text):
-    """A match spanning ``text``, as the scan hands a list to the reader."""
-    return re.fullmatch(".*", text, re.S)
+    """A match spanning ``text``'s bytes, as the scan hands a list to the
+    reader."""
+    return re.fullmatch(b".*", text.encode(), re.S)
 
 
 def oracle_read_pmf(path):
@@ -955,7 +975,7 @@ def test_pmf_reader_agrees_with_json(tmp_path_factory, mutation, cells, seed,
         text = layout(doc)
         start, end = pmf_span(text)
         assert end - start >= LARGE_TABLE_CHARS
-        path.write_text(mutate_pmf(text, mutation, rng))
+        path.write_text(mutate_pmf(text, mutation, rng), encoding="utf-8")
         lists_read.clear()
         with mock.patch.object(ioformats, "_read_float_list", read_list):
             outcome = pmf_outcome(read_pmf, path)
@@ -1036,6 +1056,98 @@ def test_number_past_the_float_range_reaches_json(tmp_path):
     assert pmf_outcome(read_pmf, path) == (
         NonFiniteEntryError, f"NON_FINITE_ENTRY: {path}: table entries must "
         "be finite numbers") == pmf_outcome(oracle_read_pmf, path)
+
+
+@pytest.mark.parametrize("cardinalities, message", [
+    ("[2," + " " * 2100 + "2, 2]", None),
+    ("[2." + "0" * 2100 + ", 2, 2]", "cardinalities: 2.0 is not an integer"),
+], ids=["2100 spaces", "2100 zeros"])
+def test_only_the_pmf_field_takes_a_list_read_as_an_array(
+        tmp_path, cardinalities, message):
+    """A cardinalities list long enough for the list reader is read by json,
+    as every field but the pmf is: a valid file reads, and an invalid one
+    gets json's message."""
+    path = tmp_path / "pmf.json"
+    path.write_text('{"schema": "pkregion-pmf-v1", "variables": ["X", "Y", '
+                    f'"Z"], "cardinalities": {cardinalities}, '
+                    f'"pmf": {json.dumps([0.125] * 8)}}}')
+    got = pmf_outcome(read_pmf, path)
+    assert got == pmf_outcome(oracle_read_pmf, path)
+    if message:
+        assert got == (InputFormatError, f"INPUT_FORMAT: {path}: {message}")
+    else:
+        assert got[1] == (2, 2, 2)
+
+
+# -- reading the file's bytes ----------------------------------------------------
+
+def refused_files(doc, key, layout):
+    """Name -> bytes of ``doc`` written by ``layout`` in a form json refuses
+    on the file opened as text, which no layout above writes: cut short
+    after CR LF or lone CR line ends, where json's error counts lines and
+    characters in the text the file opened as text gives; a UTF-8 BOM; a
+    byte that is not UTF-8 ahead of, inside and after the large table under
+    ``key``; and a raw CR in a string."""
+    def noted(raw, ahead=True):
+        note = {"note": "@"}
+        return layout({**note, **doc} if ahead else {**doc, **note}) \
+            .encode().replace(b'"@"', raw)
+
+    data = layout(doc).encode()
+    inside = data.index(b",", data.index(json.dumps(key).encode())) + 1
+    crlf, cr = data.replace(b"\n", b"\r\n"), data.replace(b"\n", b"\r")
+    return {
+        "CRLF, cut short": crlf[:len(crlf) // 2],
+        "lone CR, cut short": cr[:len(cr) // 2],
+        "UTF-8 BOM": b"\xef\xbb\xbf" + data,
+        "invalid byte ahead": noted(b'"\xff"'),
+        "invalid byte inside": data[:inside] + b"\xff" + data[inside:],
+        "invalid byte after": noted(b'"\xff"', ahead=False),
+        "raw CR in a string": noted(b'"a\rb"'),
+    }
+
+
+def text_mode_error(path):
+    """The class and message of the error of json on the file opened as
+    text, as the readers report it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            json.loads(fh.read())
+    except ValueError as exc:
+        return InputFormatError, \
+            f"INPUT_FORMAT: cannot parse {path} as JSON: {exc}"
+    raise AssertionError(f"json reads {path}")
+
+
+@pytest.mark.parametrize(
+    "name", list(refused_files({"k": [1, 2]}, "k", json.dumps)))
+def test_files_read_as_bytes_fail_as_text_fails(tmp_path, name):
+    """A pmf file and a protocol file with large tables, cut short after
+    CR LF or lone CR line ends, with a BOM, a byte that is not UTF-8 or a
+    raw CR in a string: each reader gives json's error class and message on
+    the file opened as text, with the offset in the file. The layouts of
+    the agreement tests cover the valid files with CR LF or lone CR line
+    ends and a string past ASCII."""
+    rng = np.random.default_rng(7)
+    probs = rng.random(3000)
+    pmf = {"schema": "pkregion-pmf-v1", "variables": ["X", "Y", "Z"],
+           "cardinalities": [3000, 1, 1],
+           "pmf": (probs / probs.sum()).tolist()}
+    spec = ProtocolSpec(n=1, rounds=0, slots=(), key_xy=[[0]], est_xy=[[1]],
+                        key_xz=[[2]], est_xz=[[3]], key_xy_size=1000,
+                        key_xz_size=1000)
+    protocol = {**protocol_document(spec),
+                **{key: rng.integers(0, 1000, (100, 12)).tolist()
+                   for key in ("key_xy", "est_xy")}}
+    for doc, key, layout, read, oracle, outcome in (
+            (pmf, "pmf", lambda doc: json.dumps(doc, indent=2), read_pmf,
+             oracle_read_pmf, pmf_outcome),
+            (protocol, "key_xy", fixed_width_text, read_protocol,
+             oracle_read_protocol, read_outcome)):
+        path = tmp_path / f"{key}.json"
+        path.write_bytes(refused_files(doc, key, layout)[name])
+        assert outcome(read, path) == outcome(oracle, path) \
+            == text_mode_error(path)
 
 
 # -- the scan for large tables stays linear --------------------------------------

@@ -17,8 +17,9 @@ The requests are every distinct request of the four benchmark workloads at
 seed 1, built by ``perfbench/workloads.py``. One worker process per tree
 times each call of ``pkregion.cli.main`` with ``perf_counter``, with the
 garbage collector disabled, so that collections fall between calls and not
-on whichever call an allocation count happens to tip. After the call,
-outside the timed part, it checks the report with
+on whichever call an allocation count happens to tip. Just outside the
+timed part it reads the process's minor page faults before and after the
+call. After the call it checks the report with
 ``perfbench/checks.py`` against the values ``perfbench/reference.py``
 computes from the oracles, as the benchmark's serving process does. The
 parent sends each request to both workers in turn, in ABBA order: BASE
@@ -32,8 +33,11 @@ HEAD is faster:
 
 * per request class (workload, command, source sizes and, for
   ``simulate``, the blocklength), per workload and over all requests: the
-  number of pairs, the median ratio with its quartiles, the pairs HEAD won
-  and the ratio of total times;
+  number of pairs, the median ratio with its quartiles, the pairs HEAD won,
+  the ratio of total times, and the mean minor page faults a call of BASE
+  and of HEAD took. A tree that frees and maps large blocks anew on every
+  call pays for it in faults, and two trees whose ratio differs with equal
+  code show whether allocator state is the cause;
 * the same for ``FRESH`` pairs of fresh ``pkregion compute`` processes on
   ``data/worked_source.json``, alternated between the trees.
 
@@ -68,9 +72,10 @@ FRESH = 10
 FRESH_SOURCE = "worked_source.json"
 
 # Runs in each tree's own process: the plan's requests, then one request
-# index a line on stdin; one line [seconds, problems] back for each.
+# index a line on stdin; one line [seconds, minor faults, problems] back for
+# each.
 WORKER = """
-import gc, json, sys, time
+import gc, json, resource, sys, time
 src, perfbench, plan, out = sys.argv[1:]
 sys.path[:0] = [src, perfbench]
 import checks
@@ -82,16 +87,18 @@ for line in sys.stdin:
     req = requests[index]
     output = f"{out}/{index:03d}.json"
     gc.disable()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     try:
         code = pkregion.cli.main(req["argv"] + ["--output", output])
     except Exception as exc:  # a crash fails this request, not the run
         code = f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     gc.enable()
     problems = [f"exit code {code}"] if code != 0 else \\
         checks.failures(req["command"], output, req["ref"])
-    print(json.dumps([elapsed, problems]), flush=True)
+    print(json.dumps([elapsed, faults, problems]), flush=True)
 """
 
 
@@ -137,7 +144,7 @@ class Worker:
             stdout=subprocess.PIPE, text=True)
 
     def time(self, index: int) -> tuple:
-        """(seconds, problems) of request ``index``."""
+        """(seconds, minor page faults, problems) of request ``index``."""
         self.proc.stdin.write(f"{index}\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
@@ -151,8 +158,8 @@ class Worker:
 
 
 def time_requests(trees, requests) -> tuple:
-    """Per request, the timed pairs [BASE, HEAD] of seconds; and every
-    failure found."""
+    """Per request, the timed pairs [BASE, HEAD] of seconds, each followed
+    by the two calls' minor page faults; and every failure found."""
     plan = WORK / "plan.json"
     plan.write_text(json.dumps(requests))
     workers = [Worker(src, plan, WORK / "out" / side)
@@ -163,9 +170,10 @@ def time_requests(trees, requests) -> tuple:
         for rnd in range(ROUNDS + 1):
             for index, req in enumerate(requests):
                 first = (rnd + index) % 2
-                pair = [0.0, 0.0]
+                pair = [0.0, 0.0, 0, 0]
                 for side in (first, 1 - first):
-                    pair[side], problems = workers[side].time(index)
+                    pair[side], pair[2 + side], problems = \
+                        workers[side].time(index)
                     failures += [f"{('BASE', 'HEAD')[side]} "
                                  f"{' '.join(req['argv'])}: {problem}"
                                  for problem in problems]
@@ -211,13 +219,20 @@ def time_fresh(trees) -> tuple:
 
 
 def row(label: str, pairs) -> str:
-    """Pairs, median ratio [quartiles], HEAD's wins and the total ratio."""
+    """Pairs, median ratio [quartiles], HEAD's wins, the total ratio and,
+    where the pairs carry them, the mean minor page faults of a call of
+    BASE and of HEAD."""
     q1, median, q3 = statistics.quantiles(
-        [head / base for base, head in pairs], n=4)
-    wins = sum(head < base for base, head in pairs)
-    total = sum(h for _, h in pairs) / sum(b for b, _ in pairs)
-    return (f"{label:<46} {len(pairs):>5}  {median:.3f} [{q1:.3f}, {q3:.3f}]"
+        [pair[1] / pair[0] for pair in pairs], n=4)
+    wins = sum(pair[1] < pair[0] for pair in pairs)
+    total = sum(pair[1] for pair in pairs) / sum(pair[0] for pair in pairs)
+    line = (f"{label:<46} {len(pairs):>5}  {median:.3f} [{q1:.3f}, {q3:.3f}]"
             f"  {wins:>5}/{len(pairs):<5} {total:.3f}")
+    if len(pairs[0]) == 4:
+        line += "  " + " / ".join(
+            f"{statistics.fmean(pair[side] for pair in pairs):.1f}"
+            for side in (2, 3))
+    return line
 
 
 def main(args) -> int:
@@ -236,7 +251,7 @@ def main(args) -> int:
     print(f"abtime {names(shas)}: HEAD/BASE time ratios, seed {SEED}, "
           f"{len(requests)} requests x {ROUNDS} rounds")
     print(f"{'class':<46} {'pairs':>5}  median [quartiles]      "
-          f"{'wins':>5}/{'N':<5} total")
+          f"{'wins':>5}/{'N':<5} total  faults BASE / HEAD")
     everything = []
     for workload in workloads.WORKLOADS:
         classes = {}

@@ -32,7 +32,14 @@ corpus:
   list or the ``key_xy`` table (``FIELDS_AHEAD``): a string holding
   ``Infinity``, ``NaN``, ``[[`` or ``[0``, and an unknown field holding
   ``-Infinity``. The scan for large tables knows no strings or constants,
-  so these files go to json whole.
+  so these files go to json whole;
+* encoded variants of the same two files (``encoded_variants``), which only
+  a reader of the file's bytes tells apart: a line break after every
+  ``", "``, ended by CR LF or by a lone CR, whole and cut short; a UTF-8
+  BOM; a byte that is not UTF-8 ahead of the table, inside it and after
+  the last table; a string past ASCII ahead of the table; and a raw CR in
+  a string. Tables are found and read on the bytes, and json must still
+  read, or refuse, the text as the file opened as text gives it.
 
 Exit code, stdout and stderr are compared byte for byte. Each differing run
 is printed with what differs; for reports that differ, the largest absolute
@@ -294,6 +301,35 @@ def protocol_variants(text):
     return out
 
 
+def encoded_variants(text, key, prefix):
+    """Name -> bytes of each encoded variant of a file, around its large
+    table stored under ``key``."""
+    at = text.index(json.dumps(key))
+    inside = text.index(",", text.index("[", at)) + 1
+    closing = text.rindex("}")
+
+    def put(pos, raw):
+        return text[:pos].encode() + raw + text[pos:].encode()
+
+    out = {}
+    for name, end in (("CRLF", "\r\n"), ("lone CR", "\r")):
+        lines = text.replace(", ", ",\n").replace("\n", end)
+        out[f"{prefix} {name} line ends"] = lines.encode()
+        out[f"{prefix} {name} line ends, cut short"] = \
+            lines[:len(lines) // 2].encode()
+    out.update({
+        f"{prefix} UTF-8 BOM": b"\xef\xbb\xbf" + text.encode(),
+        f"{prefix} invalid byte ahead of {key}": put(at, b'"note": "\xff", '),
+        f"{prefix} invalid byte inside {key}": put(inside, b"\xff"),
+        f"{prefix} invalid byte after the tables": put(
+            closing, b', "note": "\xff"'),
+        f"{prefix} non-ASCII string ahead of {key}": put(
+            at, '"note": "Zürich ✓", '.encode()),
+        f"{prefix} raw CR in a string": put(at, b'"note": "a\rb", '),
+    })
+    return out
+
+
 def boolean_among_floats(text):
     """A protocol file whose first two ``key_xy`` rows are [true], [0.0]."""
     start, end = table_span(text, "key_xy")
@@ -351,13 +387,17 @@ def build_corpus(corpus: Path) -> list:
                     runs.append(argv)
 
     pmf = generated["regions-tight-seed1"]["tight_8x32x32_c1.json"].decode()
-    for name, text in pmf_variants(pmf).items():
+    for name, text in {**pmf_variants(pmf),
+                       **encoded_variants(pmf, "pmf", "pmf")}.items():
         path = write(f"malformed/{name}.json", text)
         runs += [["compute", "--input", path], ["check", "--input", path]]
     source = str(corpus / "simulate-interactive-seed1" /
                  "bsc_seeded_source.json")
     protocol = generated["simulate-interactive-seed1"]["bsc_r1_n4.json"]
-    for name, text in protocol_variants(protocol.decode()).items():
+    for name, text in {
+            **protocol_variants(protocol.decode()),
+            **encoded_variants(protocol.decode(), "key_xy", "protocol")
+    }.items():
         path = write(f"malformed/{name}.json", text)
         runs.append(["simulate", "--input", source, "--protocol", path])
     runs.append(["simulate", "--input", source, "--protocol",
