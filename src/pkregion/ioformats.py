@@ -108,9 +108,9 @@ LARGE_TABLE_CHARS = 2048
 _PROTOCOL_STARTS = re.compile(rb"\[[ \t\n\r]*\[")
 _PMF_STARTS = re.compile(rb"\[[ \t\n\r]*[-0-9]")
 _TABLE_CLOSING = re.compile(rb"\][ \t\n\r]*\]")
-# a match of a candidate's span, which is all a reader is given; .* with
-# DOTALL jumps to the end of the span without walking it
-_SPAN = re.compile(b".*", re.S)
+# A reader is given the file's bytes and a candidate's span in them, (data,
+# start, end): it cuts only what it parses from data, so the whole table is
+# never copied.
 
 
 def _table_closing(data, pos):
@@ -135,8 +135,8 @@ _BLANKS_TO_SPACE = bytes.maketrans(b"\t\n\r", b"   ")
 _PIECE_CHARS = 1 << 16
 
 
-def _read_int_table(match):
-    """The int64 array a candidate table's bytes spell, or None for json.
+def _read_int_table(data, start, end):
+    """The int64 array of the table ``data[start:end]``, or None for json.
 
     None when a byte is not ASCII, a row is ragged or empty, a field is not
     a plain integer below 2**63, a cell is an array, there is no digit at
@@ -144,7 +144,6 @@ def _read_int_table(match):
     refuses: the text then holds more digits than the shortest rendering of
     the values.
     """
-    data, start, end = match.string, match.start(), match.end()
     # the rows: what lies between the span's inner [ and ], cut from the
     # file's bytes and translated; then decoded, and split into rows
     body = data[data.index(b"[", start + 1) + 1:
@@ -174,8 +173,8 @@ def _read_int_table(match):
     return table if digits == shortest else None
 
 
-def _read_float_list(match):
-    """The float64 array of a candidate list's bytes, or None for json.
+def _read_float_list(data, start, end):
+    """The float64 array of the list ``data[start:end]``, or None for json.
 
     orjson rounds each number correctly, as json does. None when the list
     holds a byte that starts a JSON value other than a number (``"tfn[{``:
@@ -188,9 +187,9 @@ def _read_float_list(match):
     # imported here: at the top, its ~5 ms import would slow every run
     import orjson
 
-    # the pieces are cut from the file's bytes: a copy of the whole list
-    # would add its size to the peak
-    data, start, end = match.string, match.start() + 1, match.end() - 1
+    # the pieces are cut from the file's bytes, inside the brackets: a copy
+    # of the whole list would add its size to the peak
+    start, end = start + 1, end - 1
     if any(data.find(c, start, end) >= 0 for c in b'"tfn[{'):
         return None
 
@@ -215,7 +214,7 @@ def _read_float_list(match):
 def _parse_tables(data, starts, closing, read_table, key=None):
     """``json.loads`` of the text ``data`` holds, with each large table that
     ``starts`` begins, ``closing`` ends and ``read_table`` reads from its
-    match as an array, and the text json read.
+    span as an array, and the text json read.
 
     Tables are found and read on the bytes, and only the rest of the file
     is decoded. Each table read is replaced by ``-Infinity`` and handed back
@@ -237,7 +236,7 @@ def _parse_tables(data, starts, closing, read_table, key=None):
             if pos is None:
                 break
             if pos - start >= LARGE_TABLE_CHARS and (table := read_table(
-                    _SPAN.match(data, start, pos))) is not None:
+                    data, start, pos)) is not None:
                 pieces += (data[end:start], b"-Infinity")
                 end = pos
                 tables.append(table)

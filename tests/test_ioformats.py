@@ -285,8 +285,8 @@ def test_tables_the_reader_parsed_are_not_copied_again(tmp_path):
                                 "est_xz": large}))
     parsed, read_int_table = [], ioformats._read_int_table
 
-    def read_table(match):
-        parsed.append(read_int_table(match))
+    def read_table(*span):
+        parsed.append(read_int_table(*span))
         return parsed[-1]
 
     with mock.patch.object(ioformats, "_read_int_table", read_table):

@@ -7,12 +7,12 @@ with a fixed example count.
 import decimal
 import json
 import math
-import re
 import sys
 import time
 from dataclasses import replace
 from decimal import Decimal
 from itertools import combinations, product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,9 +36,15 @@ from pkregion.ioformats import (
     read_protocol,
 )
 
+import variants
 from conftest import pmf_as_dict
 from oracles import (
     apply_partition, distance_to_caps, oracle_cmi, oracle_evaluate,
+)
+from variants import (
+    KEY_TABLES, LONG_VARIANTS, PMF_VARIANTS, PROTOCOL_VARIANTS, list_span,
+    middle, pmf_variant, protocol_variant, refused_files, table_span,
+    variant_files,
 )
 
 FIGURES = ("error", "leak", "unif", "rate")
@@ -656,121 +662,16 @@ def test_a_clockwise_triangle_is_the_cap_triangle():
 
 # -- reading protocol files ------------------------------------------------------
 
-KEY_TABLES = ("key_xy", "est_xy", "key_xz", "est_xz")
-
-
-def fixed_width_text(doc):
-    """The benchmark generator's layout: a table row per line, each integer
-    right-aligned to the widest of its table."""
-    def rows(table):
-        width = max(len(str(v)) for row in table for v in row)
-        return "[" + ",\n".join(
-            "[" + ",".join(str(v).rjust(width) for v in row) + "]"
-            for row in table) + "]"
-    return "{" + ",\n".join(
-        f"{json.dumps(key)}: {rows(v) if key in KEY_TABLES else json.dumps(v)}"
-        for key, v in doc.items()) + "}\n"
-
-
-def spaced_text(doc):
-    """Tabs, carriage returns and spaces around every token."""
-    return re.sub(r"[\[\]{},:]", lambda m: f" \t{m.group()}\r\n ",
-                  json.dumps(doc, separators=(",", ":")))
-
-
-def crlf_text(doc):
-    """Two-space indent, each line ended by CR LF: the file opened as text
-    reads LF alone, and json counts lines and characters in that text."""
-    return json.dumps(doc, indent=2).replace("\n", "\r\n")
-
-
-def cr_text(doc):
-    """The benchmark generator's layout with each line ended by a lone CR,
-    which the file opened as text reads as LF."""
-    return fixed_width_text(doc).replace("\n", "\r")
-
-
-def non_ascii_text(doc):
-    """A string past ASCII ahead of every table: json counts characters,
-    the scan bytes."""
-    return json.dumps({"note": "Zürich, 北京 ✓", **doc}, ensure_ascii=False)
-
-
-LAYOUTS = (json.dumps, lambda doc: json.dumps(doc, indent=2),
-           dumps_deterministic, fixed_width_text, spaced_text, crlf_text,
-           cr_text, non_ascii_text)
-
-# a cell's text -> its replacement
-CELL_MUTATIONS = {
-    "leading zero": lambda v: "0" + v,
-    "minus": lambda v: "-" + v,
-    "plus": lambda v: "+" + v,
-    "1.0": lambda v: "1.0",
-    "1e0": lambda v: "1e0",
-    "true": lambda v: "true",
-    "null": lambda v: "null",
-    "string": lambda v: '"1"',
-    "empty cell": lambda v: "[]",
-    "3-D cell": lambda v: "[1, 2]",
-    "NaN": lambda v: "NaN",
-}
-# A field put just ahead of a table, which json reads but the scan, knowing
-# no strings and no constants, could misread; the file then goes to json
-# whole. A [[ or [0 in a string starts a candidate that runs into the table
-# after it, which must still read as json reads it.
-FIELDS_AHEAD = {
-    "Infinity in a string": '"note": "Infinity"',
-    "NaN in a string": '"note": "NaN"',
-    "-Infinity in an unknown field": '"extra": -Infinity',
-    "[[ in a string": '"note": "[["',
-    "[0 in a string": '"note": "[0"',
-}
-TABLE_MUTATIONS = (None, "empty row", "ragged row", "trailing comma",
-                   "missing comma", "table in a string", "empty rows only",
-                   *FIELDS_AHEAD)
-
-
-def table_span(text, key):
-    start = text.index("[", text.index(json.dumps(key)))
-    return start, re.compile(r"\][ \t\n\r]*\]").search(text, start).end()
-
-
-def field_ahead(text, key, mutation):
-    """``text`` with the field ``FIELDS_AHEAD[mutation]`` put just ahead of
-    the one stored under ``key``."""
-    at = text.index(json.dumps(key))
-    return text[:at] + FIELDS_AHEAD[mutation] + ", " + text[at:]
-
-
-def mutate(text, key, mutation, rng):
-    """``text`` with one mutation made in the table stored under ``key``."""
-    if mutation in FIELDS_AHEAD:
-        return field_ahead(text, key, mutation)
-    start, end = table_span(text, key)
-    table = text[start:end]
-    if mutation in CELL_MUTATIONS:
-        cells = list(re.finditer(r"[0-9]+", table))
-        cell = cells[rng.integers(len(cells))]
-        table = (table[:cell.start()] + CELL_MUTATIONS[mutation](cell.group())
-                 + table[cell.end():])
-    elif mutation == "empty row":
-        table = table[:1] + "[]," + table[1:]
-    elif mutation == "empty rows only":  # as long as the table it replaces
-        table = "[" + ", ".join(["[]"] * (len(table) // 4 + 1)) + "]"
-    elif mutation in ("ragged row", "trailing comma"):
-        row_end = table.index("]")
-        table = (table[:row_end] + (",0" if mutation == "ragged row" else ",")
-                 + table[row_end:])
-    elif mutation == "missing comma":
-        table = table.replace(",", " ", 1)
-    elif mutation == "table in a string":
-        # another table's text, in a string ahead of every table
-        other = text[slice(*table_span(
-            text, KEY_TABLES[(KEY_TABLES.index(key) + 1) % 4]))]
-        opening = text.index("{") + 1
-        return (text[:opening] + f'"note": {json.dumps(other)}, '
-                + text[opening:])
-    return text[:start] + table + text[end:]
+# The layouts and variants are defined in variants.py, which
+# tools/compare.py runs too, tree against tree.
+LAYOUTS = {**variants.LAYOUTS, "deterministic": dumps_deterministic}
+# The tests put their own key tables in, which the key sizes admit; one
+# round of slots, so that the slot variants find a slot to change.
+PROTOCOL_BASE = protocol_document(ProtocolSpec(
+    n=1, rounds=1, slots=(SlotSpec(2, [[0], [1]]),
+                          *[SlotSpec(1, [[0, 0]])] * 2),
+    key_xy=[[0]], est_xy=[[1]], key_xz=[[2]], est_xz=[[3]],
+    key_xy_size=2 ** 64, key_xz_size=2 ** 64))
 
 
 def oracle_read_protocol(path):
@@ -805,7 +706,7 @@ def read_outcome(read, path):
         + [slot.table for slot in spec.slots]]
 
 
-@pytest.mark.parametrize("mutation", [*TABLE_MUTATIONS, *CELL_MUTATIONS])
+@pytest.mark.parametrize("mutation", [None, *PROTOCOL_VARIANTS])
 @settings(max_examples=6)
 @given(rows=st.integers(1, 1100), seed=st.integers(0, 2 ** 32 - 1),
        target=st.sampled_from(KEY_TABLES),
@@ -824,100 +725,22 @@ def test_protocol_reader_agrees_with_json(tmp_path_factory, mutation, rows,
               for key in (target, later)}
     for value in specials:
         tables[target][rng.integers(shape[0])][rng.integers(shape[1])] = value
-    base = ProtocolSpec(n=1, rounds=0, slots=(), key_xy=[[0]], est_xy=[[1]],
-                        key_xz=[[2]], est_xz=[[3]], key_xy_size=2 ** 64,
-                        key_xz_size=2 ** 64)
-    doc = {**protocol_document(base), **tables}
+    doc = {**PROTOCOL_BASE, **tables}
     path = tmp_path_factory.mktemp("protocols") / "protocol.json"
-    for layout in LAYOUTS:
+    for layout in LAYOUTS.values():
         text = layout(doc)
         start, end = table_span(text, target)
         assert end - start >= LARGE_TABLE_CHARS
-        path.write_text(mutate(text, target, mutation, rng), encoding="utf-8")
+        if mutation:
+            text = protocol_variant(text, target, mutation, rng.integers)
+        path.write_text(text, encoding="utf-8")
         assert read_outcome(read_protocol, path) \
             == read_outcome(oracle_read_protocol, path), layout
 
 
 # -- reading pmf files -----------------------------------------------------------
 
-def fixed_format_text(doc):
-    """The benchmark generator's layout: each probability at ``%.17e``."""
-    values = ", ".join("%.17e" % v for v in doc["pmf"])
-    return json.dumps({**doc, "pmf": None}).replace("null", f"[{values}]")
-
-
-PMF_LAYOUTS = (*LAYOUTS, fixed_format_text)
-
-# the number's text -> its replacement
-NUMBER_MUTATIONS = {
-    "NaN": lambda v: "NaN",
-    "Infinity": lambda v: "Infinity",
-    "true": lambda v: "true",
-    "null": lambda v: "null",
-    "string": lambda v: json.dumps(v),
-    "string holding ]": lambda v: '"]"',
-    "nested list": lambda v: f"[{v}]",
-    "object": lambda v: "{}",
-    "01": lambda v: "01",
-    "1.": lambda v: "1.",
-    ".5": lambda v: ".5",
-    "+1": lambda v: "+1",
-    "10**400": lambda v: str(10 ** 400),
-    "1e400": lambda v: "1e400",
-}
-EXTRA_LIST_MUTATIONS = ("NaN in a short list", "NaN in a long list",
-                        "schema string after a short list",
-                        "schema string after a long list")
-LIST_MUTATIONS = (None, "trailing comma", "empty list", "second pmf key",
-                  "list in a string", "list as schema", *EXTRA_LIST_MUTATIONS,
-                  *FIELDS_AHEAD)
-
-
-def pmf_span(text):
-    start = text.index("[", text.index('"pmf"'))
-    return start, text.index("]", start) + 1
-
-
-def mutate_pmf(text, mutation, rng):
-    """``text`` with one mutation made in, or with, its pmf list."""
-    if mutation in FIELDS_AHEAD:
-        return field_ahead(text, "pmf", mutation)
-    start, end = pmf_span(text)
-    values = text[start:end]
-    if mutation in NUMBER_MUTATIONS:
-        numbers = list(re.finditer(r"-?[0-9][0-9.eE+-]*", values))
-        number = numbers[rng.integers(len(numbers))]
-        values = (values[:number.start()]
-                  + NUMBER_MUTATIONS[mutation](number.group())
-                  + values[number.end():])
-    elif mutation == "trailing comma":
-        values = values[:-1] + ",]"
-    elif mutation == "empty list":  # as long as the list it replaces
-        values = "[" + " " * (end - start - 2) + "]"
-    elif mutation == "second pmf key":  # the same values, reversed
-        reversed_values = ", ".join(reversed(values[1:-1].split(",")))
-        closing = text.rindex("}")
-        return (text[:closing] + f', "pmf": [{reversed_values}]'
-                + text[closing:])
-    elif mutation == "list in a string":
-        opening = text.index("{") + 1
-        return (text[:opening] + f'"note": {json.dumps(values)}, '
-                + text[opening:])
-    elif mutation == "list as schema":
-        return text.replace('"pkregion-pmf-v1"', values, 1)
-    elif mutation in EXTRA_LIST_MUTATIONS:
-        # an extra list, ahead of the pmf, that starts like numbers: the
-        # constant in it must still be found, and its quote must not put
-        # the pass out of step with the strings, which would let it read
-        # the list in the schema string
-        zeros = "0, " * (LARGE_TABLE_CHARS if "long" in mutation else 1)
-        opening = text.index("{") + 1
-        if mutation.startswith("NaN"):
-            return text[:opening] + f'"extra": [{zeros}NaN], ' + text[opening:]
-        return (text[:opening] + f'"extra": [{zeros}"]"], '
-                + text[opening:].replace('"pkregion-pmf-v1"',
-                                         json.dumps(values), 1))
-    return text[:start] + values + text[end:]
+PMF_LAYOUTS = {**variants.PMF_LAYOUTS, "deterministic": dumps_deterministic}
 
 
 def pmf_outcome(read, path):
@@ -930,13 +753,16 @@ def pmf_outcome(read, path):
     return p.variables, p.cardinalities, p.probs.dtype, p.probs.tobytes()
 
 
-read_float_list = ioformats._read_float_list
+def read_float_list(span, read=ioformats._read_float_list):
+    """The list reader on a span (data, start, end)."""
+    return read(*span)
 
 
 def whole(text):
-    """A match spanning ``text``'s bytes, as the scan hands a list to the
-    reader."""
-    return re.fullmatch(b".*", text.encode(), re.S)
+    """The span (data, start, end) of all of ``text``'s bytes, as the scan
+    hands a list to the reader."""
+    data = text.encode()
+    return data, 0, len(data)
 
 
 def oracle_read_pmf(path):
@@ -945,7 +771,7 @@ def oracle_read_pmf(path):
         return read_pmf(path)
 
 
-@pytest.mark.parametrize("mutation", [*LIST_MUTATIONS, *NUMBER_MUTATIONS])
+@pytest.mark.parametrize("mutation", [None, *PMF_VARIANTS])
 @settings(max_examples=4)
 @given(cells=st.integers(100, 6000), seed=st.integers(0, 2 ** 32 - 1),
        specials=st.lists(st.sampled_from(
@@ -967,15 +793,17 @@ def test_pmf_reader_agrees_with_json(tmp_path_factory, mutation, cells, seed,
     path = tmp_path_factory.mktemp("pmfs") / "pmf.json"
     lists_read = []
 
-    def read_list(match):
-        lists_read.append(read_float_list(match))
+    def read_list(*span):
+        lists_read.append(read_float_list(span))
         return lists_read[-1]
 
-    for layout in PMF_LAYOUTS:
+    for layout in PMF_LAYOUTS.values():
         text = layout(doc)
-        start, end = pmf_span(text)
+        start, end = list_span(text)
         assert end - start >= LARGE_TABLE_CHARS
-        path.write_text(mutate_pmf(text, mutation, rng), encoding="utf-8")
+        if mutation:
+            text = pmf_variant(text, mutation, rng.integers)
+        path.write_text(text, encoding="utf-8")
         lists_read.clear()
         with mock.patch.object(ioformats, "_read_float_list", read_list):
             outcome = pmf_outcome(read_pmf, path)
@@ -1081,32 +909,6 @@ def test_only_the_pmf_field_takes_a_list_read_as_an_array(
 
 # -- reading the file's bytes ----------------------------------------------------
 
-def refused_files(doc, key, layout):
-    """Name -> bytes of ``doc`` written by ``layout`` in a form json refuses
-    on the file opened as text, which no layout above writes: cut short
-    after CR LF or lone CR line ends, where json's error counts lines and
-    characters in the text the file opened as text gives; a UTF-8 BOM; a
-    byte that is not UTF-8 ahead of, inside and after the large table under
-    ``key``; and a raw CR in a string."""
-    def noted(raw, ahead=True):
-        note = {"note": "@"}
-        return layout({**note, **doc} if ahead else {**doc, **note}) \
-            .encode().replace(b'"@"', raw)
-
-    data = layout(doc).encode()
-    inside = data.index(b",", data.index(json.dumps(key).encode())) + 1
-    crlf, cr = data.replace(b"\n", b"\r\n"), data.replace(b"\n", b"\r")
-    return {
-        "CRLF, cut short": crlf[:len(crlf) // 2],
-        "lone CR, cut short": cr[:len(cr) // 2],
-        "UTF-8 BOM": b"\xef\xbb\xbf" + data,
-        "invalid byte ahead": noted(b'"\xff"'),
-        "invalid byte inside": data[:inside] + b"\xff" + data[inside:],
-        "invalid byte after": noted(b'"\xff"', ahead=False),
-        "raw CR in a string": noted(b'"a\rb"'),
-    }
-
-
 def text_mode_error(path):
     """The class and message of the error of json on the file opened as
     text, as the readers report it."""
@@ -1119,8 +921,19 @@ def text_mode_error(path):
     raise AssertionError(f"json reads {path}")
 
 
+def large_documents(rng):
+    """Pmf and protocol documents whose pmf list and key tables are large."""
+    probs = rng.random(3000)
+    pmf = {"schema": "pkregion-pmf-v1", "variables": ["X", "Y", "Z"],
+           "cardinalities": [3000, 1, 1],
+           "pmf": (probs / probs.sum()).tolist()}
+    protocol = {**PROTOCOL_BASE, **{
+        key: rng.integers(0, 1000, (100, 12)).tolist() for key in KEY_TABLES}}
+    return pmf, protocol
+
+
 @pytest.mark.parametrize(
-    "name", list(refused_files({"k": [1, 2]}, "k", json.dumps)))
+    "name", list(refused_files('{"k": [1, 2]}', "k")))
 def test_files_read_as_bytes_fail_as_text_fails(tmp_path, name):
     """A pmf file and a protocol file with large tables, cut short after
     CR LF or lone CR line ends, with a BOM, a byte that is not UTF-8 or a
@@ -1128,26 +941,74 @@ def test_files_read_as_bytes_fail_as_text_fails(tmp_path, name):
     the file opened as text, with the offset in the file. The layouts of
     the agreement tests cover the valid files with CR LF or lone CR line
     ends and a string past ASCII."""
-    rng = np.random.default_rng(7)
-    probs = rng.random(3000)
-    pmf = {"schema": "pkregion-pmf-v1", "variables": ["X", "Y", "Z"],
-           "cardinalities": [3000, 1, 1],
-           "pmf": (probs / probs.sum()).tolist()}
-    spec = ProtocolSpec(n=1, rounds=0, slots=(), key_xy=[[0]], est_xy=[[1]],
-                        key_xz=[[2]], est_xz=[[3]], key_xy_size=1000,
-                        key_xz_size=1000)
-    protocol = {**protocol_document(spec),
-                **{key: rng.integers(0, 1000, (100, 12)).tolist()
-                   for key in ("key_xy", "est_xy")}}
+    pmf, protocol = large_documents(np.random.default_rng(7))
     for doc, key, layout, read, oracle, outcome in (
-            (pmf, "pmf", lambda doc: json.dumps(doc, indent=2), read_pmf,
-             oracle_read_pmf, pmf_outcome),
-            (protocol, "key_xy", fixed_width_text, read_protocol,
+            (pmf, "pmf", LAYOUTS["indent=2"], read_pmf, oracle_read_pmf,
+             pmf_outcome),
+            (protocol, "key_xy", LAYOUTS["fixed width"], read_protocol,
              oracle_read_protocol, read_outcome)):
         path = tmp_path / f"{key}.json"
-        path.write_bytes(refused_files(doc, key, layout)[name])
+        path.write_bytes(refused_files(layout(doc), key)[name])
         assert outcome(read, path) == outcome(oracle, path) \
             == text_mode_error(path)
+
+
+# -- the variants, and the corpus of tools/compare.py ----------------------------
+
+def assert_long(files, key):
+    """Each long list or table among ``files`` (variants of a file whose
+    large table is ``key``'s) is long enough for the large-table readers."""
+    for name in LONG_VARIANTS.keys() & files.keys():
+        text = files[name].decode()
+        start = text.index("[", text.index(f'"{LONG_VARIANTS[name] or key}"'))
+        end = json.JSONDecoder().raw_decode(text, start)[1]
+        assert end - start >= LARGE_TABLE_CHARS, name
+
+
+def test_every_variant_changes_the_files_it_is_applied_to():
+    """In a file in each layout of the agreement tests, each variant and
+    refused file differs from the file and from every other, so a transform
+    that matches nothing in some layout shows (compare.py's: next test)."""
+    pmf, protocol = large_documents(np.random.default_rng(11))
+    for key, layout in [("pmf", layout) for layout in PMF_LAYOUTS.values()] \
+            + list(zip(KEY_TABLES * 2, LAYOUTS.values())):
+        text = layout(pmf if key == "pmf" else protocol)
+        files = variant_files(text, key, middle)
+        names = PMF_VARIANTS if key == "pmf" else PROTOCOL_VARIANTS
+        assert len(files) == len(names) + len(refused_files(text, key))
+        assert len({text.encode(), *files.values()}) == len(files) + 1
+        assert_long(files, key)
+
+
+def test_compare_builds_its_corpus(tmp_path, monkeypatch):
+    """tools/compare.py builds its corpus without running either tree:
+    every input a run names exists, no two runs are equal, and no two
+    inputs are equal but the copies of one data/ file that the benchmark
+    workloads make. Every variant of its pmf and its protocol is run, so
+    each changes the file, and each long list or table is long enough."""
+    # sys.path comes back as it was, without what compare.py puts on it
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "tools")
+    import compare
+    runs = compare.build_corpus(tmp_path)
+    assert len({tuple(argv) for argv in runs}) == len(runs)
+    inputs = {Path(arg[arg.index(str(tmp_path)):]) for argv in runs
+              for arg in argv if str(tmp_path) in arg}
+    assert all(path.is_file() for path in inputs)
+    contents = {}
+    for path in inputs:
+        contents.setdefault(path.read_bytes(), []).append(path)
+    copies = set(compare.workloads.DATA_FILES)
+    for paths in contents.values():
+        names = {path.name for path in paths}
+        assert len(paths) == 1 or len(names) == 1 and names <= copies, paths
+    for key in compare.VARIED:
+        kind, names = ("pmf", PMF_VARIANTS) if key == "pmf" \
+            else ("protocol", PROTOCOL_VARIANTS)
+        paths = {name: tmp_path / "variants" / f"{kind} {name}.json"
+                 for name in names}
+        assert set(paths.values()) <= inputs
+        assert_long({name: paths[name].read_bytes()
+                     for name in LONG_VARIANTS.keys() & paths.keys()}, key)
 
 
 # -- the scan for large tables stays linear --------------------------------------
@@ -1200,8 +1061,8 @@ def test_pmf_scan_is_linear_in_candidate_starts(tmp_path):
     path = tmp_path / "pmf.json"
     lists_read = []
 
-    def read_list(match):
-        lists_read.append(read_float_list(match))
+    def read_list(*span):
+        lists_read.append(read_float_list(span))
         return lists_read[-1]
 
     def read(path):

@@ -23,23 +23,16 @@ corpus:
 * command lines that the parser refuses or answers with help, and flags
   given as an abbreviation or joined to their value (``PARSER_RUNS``), at
   a usage width of 80 columns;
-* malformed variants of the pmf ``tight_8x32x32_c1`` of ``regions-tight``
-  and of the protocol ``bsc_r1_n4`` of ``simulate-interactive`` (seed 1),
-  among them sizes and counts that are no integers or too small, ``n`` and
-  a slot's ``alphabet_size`` given as a 300x8 table, and protocols that
-  hold a boolean among integral floats;
-* variants of the same two files with a field put just ahead of the pmf
-  list or the ``key_xy`` table (``FIELDS_AHEAD``): a string holding
-  ``Infinity``, ``NaN``, ``[[`` or ``[0``, and an unknown field holding
-  ``-Infinity``. The scan for large tables knows no strings or constants,
-  so these files go to json whole;
-* encoded variants of the same two files (``encoded_variants``), which only
-  a reader of the file's bytes tells apart: a line break after every
-  ``", "``, ended by CR LF or by a lone CR, whole and cut short; a UTF-8
-  BOM; a byte that is not UTF-8 ahead of the table, inside it and after
-  the last table; a string past ASCII ahead of the table; and a raw CR in
-  a string. Tables are found and read on the bytes, and json must still
-  read, or refuse, the text as the file opened as text gives it.
+* the pmf ``tight_8x32x32_c1`` of ``regions-tight`` and the protocol
+  ``bsc_r1_n4`` of ``simulate-interactive`` at seed 1 (``VARIED``) in each
+  of the ``LAYOUTS`` of ``tests/variants.py``, and as every malformed
+  variant and refused file that module makes of them; and the module's
+  ``[true] and [0.0] rows`` variant of ``direct_extraction_n2``. The
+  agreement tests in
+  ``tests/test_properties.py`` run each of these against json, on drawn
+  files; this corpus runs them tree against tree.
+
+The corpus has 487 runs; the tier-1 tests build it without running it.
 
 Exit code, stdout and stderr are compared byte for byte. Each differing run
 is printed with what differs; for reports that differ, the largest absolute
@@ -53,7 +46,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -63,8 +55,9 @@ from pathlib import Path
 from checkouts import ROOT, clean_env, names, resolve, source_trees
 
 WORK = ROOT / ".perfbench_work" / "compare"
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+import variants  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 51)
@@ -91,6 +84,10 @@ PARSER_RUNS = (
     ("check", "--tol-ci", "abc"), ("compute", "--inp", "{source}"),
     ("compute", "--input={source}"))
 
+# key of its large table -> (folder, file) of each varied workload file
+VARIED = {"pmf": ("regions-tight-seed1", "tight_8x32x32_c1.json"),
+          "key_xy": ("simulate-interactive-seed1", "bsc_r1_n4.json")}
+
 # Runs in each tree's own process: the runs' argv lists in, each run's
 # exit code, stdout and stderr out. An exception that escapes main is an
 # outcome too.
@@ -113,229 +110,6 @@ for argv in json.load(open(runs)):
     outcomes.append([code, out.getvalue(), err.getvalue()])
 json.dump(outcomes, open(results, "w"))
 """
-
-
-# -- malformed inputs -----------------------------------------------------------
-
-# a number of the pmf list -> its replacement
-PMF_NUMBER_MUTATIONS = {
-    "NaN": lambda v: "NaN",
-    "Infinity": lambda v: "Infinity",
-    "-Infinity": lambda v: "-Infinity",
-    "true": lambda v: "true",
-    "false": lambda v: "false",
-    "null": lambda v: "null",
-    "string": lambda v: json.dumps(v),
-    "string holding ]": lambda v: '"]"',
-    "nested list": lambda v: f"[{v}]",
-    "object": lambda v: "{}",
-    "01": lambda v: "01",
-    "1.": lambda v: "1.",
-    ".5": lambda v: ".5",
-    "+1": lambda v: "+1",
-    "10**400": lambda v: str(10 ** 400),
-    "1e400": lambda v: "1e400",
-    "1.7976931348623159e308": lambda v: "1.7976931348623159e308",
-    "Arabic-Indic digit": lambda v: "\u0661" + v[1:],
-    "trailing no-break space": lambda v: v + "\u00a0",
-}
-# an extra list this many zeros long is past the large-table threshold
-# (ioformats.LARGE_TABLE_CHARS, 2048 characters)
-LONG_ZEROS = 2048
-# name -> a field that json reads, put just ahead of a large table
-FIELDS_AHEAD = {
-    "Infinity string": '"note": "Infinity"',
-    "NaN string": '"note": "NaN"',
-    "-Infinity field": '"extra": -Infinity',
-    "[[ string": '"note": "[["',
-    "[0 string": '"note": "[0"',
-}
-# a table past the threshold, given where an integer belongs
-LARGE_TABLE = json.dumps([[0] * 8] * 300)
-
-
-def fields_ahead(text, key, prefix):
-    """Name -> ``text`` with each of ``FIELDS_AHEAD`` put just ahead of the
-    field ``key``."""
-    at = text.index(json.dumps(key))
-    return {f"{prefix} {name} ahead of {key}": text[:at] + field + ", "
-            + text[at:] for name, field in FIELDS_AHEAD.items()}
-
-
-def pmf_variants(text):
-    """Name -> text of each malformed variant of a pmf file."""
-    start = text.index("[", text.index('"pmf"'))
-    end = text.index("]", start) + 1
-    values = text[start:end]
-    numbers = list(re.finditer(r"-?[0-9][0-9.eE+-]*", values))
-    number = numbers[len(numbers) // 2]
-    opening = text.index("{") + 1
-
-    def with_values(new):
-        return text[:start] + new + text[end:]
-
-    def ahead(field):
-        return text[:opening] + field + ", " + text[opening:]
-
-    out = {f"pmf number {name}": with_values(
-        values[:number.start()] + mutate(number.group())
-        + values[number.end():])
-        for name, mutate in PMF_NUMBER_MUTATIONS.items()}
-    reversed_values = ", ".join(reversed(values[1:-1].split(",")))
-    for length in ("short", "long"):
-        zeros = "0, " * (LONG_ZEROS if length == "long" else 1)
-        out[f"pmf extra {length} list holding NaN"] = ahead(
-            f'"extra": [{zeros}NaN]')
-        out[f"pmf extra {length} list holding a quoted ], list as schema"] = \
-            ahead(f'"extra": [{zeros}"]"]').replace(
-                '"pkregion-pmf-v1"', json.dumps(values), 1)
-    out.update({f"pmf cardinalities [{bad}, ...]": re.sub(
-        r'("cardinalities": *\[)[0-9]+', rf"\g<1>{bad}", text, count=1)
-        for bad in ("0", "2.5", "true")})
-    out.update({
-        "pmf trailing comma": with_values(values[:-1] + ",]"),
-        "pmf blank list": with_values("[" + " " * (len(values) - 2) + "]"),
-        "pmf empty list": with_values("[]"),
-        "pmf second pmf key": text[:text.rindex("}")]
-        + f', "pmf": [{reversed_values}]' + text[text.rindex("}"):],
-        "pmf list in a string": ahead(f'"note": {json.dumps(values)}'),
-        "pmf list as schema": text.replace('"pkregion-pmf-v1"', values, 1),
-        "pmf bare list": values,
-        "pmf truncated file": text[:len(text) // 2],
-        "pmf tab after [": with_values("[\t" + values[1:]),
-        "pmf ] removed": with_values(values[:-1]),
-    })
-    out.update(fields_ahead(text, "pmf", "pmf"))
-    return out
-
-
-# a cell of key_xy -> its replacement
-CELL_MUTATIONS = {
-    "3-D cell": lambda v: "[1, 2]",
-    "true": lambda v: "true",
-    "1.0": lambda v: "1.0",
-    "1e0": lambda v: "1e0",
-    "99": lambda v: "99",
-    "2**63-1": lambda v: str(2 ** 63 - 1),
-    "2**63": lambda v: str(2 ** 63),
-    "2**64": lambda v: str(2 ** 64),
-    "-1": lambda v: "-1",
-    "leading zero": lambda v: "0" + v,
-    "null": lambda v: "null",
-    "string": lambda v: '"1"',
-    "NaN": lambda v: "NaN",
-    "Arabic-Indic digit": lambda v: "\u0661",
-    "trailing no-break space": lambda v: v + "\u00a0",
-    "+1": lambda v: "+" + v,
-}
-
-
-def table_span(text, key):
-    start = text.index("[", text.index(json.dumps(key)))
-    return start, re.compile(r"\][ \t\n\r]*\]").search(text, start).end()
-
-
-def protocol_variants(text):
-    """Name -> text of each malformed variant of a protocol file; its
-    ``key_xy`` table is the one changed."""
-    start, end = table_span(text, "key_xy")
-    table = text[start:end]
-    cells = list(re.finditer(r"[0-9]+", table))
-    middle = len(cells) // 2
-    row_end = table.index("]")
-    opening = text.index("{") + 1
-
-    def with_table(new):
-        return text[:start] + new + text[end:]
-
-    def with_field(key, value, within=text):
-        """The first integer field ``key`` of ``within`` set to ``value``."""
-        return re.sub(rf'"{key}": *[0-9]+', f'"{key}": {value}', within,
-                      count=1)
-
-    def with_cells(replacements):
-        """The table with cell i's text replaced, for each (i, text)."""
-        new = table
-        for i, replacement in sorted(replacements.items(), reverse=True):
-            new = new[:cells[i].start()] + replacement + new[cells[i].end():]
-        return new
-
-    flagged = text[:opening] + '"flag": true, ' + text[opening:]
-    ragged = table[:row_end] + ",0" + table[row_end:]
-    out = {f"protocol cell {name}": with_table(
-        with_cells({middle: mutate(cells[middle].group())}))
-        for name, mutate in CELL_MUTATIONS.items()}
-    other = text[slice(*table_span(text, "est_xy"))]
-    out.update({
-        "protocol ragged row": with_table(ragged),
-        "protocol empty row": with_table(table[:1] + "[]," + table[1:]),
-        "protocol trailing comma": with_table(
-            table[:row_end] + "," + table[row_end:]),
-        "protocol missing comma": with_table(table.replace(",", " ", 1)),
-        "protocol table in a string": text[:opening]
-        + f'"note": {json.dumps(other)}, ' + text[opening:],
-        "protocol table nested once more": with_table(f"[{table}]"),
-        "protocol closing ]] removed": with_table(table[:-2]),
-        "protocol truncated file": text[:len(text) // 2],
-        "protocol true field": flagged,
-        "protocol ragged row, true field": flagged.replace(table, ragged, 1),
-        "protocol indent=2": json.dumps(json.loads(text), indent=2),
-        "protocol n NaN": with_field("n", "NaN"),
-        "protocol n 2.5": with_field("n", "2.5"),
-        "protocol n true": with_field("n", "true"),
-        "protocol key_xy_size 0": with_field("key_xy_size", "0"),
-        "protocol slot 1 alphabet_size true": with_field(
-            "alphabet_size", "true"),
-        # the slots are built first, so the slot is reported
-        "protocol n 2.5, slot 1 alphabet_size true": with_field(
-            "alphabet_size", "true", with_field("n", "2.5")),
-        "protocol slots for another round count": with_field("rounds", "2"),
-        "protocol n as a large table": with_field("n", LARGE_TABLE),
-        "protocol slot 1 alphabet_size as a large table": with_field(
-            "alphabet_size", LARGE_TABLE),
-        # numpy reads such a table as floats; the boolean must not become 1
-        "protocol true and 1.0 cells": with_table(
-            with_cells({0: "true", middle: "1.0"})),
-    })
-    out.update(fields_ahead(text, "key_xy", "protocol"))
-    return out
-
-
-def encoded_variants(text, key, prefix):
-    """Name -> bytes of each encoded variant of a file, around its large
-    table stored under ``key``."""
-    at = text.index(json.dumps(key))
-    inside = text.index(",", text.index("[", at)) + 1
-    closing = text.rindex("}")
-
-    def put(pos, raw):
-        return text[:pos].encode() + raw + text[pos:].encode()
-
-    out = {}
-    for name, end in (("CRLF", "\r\n"), ("lone CR", "\r")):
-        lines = text.replace(", ", ",\n").replace("\n", end)
-        out[f"{prefix} {name} line ends"] = lines.encode()
-        out[f"{prefix} {name} line ends, cut short"] = \
-            lines[:len(lines) // 2].encode()
-    out.update({
-        f"{prefix} UTF-8 BOM": b"\xef\xbb\xbf" + text.encode(),
-        f"{prefix} invalid byte ahead of {key}": put(at, b'"note": "\xff", '),
-        f"{prefix} invalid byte inside {key}": put(inside, b"\xff"),
-        f"{prefix} invalid byte after the tables": put(
-            closing, b', "note": "\xff"'),
-        f"{prefix} non-ASCII string ahead of {key}": put(
-            at, '"note": "Zürich ✓", '.encode()),
-        f"{prefix} raw CR in a string": put(at, b'"note": "a\rb", '),
-    })
-    return out
-
-
-def boolean_among_floats(text):
-    """A protocol file whose first two ``key_xy`` rows are [true], [0.0]."""
-    start, end = table_span(text, "key_xy")
-    rows = re.findall(r"\[[^\[\]]*\]", text[start + 1:end - 1])
-    table = "[" + ", ".join(["[true]", "[0.0]"] + rows[2:]) + "]"
-    return text[:start] + table + text[end:]
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -386,26 +160,30 @@ def build_corpus(corpus: Path) -> list:
                 if argv not in runs:
                     runs.append(argv)
 
-    pmf = generated["regions-tight-seed1"]["tight_8x32x32_c1.json"].decode()
-    for name, text in {**pmf_variants(pmf),
-                       **encoded_variants(pmf, "pmf", "pmf")}.items():
-        path = write(f"malformed/{name}.json", text)
-        runs += [["compute", "--input", path], ["check", "--input", path]]
     source = str(corpus / "simulate-interactive-seed1" /
                  "bsc_seeded_source.json")
-    protocol = generated["simulate-interactive-seed1"]["bsc_r1_n4.json"]
-    for name, text in {
-            **protocol_variants(protocol.decode()),
-            **encoded_variants(protocol.decode(), "key_xy", "protocol")
-    }.items():
-        path = write(f"malformed/{name}.json", text)
-        runs.append(["simulate", "--input", source, "--protocol", path])
+    for key, (folder, name) in VARIED.items():
+        text = generated[folder][name].decode()
+        kind = "pmf" if key == "pmf" else "protocol"
+        doc = json.loads(text)
+        files = {f"{label} layout": layout(doc)
+                 for label, layout in variants.LAYOUTS.items()}
+        files.update(variants.variant_files(text, key, variants.middle))
+        for variant, content in files.items():
+            path = write(f"variants/{kind} {variant}.json", content)
+            if kind == "pmf":
+                runs += [["compute", "--input", path],
+                         ["check", "--input", path]]
+            else:
+                runs.append(["simulate", "--input", source, "--protocol",
+                             path])
     runs.append(["simulate", "--input", source, "--protocol",
                  str(corpus / "simulate-interactive-seed1" / "bsc_r1_n4.json"),
                  "--budget", "1000"])
-    path = write("malformed/direct extraction, [true] and [0.0] rows.json",
-                 boolean_among_floats(
-                     (data / "direct_extraction_n2.json").read_text()))
+    path = write("variants/direct extraction [true] and [0.0] rows.json",
+                 variants.protocol_variant(
+                     (data / "direct_extraction_n2.json").read_text(),
+                     "key_xy", "[true] and [0.0] rows", variants.middle))
     runs.append(["simulate", "--input", src["xy_pair_source.json"],
                  "--protocol", path])
     return runs
