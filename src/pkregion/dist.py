@@ -12,8 +12,8 @@ Conventions
   total mass of its input exactly (up to float addition).
 * ``0 * log 0`` is treated as 0; zero-probability cells are retained in
   tables but contribute nothing to any entropy.
-* Conditional mutual information is clamped to 0 when it lands within
-  ``NUM_TOL`` below zero (floating-point guard only).
+* A figure in bits within ``NUM_TOL`` of zero, on either side, reads 0.0;
+  a value further below zero stays as it is, so a fault stays visible.
 
 All functions are pure; :class:`JointPmf` instances are immutable after
 construction and safe to share across threads.
@@ -58,7 +58,7 @@ def _count(value, least, what: str) -> int:
 
 
 def _clip0(v: float) -> float:
-    return 0.0 if -NUM_TOL <= v < 0.0 else v
+    return 0.0 if -NUM_TOL <= v <= NUM_TOL else v
 
 
 def _entropy_of(table: np.ndarray) -> float:
@@ -230,7 +230,7 @@ def cond_mutual_info(p: JointPmf, a, b, c=()) -> float:
 
     Computed as H(a,c) + H(b,c) - H(a,b,c) - H(c), which keeps the result
     exactly symmetric in ``a`` and ``b``. ``c`` may be empty (plain mutual
-    information). Values within ``NUM_TOL`` below zero are clamped to 0.
+    information). A value within ``NUM_TOL`` of zero reads 0.0.
 
     Raises
     ------

@@ -342,8 +342,8 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
                             weights=tables[codes.shape].reshape(-1),
                             minlength=a_size * b_size).reshape(a_size, b_size)
         h_a = _entropy_of(np.add.reduce(table, axis=1))
-        return _clip0(h_a + _entropy_of(np.add.reduce(table, axis=0))
-                      - _entropy_of(table)), h_a
+        return h_a + _entropy_of(np.add.reduce(table, axis=0)) \
+            - _entropy_of(table), h_a
 
     def disagreement(a, b):
         differ = a != b
@@ -354,10 +354,10 @@ def evaluate_protocol(p: JointPmf, spec: ProtocolSpec,
     return EvaluationReport(
         error_xy=disagreement(k_xy, l_xy),
         error_xz=disagreement(k_xz, l_xz),
-        leak_xy=max(leak_k_xy,
-                    info_bits(l_xy, kxy, tr_z, occurring * nz)[0]) / n,
-        leak_xz=max(leak_k_xz,
-                    info_bits(l_xz, kxz, tr_y, occurring * ny)[0]) / n,
+        leak_xy=_clip0(max(leak_k_xy, info_bits(
+            l_xy, kxy, tr_z, occurring * nz)[0]) / n),
+        leak_xz=_clip0(max(leak_k_xz, info_bits(
+            l_xz, kxz, tr_y, occurring * ny)[0]) / n),
         unif_xy=_clip0((math.log2(kxy) - h_k_xy) / n),
         unif_xz=_clip0((math.log2(kxz) - h_k_xz) / n),
         rate_xy=_clip0(h_k_xy / n),

@@ -10,7 +10,7 @@ Geometry is closed-form throughout: a cap-form region has at most five
 corners, every constructor hulls its points on coordinates rounded to 12
 decimals, and containment and the Hausdorff gap both read the Euclidean
 distance to the vertex polygon. No linear-programming machinery is
-involved, which keeps results deterministic to the bit across platforms.
+involved, so results are byte-identical for one machine and numpy build.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def gap_metrics(inner: RateRegion, outer: RateRegion):
         max(_distance_to(outer.vertices, v) for v in inner.vertices),
         max(_distance_to(inner.vertices, v) for v in outer.vertices),
     )
-    return _clip0(area_gap), hausdorff
+    return _clip0(area_gap), _clip0(hausdorff)
 
 
 # Marginal tables of the source by name, each with the axes of the

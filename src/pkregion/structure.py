@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import JointPmf, _count, _table
+from .dist import NUM_TOL, JointPmf, _count, _table
 from .errors import EmptySupportError
 
 __all__ = [
@@ -37,10 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_CI_TOL = 1e-9
-
-# Conditional rows are rounded to this many decimals before exact grouping;
-# pairwise-epsilon equality is not transitive, rounding-then-grouping is.
-_ROW_DECIMALS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +94,12 @@ class CommonFunction:
 def minimal_sufficient_statistic(p: JointPmf, of: str, wrt) -> Statistic:
     """Coarsest labeling of ``of`` preserving the conditional law of ``wrt``.
 
-    Each conditional row P(wrt | of = sym) of a positive-probability symbol
-    is rounded to 12 decimals (``np.round``: half to even), and two symbols
-    merge exactly when their rounded rows are equal. Grouping is therefore
-    by rounding bucket, not by distance: rows 2e-13 apart that straddle a
-    rounding boundary split, while rows 9e-13 apart inside one bucket merge.
-    Canonical labeling by first appearance in symbol order.
+    Two positive-probability symbols are joined when their conditional rows
+    P(wrt | of = sym) are at most ``NUM_TOL`` apart in max-abs distance,
+    and the classes are the connected components of that relation. The
+    rule chains rows: rows 0.8e-12 apart in a row of three merge although
+    the outer two are 1.6e-12 apart. Components do not depend on symbol
+    order; labels are canonical, by first appearance in symbol order.
 
     Parameters
     ----------
@@ -135,15 +131,33 @@ def _sufficient_statistic(of: str, m: np.ndarray) -> Statistic:
     support = (weights > 0.0).nonzero()[0]
     if support.size == 0:
         raise EmptySupportError(f"{of!r} has empty support")
-    rows = (m[support] / weights[support, None]).round(_ROW_DECIMALS) + 0.0
-    # each row is keyed by its slice of one buffer, not by a view per row
-    flat, width = rows.tobytes(), rows.shape[1] * rows.itemsize
-    labels = [-1] * m.shape[0]
-    seen: dict = {}
-    for at, sym in enumerate(support.tolist()):
-        labels[sym] = seen.setdefault(flat[at * width:(at + 1) * width],
-                                      len(seen))
-    return Statistic(of, tuple(labels), len(seen))
+    rows = m[support] / weights[support, None]
+    # no entry of v exceeds 1, so rows at most NUM_TOL apart project at most
+    # width * NUM_TOL apart onto v: only blocks of rows whose sorted
+    # projections lie within twice that (room for rounding) are compared,
+    # and most sources have none. Python sorts the projections: numpy's sort
+    # would map code pages that raise the process's peak RSS
+    width = rows.shape[1]
+    v = np.log2(np.arange(3.0, width + 3.0)) / np.log2(width + 2.0)
+    proj = np.add.reduce(rows * v, axis=1).tolist()
+    order = sorted(range(len(proj)), key=proj.__getitem__)
+    edges = [0, *(at for at in range(1, len(order)) if proj[order[at]]
+                  - proj[order[at - 1]] > 2.0 * NUM_TOL * width), len(order)]
+    root = np.arange(support.size)  # the first row of each row's component
+    for start, stop in zip(edges, edges[1:]):
+        block = np.array(sorted(order[start:stop])) \
+            if stop - start > 1 else ()
+        while len(block):  # a breadth-first search from the first row left
+            found, block = block[:1], block[1:]
+            while found.size and block.size:
+                near = (np.abs(rows[block, None] - rows[None, found])
+                        .max(axis=2) <= NUM_TOL).any(axis=1)
+                root[block[near]] = root[found[0]]
+                found, block = block[near], block[~near]
+    labels, firsts = [-1] * m.shape[0], {}
+    for sym, first in zip(support.tolist(), root.tolist()):
+        labels[sym] = firsts.setdefault(first, len(firsts))
+    return Statistic(of, tuple(labels), len(firsts))
 
 
 def maximal_common_function(p: JointPmf, a: str, b: str) -> CommonFunction:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from pkregion import (
-    JointPmf, cond_mutual_info, entropy, load_pmf, source_roles,
+    NUM_TOL, JointPmf, cond_mutual_info, entropy, load_pmf, source_roles,
 )
+from pkregion.dist import _clip0
 from pkregion.errors import (
     DuplicateVariableError, NegativeEntryError, NonFiniteEntryError,
     ShapeMismatchError, SumOutOfToleranceError,
@@ -165,6 +166,32 @@ def test_cmi_chain_rule_tight():
 def test_cmi_clamps_tiny_negative_to_zero():
     p = load_pmf(np.full((2, 2, 2), 0.125), ("X", "Y", "Z"), (2, 2, 2))
     assert cond_mutual_info(p, "X", "Y", "Z") == 0.0
+
+
+def test_figures_within_num_tol_of_zero_read_zero():
+    """The window around 0 is NUM_TOL wide on each side, its edges
+    included; a figure just past either edge is left as it is."""
+    for v in (NUM_TOL, -NUM_TOL, 0.9e-12, -0.9e-12, -0.0):
+        assert _clip0(v) == 0.0 and math.copysign(1.0, _clip0(v)) == 1.0, v
+    for v in (np.nextafter(NUM_TOL, 1.0), -np.nextafter(NUM_TOL, 1.0),
+              1.1e-12, -1.1e-12, -1e-9):
+        assert _clip0(v) == v, v
+
+
+def near_independent_pair(info):
+    """A pair of fair bits with I(A∧B) = ``info`` bits, for ``info`` small:
+    1 - h((1 + e) / 2) = e² / (2 ln 2) + O(e⁴)."""
+    e = math.sqrt(2.0 * math.log(2.0) * info)
+    same, differ = (1.0 + e) / 4.0, (1.0 - e) / 4.0
+    return load_pmf([same, differ, differ, same], ("A", "B"), (2, 2))
+
+
+def test_mutual_information_reads_zero_up_to_num_tol():
+    """On each side of the window's positive edge, from a source: 0.9e-12
+    bits read 0.0, and 1.1e-12 bits read as computed."""
+    assert cond_mutual_info(near_independent_pair(0.9e-12), "A", "B") == 0.0
+    assert cond_mutual_info(near_independent_pair(1.1e-12), "A", "B") \
+        == pytest.approx(1.1e-12, abs=1e-15)
 
 
 def test_source_roles_on_three_variables():

@@ -21,9 +21,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from pkregion import (
-    NUM_TOL, ProtocolSpec, RateRegion, SlotSpec, compute_report, contains,
-    evaluate_protocol, exact_region, gap_metrics, inner_region, load_pmf,
-    minimal_sufficient_statistic, outer_region,
+    NUM_TOL, ProtocolSpec, RateRegion, SlotSpec, compute_report,
+    cond_mutual_info, contains, evaluate_protocol, exact_region, gap_metrics,
+    inner_region, load_pmf, minimal_sufficient_statistic, outer_region,
 )
 from pkregion import protocol
 from pkregion.errors import (
@@ -520,6 +520,34 @@ def test_inner_region_reaches_the_single_key_capacities(p):
         assert contains(inner, point, tol=NUM_TOL), point
 
 
+@st.composite
+def helper_function_sources(draw, max_card=4):
+    """A source whose Z is a function of Y, with real weights on the
+    (X, Y) cells, so that entropies carry rounding."""
+    cards = draw(st.integers(1, max_card)), draw(st.integers(1, max_card))
+    z_of_y = draw(st.lists(st.integers(0, max_card - 1), min_size=cards[1],
+                           max_size=cards[1]))
+    weights = draw(arrays(np.float64, cards, elements=st.floats(0.0, 1.0)))
+    if not weights.any():
+        weights[0, 0] = 1.0
+    table = np.zeros(cards + (max(z_of_y) + 1,))
+    for y, z in enumerate(z_of_y):
+        table[:, y, z] = weights[:, y] / weights.sum()
+    return load_pmf(table, ("X", "Y", "Z"), table.shape)
+
+
+@given(helper_function_sources())
+def test_figures_that_are_zero_in_the_maths_read_zero(p):
+    """With Z a function of Y, I(X∧Z|Y) and so the outer XZ cap are 0,
+    and so are the XZ cap of each inner region. Each reads exactly 0.0,
+    not a rounding residue within NUM_TOL of it."""
+    report = compute_report(p)
+    assert cond_mutual_info(p, "X", "Z", "Y") == 0.0
+    assert report.quantities["i_x_z_given_y"] == 0.0
+    assert report.outer.cap_xz == 0.0
+    assert report.mss_y[1][1] == report.mss_z[1][1] == 0.0
+
+
 @given(sources(max_card=4))
 def test_inner_region_within_outer_region(p):
     outer = outer_region(p)
@@ -1009,6 +1037,17 @@ def test_compare_builds_its_corpus(tmp_path, monkeypatch):
         assert set(paths.values()) <= inputs
         assert_long({name: paths[name].read_bytes()
                      for name in LONG_VARIANTS.keys() & paths.keys()}, key)
+
+
+def test_every_mutant_edits_its_file(monkeypatch):
+    """Each edit of tools/mutants.py finds its old text in its file of
+    src/ and changes it, so the list cannot go stale unnoticed."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(root / "tools")
+    import mutants
+    for label, name, old, new in mutants.MUTANTS:
+        assert old in (root / "src" / "pkregion" / name).read_text(), label
+        assert old != new, label
 
 
 # -- the scan for large tables stays linear --------------------------------------

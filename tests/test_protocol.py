@@ -7,7 +7,7 @@ import pytest
 
 from pkregion import (
     EvaluationReport, ProtocolSpec, SlotSpec, check_eps_pk, contains,
-    evaluate_protocol, load_pmf, outer_region, rate_point,
+    evaluate_protocol, load_pmf, outer_region, rate_point, read_protocol,
 )
 from pkregion.errors import BudgetExceededError, MalformedTableError
 
@@ -331,6 +331,30 @@ def test_key_rates_are_clipped_at_zero():
     report = evaluate_protocol(
         p, no_message_protocol(zeros, one, zeros, one, 1, 1, n=4))
     assert rate_point(report) == (0.0, 0.0)
+
+
+def perfect_key_source(q):
+    """X = (Y, Z), with Y a fair bit and Z a bit of bias ``q``: X's symbol
+    2y + z."""
+    table = np.zeros((4, 2, 2))
+    for y, z in np.ndindex(2, 2):
+        table[2 * y + z, y, z] = 0.5 * (q if z else 1.0 - q)
+    return load_pmf(table, ("X", "Y", "Z"), (4, 2, 2))
+
+
+def test_a_perfect_key_passes_eps_zero_at_any_bias(data_dir):
+    """Direct extraction at n = 2 reads the XY key off Y's bits, a perfect
+    key whatever the helper Z's bias: error, leak and uniformity deficit
+    are 0 in the maths, and read exactly 0.0. The leak of the first bias
+    is computed as 2.2e-16, which the window around 0 reads as 0.0; the
+    others are 2000 biases drawn with numpy seed 0."""
+    spec = read_protocol(f"{data_dir}/direct_extraction_n2.json")
+    biases = [0.04097352393619469, *np.random.default_rng(0).random(2000)]
+    for q in biases:
+        report = evaluate_protocol(perfect_key_source(q), spec)
+        assert (report.error_xy, report.leak_xy, report.unif_xy) \
+            == (0.0, 0.0, 0.0), q
+        assert check_eps_pk(report, 0.0)[0], q
 
 
 def symbol_power_table(symbol_map, card, n):

@@ -1,6 +1,9 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pkregion import (
     DEFAULT_CI_TOL, JointPmf, RegionReport, load_pmf, maximal_common_function,
@@ -123,16 +126,96 @@ def test_mss_merges_proportional_rows_built_by_construction():
     assert stat.labels == (0, 0, 1)
 
 
-def test_mss_groups_rows_by_12_decimal_rounding_bucket():
-    """Rows merge when they round to the same 12 decimals, whatever their
-    distance: 2e-13 apart across a rounding boundary they split, 9e-13
-    apart inside one bucket they merge."""
-    for a, b, labels in ((0.3000000000004, 0.3000000000006, (0, 1)),
-                         (0.29999999999955, 0.30000000000045, (0, 0))):
-        table = 0.5 * np.array([[a, 1.0 - a], [b, 1.0 - b]])
-        p = load_pmf(table, ("Y", "Z"), (2, 2))
+def row_pmf(values):
+    """A (Y, Z) pair with P(z | y) = (v, 1 - v) for the v of each Y symbol,
+    all symbols equally likely."""
+    table = np.array([[v, 1.0 - v] for v in values]) / len(values)
+    return load_pmf(table, ("Y", "Z"), table.shape)
+
+
+def test_mss_merges_rows_within_num_tol_in_max_abs_distance():
+    """Rows 0.9e-12 apart merge and rows 1.1e-12 apart split. Three rows
+    0.8e-12 apart in a chain merge in every symbol order, although the
+    outer two alone, 1.6e-12 apart, split."""
+    for gap, labels in ((0.9e-12, (0, 0)), (1.1e-12, (0, 1)),
+                        (1.6e-12, (0, 1))):
+        p = row_pmf((0.3, 0.3 + gap))
         assert minimal_sufficient_statistic(p, of="Y", wrt="Z").labels \
-            == labels, (a, b)
+            == labels, gap
+    chain = (0.3, 0.3 + 0.8e-12, 0.3 + 1.6e-12)
+    for order in permutations(chain):
+        stat = minimal_sufficient_statistic(row_pmf(order), of="Y", wrt="Z")
+        assert stat.labels == (0, 0, 0), order
+
+
+# Y = 0 forces X = 0 and Y = 1 forces X = 1; under both, Z is drawn from
+# (v, 1 - v) with v = 0.3000000000005, a 12-decimal half-step. Y = 2 is the
+# case X = Z. The computed rows of Y = 0 and Y = 1 are one ulp apart, on
+# either side of the half-step.
+HALF_STEP_SOURCE = [
+    [[0.07606394622314988, 0.17748254118692716], [0.0, 0.0],
+     [0.18065720184607117, 0.0]],
+    [[0.0, 0.0], [0.11554173266952678, 0.26959737622825397],
+     [0.0, 0.18065720184607117]],
+]
+
+
+def test_mss_merges_equal_rows_on_either_side_of_a_half_step():
+    """Rows that are equal in the maths and one ulp apart in floats merge,
+    wherever they lie; the inner region then has the statistic's vertex."""
+    p = load_pmf(HALF_STEP_SOURCE, ("X", "Y", "Z"), (2, 3, 2))
+    stat = minimal_sufficient_statistic(p, of="Y", wrt="Z")
+    assert stat.classes() == ((0, 1), (2,))
+    report = RegionReport(p)
+    assert report.quantities["i_x_mss_y"] == pytest.approx(0.00717, abs=1e-5)
+    assert (0.61898699418, 0.361314403692) in report.inner.vertices
+    assert report.area_gap == pytest.approx(0.0155, abs=1e-4)
+    assert report.hausdorff_gap == pytest.approx(0.066, abs=1e-3)
+
+
+@st.composite
+def half_step_sources(draw):
+    """An (X, Y, Z) source whose Y symbols are proportional copies of a few
+    conditional rows P(z | y), with X arbitrary given Y, and the expected
+    classes: the symbols of each row.
+
+    Each entry of a row but the last is a 12-decimal half-step c/20 +
+    5e-13, or one or two ulps off it; the last makes the row sum to 1.
+    Two rows are equal as rationals or at least 0.05 apart, so the
+    oracle's CMI tolerance, which merges rows up to about 1e-5 apart,
+    decides nothing."""
+    width = draw(st.integers(2, 3))
+    centers = draw(st.lists(
+        st.tuples(*[st.integers(1, 9)] * (width - 1)), min_size=1,
+        max_size=3, unique=True))
+    rows = []
+    for center in centers:
+        row = []
+        for c in center:
+            entry = c / 20 + 5e-13
+            row.append(entry + draw(st.integers(-2, 2)) * np.spacing(entry))
+        rows.append(row + [1.0 - sum(row)])
+    of_row = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+                           max_size=5))
+    weight_y = np.array([draw(st.integers(1, 4)) for _ in of_row], float)
+    cards = (draw(st.integers(1, 3)), len(of_row), width)
+    x_given_y = draw(arrays(np.int64, cards[:2], elements=st.integers(1, 4)))
+    x_given_y = x_given_y / x_given_y.sum(axis=0)
+    table = np.array([[weight_y[y] / weight_y.sum() * x_given_y[x, y]
+                       * np.array(rows[r]) for y, r in enumerate(of_row)]
+                      for x in range(cards[0])])
+    classes = frozenset(frozenset(y for y, r in enumerate(of_row) if r == k)
+                        for k in set(of_row))
+    return load_pmf(table, ("X", "Y", "Z"), cards), classes
+
+
+@given(half_step_sources())
+def test_mss_merges_copies_of_half_step_rows_as_the_oracle_does(source):
+    p, classes = source
+    stat = minimal_sufficient_statistic(p, of="Y", wrt="Z")
+    assert stat.as_partition() == classes
+    assert classes == oracles.coarsest_sufficient_partition(
+        pmf_as_dict(p), 1, (2,))
 
 
 def test_mss_needs_a_group_without_its_variable(worked_source):

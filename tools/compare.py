@@ -16,6 +16,12 @@ corpus:
 * ``compute`` and ``check`` of the tie source ``TIE_SOURCE``, whose second
   inner region has an XY cap 4.4e-16 past its sum cap, so that a change to
   how cap corners become vertices shows;
+* ``compute`` and ``check`` of ``HALF_STEP_SOURCE``, whose Y symbols 0 and
+  1 have rows one ulp apart on either side of a 12-decimal half-step, so
+  that a change to how the sufficient statistic merges rows shows;
+* ``simulate`` of ``PERFECT_KEY_SOURCE`` with ``direct_extraction_n2`` at
+  ``--eps 0``, whose XY key is perfect but whose leak is computed as
+  2.2e-16, so that a change to the window around 0 shows;
 * ``simulate`` of every ``data/`` source with both shipped protocols, at
   ``--eps`` 0 and 0.5, and with ``--budget 1`` (exit code 3);
 * every distinct request of the four benchmark workloads at seeds 1 and 51,
@@ -32,7 +38,7 @@ corpus:
   ``tests/test_properties.py`` run each of these against json, on drawn
   files; this corpus runs them tree against tree.
 
-The corpus has 487 runs; the tier-1 tests build it without running it.
+The corpus has 490 runs; the tier-1 tests build it without running it.
 
 Exit code, stdout and stderr are compared byte for byte. Each differing run
 is printed with what differs; for reports that differ, the largest absolute
@@ -72,6 +78,28 @@ TIE_SOURCE = """{
   "cardinalities": [2, 3, 3],
   "pmf": [0.0, 0.0, 0.0, 0.0, 0.15, 0.1, 0.05, 0.0, 0.05,
           0.0, 0.15, 0.15, 0.0, 0.0, 0.15, 0.1, 0.0, 0.1]
+}
+"""
+# 2x3x2, Z fastest: Y = 0 forces X = 0 and Y = 1 forces X = 1, with Z
+# drawn from (v, 1 - v), v = 0.3000000000005, under both; Y = 2 is X = Z
+HALF_STEP_SOURCE = """{
+  "schema": "pkregion-pmf-v1",
+  "variables": ["X", "Y", "Z"],
+  "cardinalities": [2, 3, 2],
+  "pmf": [0.07606394622314988, 0.17748254118692716, 0.0, 0.0,
+          0.18065720184607117, 0.0, 0.0, 0.0, 0.11554173266952678,
+          0.26959737622825397, 0.0, 0.18065720184607117]
+}
+"""
+# 4x2x2, Z fastest: X = (Y, Z) as 2y + z, Y a fair bit and Z a bit of bias
+# q = 0.04097352393619469
+PERFECT_KEY_SOURCE = """{
+  "schema": "pkregion-pmf-v1",
+  "variables": ["X", "Y", "Z"],
+  "cardinalities": [4, 2, 2],
+  "pmf": [0.47951323803190266, 0.0, 0.0, 0.0, 0.0, 0.020486761968097345,
+          0.0, 0.0, 0.0, 0.0, 0.47951323803190266, 0.0, 0.0, 0.0, 0.0,
+          0.020486761968097345]
 }
 """
 
@@ -138,8 +166,13 @@ def build_corpus(corpus: Path) -> list:
                              src[protocol], "--eps", eps])
     runs += [[arg.format(source=src["worked_source.json"]) for arg in argv]
              for argv in PARSER_RUNS]
-    path = write("tie_source.json", TIE_SOURCE)
-    runs += [["compute", "--input", path], ["check", "--input", path]]
+    for name, text in (("tie_source.json", TIE_SOURCE),
+                       ("half_step_source.json", HALF_STEP_SOURCE)):
+        path = write(name, text)
+        runs += [["compute", "--input", path], ["check", "--input", path]]
+    runs.append(["simulate", "--input",
+                 write("perfect_key_source.json", PERFECT_KEY_SOURCE),
+                 "--protocol", src["direct_extraction_n2.json"], "--eps", "0"])
     for source, protocol in zip(("xy_pair_source.json", "worked_source.json"),
                                 PROTOCOLS):
         runs.append(["simulate", "--input", src[source], "--protocol",
