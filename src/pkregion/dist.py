@@ -119,6 +119,9 @@ class JointPmf:
             raise NonFiniteEntryError(
                 "table entries must be finite numbers") from None
         if arr.shape != cards:
+            if arr.ndim != 1:  # it would reshape into another source
+                raise ShapeMismatchError(
+                    f"table has shape {arr.shape}, expected {cards} or flat")
             # math.prod: exact, where an int64 product of large sizes wraps
             if arr.size != math.prod(cards):
                 raise ShapeMismatchError(
@@ -175,8 +178,9 @@ def load_pmf(table, variables, cardinalities,
     Parameters
     ----------
     table : array-like
-        Flat row-major entries (last variable fastest) or an array already
-        shaped like ``cardinalities``.
+        Flat row-major entries (last variable fastest), or an array of
+        exactly the shape ``cardinalities`` gives; any other shape raises
+        ``ShapeMismatchError``, even one of the same size.
     variables, cardinalities
         Names and alphabet sizes, in axis order.
     sum_tol : float

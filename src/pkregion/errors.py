@@ -7,9 +7,10 @@ may match on. A misused argument raises ``ValueError``: an unknown variable
 name, a variable group that is empty, repeats a name or overlaps another, a
 symbol outside its alphabet, statistic labels, an integer field that is
 not an integer (a boolean or float is not) or is below its least value
-(cardinalities, class and component counts, blocklength, round count,
-alphabet sizes, ``budget``), an empty point list, a bad CLI option value
-and a non-finite float handed to ``dumps_deterministic``.
+(cardinalities, labels, blocklength, round count, alphabet sizes,
+``budget``), a region whose caps or points do not fit its provenance, an
+empty point list, a bad CLI option value and a non-finite float handed to
+``dumps_deterministic``.
 A value of a type that ``dumps_deterministic`` cannot serialize raises
 ``TypeError``, and a failed write by ``write_atomic`` ``OSError``.
 """

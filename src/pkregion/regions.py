@@ -102,11 +102,12 @@ def _polygon_area(verts: tuple) -> float:
 class RateRegion:
     """A 2-D rate region in bits, cap form or hull form.
 
-    Cap-form regions carry the three caps; hull-form regions (provenance
-    ``inner-hull``) carry all caps ``None``. Whatever points a region is
-    built from — given, enumerated from its caps when none are given, or
-    copied by :func:`dataclasses.replace` — are stored as their convex
-    hull: vertices counterclockwise starting from (0, 0), rounded to 12
+    The form follows the provenance. ``outer`` and ``exact-thm4`` regions
+    are cap form: three nonnegative caps, and no vertices given, for they
+    are enumerated from the caps. An ``inner-hull`` region is hull form:
+    the points it is given, and all caps ``None``. Any other combination
+    raises ``ValueError``. The vertices are stored as the convex hull of
+    those points: counterclockwise starting from (0, 0), rounded to 12
     decimals, without duplicates.
     """
 
@@ -119,16 +120,17 @@ class RateRegion:
     def __post_init__(self):
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        caps = (self.cap_xy, self.cap_xz, self.cap_sum)
-        present = [c is not None for c in caps]
-        if any(present) and not all(present):
-            raise ValueError("caps must be given all together or not at all")
-        for cap in caps:
-            # a NaN cap fails the comparison too
-            if cap is not None and not (cap >= 0.0):
-                raise ValueError(f"caps must be nonnegative, got {cap!r}")
-        points = list(self.vertices)
-        if not points and all(present):
+        caps, points = (self.cap_xy, self.cap_xz, self.cap_sum), self.vertices
+        if self.provenance == "inner-hull":
+            if caps != (None, None, None):
+                raise ValueError("an inner-hull region carries no caps")
+        elif None in caps or len(points):
+            raise ValueError(f"an {self.provenance} region takes three caps "
+                             "and no vertices")
+        # a NaN cap fails the comparison too
+        elif not all(cap >= 0.0 for cap in caps):
+            raise ValueError(f"caps must be nonnegative, got {caps!r}")
+        else:
             points = _cap_vertices(*caps)
         object.__setattr__(self, "vertices", _start_at_origin(hull(points)))
 
@@ -344,7 +346,7 @@ class RegionReport:
 
     @cached_property
     def exact(self) -> RateRegion | None:
-        return replace(self.outer, provenance="exact-thm4") \
+        return replace(self.outer, vertices=(), provenance="exact-thm4") \
             if self.thm4_holds else None
 
     @cached_property

@@ -21,7 +21,7 @@ across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,24 +43,22 @@ DEFAULT_CI_TOL = 1e-9
 class Statistic:
     """Deterministic labeling of one variable's alphabet.
 
-    ``labels[sym]`` is a class index in ``range(num_classes)`` for every
-    positive-probability symbol and -1 for symbols off the support.
+    ``labels[sym]`` is a class index for every positive-probability symbol
+    and -1 for symbols off the support. The classes used are numbered 0, 1,
+    ... without a gap, and ``num_classes`` counts them.
     """
 
     variable: str
     labels: tuple
-    num_classes: int
+    num_classes: int = field(init=False)
 
     def __post_init__(self):
         labels = tuple(_count(v, -1, "labels") for v in self.labels)
-        # any integer count: a negative one fails the contiguity test
-        classes = _count(self.num_classes, float("-inf"), "class count")
-        used = sorted(set(labels) - {-1})
-        if used != list(range(len(used))) or len(used) != classes:
-            raise ValueError(
-                f"labels {used} are not contiguous over {classes} classes")
+        used = set(labels) - {-1}
+        if max(used, default=-1) != len(used) - 1:
+            raise ValueError(f"labels {sorted(used)} are not contiguous")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "num_classes", classes)
+        object.__setattr__(self, "num_classes", len(used))
 
     def classes(self) -> tuple:
         """Symbols grouped by label, label order."""
@@ -77,17 +75,15 @@ class Statistic:
 
 @dataclass(frozen=True, eq=False)
 class CommonFunction:
-    """A pair of statistics with f(a) = g(b) on every positive-probability pair."""
+    """A pair of statistics with f(a) = g(b) on every positive-probability
+    pair; ``components`` is the class count the two share."""
 
     stat_a: Statistic
     stat_b: Statistic
-    components: int
+    components = property(lambda self: self.stat_a.num_classes)
 
     def __post_init__(self):
-        components = _count(self.components, 0, "component count")
-        object.__setattr__(self, "components", components)
-        if self.stat_a.num_classes != components or \
-                self.stat_b.num_classes != components:
+        if self.stat_a.num_classes != self.stat_b.num_classes:
             raise ValueError("both sides must use the same component labels")
 
 
@@ -157,7 +153,7 @@ def _sufficient_statistic(of: str, m: np.ndarray) -> Statistic:
     labels, firsts = [-1] * m.shape[0], {}
     for sym, first in zip(support.tolist(), root.tolist()):
         labels[sym] = firsts.setdefault(first, len(firsts))
-    return Statistic(of, tuple(labels), len(firsts))
+    return Statistic(of, labels)
 
 
 def maximal_common_function(p: JointPmf, a: str, b: str) -> CommonFunction:
@@ -233,8 +229,7 @@ def _common_function(a: str, b: str, t: np.ndarray) -> CommonFunction:
         comp += 1
     if comp == 0:
         raise EmptySupportError(f"pair ({a!r}, {b!r}) has empty support")
-    return CommonFunction(Statistic(a, label_a, comp),
-                          Statistic(b, label_b, comp), comp)
+    return CommonFunction(Statistic(a, label_a), Statistic(b, label_b))
 
 
 def _ci_residual(t: np.ndarray, cf: CommonFunction) -> float:

@@ -52,7 +52,7 @@ def test_deterministic_separating_functions_respect_components():
             canon, seen = [], {}
             for lab in labels:
                 canon.append(seen.setdefault(lab, len(seen)))
-            stat = Statistic("Y", tuple(canon), k)
+            stat = Statistic("Y", tuple(canon))
             lifted = oracles.apply_partition(dist, 1, stat.classes())
             if oracles.oracle_cmi(lifted, (3,), (0, 1), (2,)) <= 1e-12:
                 # recoverable from Z as well, hence constant per component

@@ -27,6 +27,18 @@ def test_load_pmf_accepts_flat_and_shaped_tables():
     assert flat.cardinalities == (2, 2)
 
 
+def test_load_pmf_refuses_a_table_shaped_unlike_its_cardinalities():
+    """A table is flat or has exactly the shape ``cardinalities`` gives:
+    another shape of the same size would be reshaped into another source."""
+    for table, cards in ((np.full((2, 2, 2), 1 / 8), (4, 2, 1)),
+                         (np.full((2, 4), 1 / 8), (2, 2, 2)),
+                         ([[0.25, 0.25], [0.25, 0.25]], (4,)),
+                         (np.array(1.0), (1,))):
+        with pytest.raises(ShapeMismatchError, match="shape") as err:
+            load_pmf(table, ("X", "Y", "Z")[:len(cards)], cards)
+        assert type(err.value) is ShapeMismatchError
+
+
 def test_load_pmf_rejects_bad_inputs():
     with pytest.raises(NegativeEntryError):
         load_pmf([0.5, 0.6, -0.1, 0.0], ("A", "B"), (2, 2))

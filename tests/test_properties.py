@@ -591,7 +591,8 @@ def nested_cap_regions(draw):
     """An outer cap-form region and one inside it (every cap no larger)."""
     outer = [draw(st.floats(0.0, 2.0)) for _ in range(3)]
     inner = [draw(st.floats(0.0, cap)) for cap in outer]
-    return (RateRegion.from_caps(*inner, provenance="inner-hull"),
+    inner_caps = RateRegion.from_caps(*inner, provenance="outer")
+    return (RateRegion.from_hull(inner_caps.vertices),
             RateRegion.from_caps(*outer, provenance="outer"))
 
 
@@ -671,13 +672,15 @@ def test_cap_vertices_stay_within_the_caps(caps):
                 min_size=1, max_size=6))
 def test_every_constructor_stores_the_hull(points):
     """Clockwise or duplicated points given to the constructor make the
-    region that ``from_hull`` makes of them, in hull and cap form."""
+    region that ``from_hull`` makes of them in hull form; cap form takes
+    its vertices from its caps only and refuses given points."""
     want = RateRegion.from_hull(points).vertices
     for given_points in (points[::-1], points + points):
         assert RateRegion(None, None, None, given_points,
                           "inner-hull").vertices == want
-        assert RateRegion(1.0, 1.0, 1.0, given_points, "outer").vertices \
-            == want
+        for provenance in ("outer", "exact-thm4"):
+            with pytest.raises(ValueError, match="no vertices"):
+                RateRegion(1.0, 1.0, 1.0, given_points, provenance)
 
 
 def test_a_clockwise_triangle_is_the_cap_triangle():
@@ -1037,6 +1040,43 @@ def test_compare_builds_its_corpus(tmp_path, monkeypatch):
         assert set(paths.values()) <= inputs
         assert_long({name: paths[name].read_bytes()
                      for name in LONG_VARIANTS.keys() & paths.keys()}, key)
+
+
+def test_compare_counts_the_changes_of_each_field(tmp_path, monkeypatch,
+                                                  capsys):
+    """tools/compare.py prints, per report field over all runs, the largest
+    |difference|, the values changed and those of them that went from
+    within NUM_TOL of 0 to exactly 0.0; read from two small results files."""
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "tools")
+    import compare
+    from pkregion.dist import NUM_TOL
+    assert compare.NUM_TOL == NUM_TOL
+    reports = [({"a": 1e-13, "b": [0.5, -2e-13, 3.0], "c": "x"},
+                {"a": 0.0, "b": [0.5, 0.0, 3.5], "c": "y"}),
+               ({"a": 5e-13, "b": [0.5, 0.0, 3.0], "c": "x"},
+                {"a": 0.0, "b": [0.5, 0.0, 3.0], "c": "x"}),
+               ({"a": 2e-12, "b": [], "c": "x"},
+                {"a": 0.0, "b": [], "c": "x"}),
+               ({"a": 1.0, "b": [], "c": "x"},
+                {"a": 1.0, "b": [], "c": "x"})]
+    for side in (0, 1):
+        (tmp_path / f"results{side}.json").write_text(json.dumps(
+            [[0, json.dumps(pair[side]), ""] for pair in reports]))
+    base, head = (json.loads((tmp_path / f"results{side}.json").read_text())
+                  for side in (0, 1))
+    runs = [["compute", "--input", str(tmp_path / f"s{i}.json")]
+            for i in range(len(reports))]
+    count, differ = compare.report(runs, base, head, tmp_path)
+    assert (count, differ) == (3, {"exit code": 0, "stdout": 3, "stderr": 0})
+    fields = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FIELD")]
+    assert fields == [
+        "FIELD a: largest |difference| 2e-12 at compute --input s2.json; "
+        "3 changed, 2 from within 1e-12 of 0 to 0.0",
+        "FIELD b[]: largest |difference| 0.5 at compute --input s0.json; "
+        "2 changed, 1 from within 1e-12 of 0 to 0.0",
+        "FIELD c: largest |difference| inf at compute --input s0.json; "
+        "1 changed, 0 from within 1e-12 of 0 to 0.0"]
 
 
 def test_every_mutant_edits_its_file(monkeypatch):

@@ -84,12 +84,26 @@ def test_region_validation():
         RateRegion.from_caps(1.0, 1.0, 1.0, provenance="nonsense")
     with pytest.raises(ValueError):
         RateRegion(cap_xy=1.0, cap_xz=None, cap_sum=1.0,
-                   vertices=((0.0, 0.0),), provenance="outer")
+                   vertices=(), provenance="outer")
     # a NaN cap is refused as such, before any vertex is enumerated
     nan = float("nan")
     for caps in ((nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan)):
         with pytest.raises(ValueError, match="caps must be nonnegative"):
             RateRegion.from_caps(*caps, provenance="outer")
+    # the form follows the provenance: caps and no vertices for outer and
+    # exact-thm4, points and no caps for inner-hull
+    triangle = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    none = (None, None, None)
+    for caps, points, provenance in (
+            ((1.0, 1.0, 1.0), [(5.0, 5.0)], "outer"),
+            ((1.0, 1.0, 1.0), triangle, "exact-thm4"),
+            (none, triangle, "outer"),
+            (none, (), "exact-thm4"),
+            ((1.0, 2.0, 2.5), (), "inner-hull"),
+            ((None, None, 1.0), triangle, "inner-hull")):
+        with pytest.raises(ValueError, match="caps") as err:
+            RateRegion(*caps, points, provenance)
+        assert type(err.value) is ValueError
     # a region of no points is refused by the hull it is stored as
     with pytest.raises(ValueError, match="at least one point") as err:
         RateRegion.from_hull([])
@@ -163,7 +177,8 @@ def test_gap_metrics_identical_regions_are_zero():
 
 
 def test_gap_metrics_known_triangle_pair():
-    inner = RateRegion.from_caps(1.0, 1.0, 1.0, provenance="inner-hull")
+    inner = RateRegion.from_hull(
+        RateRegion.from_caps(1.0, 1.0, 1.0, provenance="outer").vertices)
     outer = RateRegion.from_caps(1.0, 1.0, 2.0, provenance="outer")
     area, hausdorff = gap_metrics(inner, outer)
     assert area == pytest.approx(0.5, abs=1e-9)

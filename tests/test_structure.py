@@ -21,40 +21,40 @@ import oracles
 # -- Statistic / CommonFunction plumbing -----------------------------------------
 
 def test_statistic_requires_contiguous_labels():
-    Statistic("Y", (0, 1, 0), 2)
-    with pytest.raises(ValueError, match="not contiguous") as err:
-        Statistic("Y", (0, 2), 2)
-    assert type(err.value) is ValueError
-    with pytest.raises(ValueError, match="not contiguous") as err:
-        Statistic("Y", (1,), 1)
-    assert type(err.value) is ValueError
-    with pytest.raises(ValueError, match="not contiguous") as err:
-        Statistic("Y", (-1, -1), -1)
-    assert type(err.value) is ValueError
-    # a count is an integer: not a boolean, not an integral float
-    for count in (True, 1.0):
-        with pytest.raises(ValueError, match="is not an integer") as err:
-            Statistic("Y", (0,), count)
+    assert Statistic("Y", (0, 1, 0)).num_classes == 2
+    assert Statistic("Y", (-1, -1)).num_classes == 0
+    for labels in ((0, 2), (1,), (-1, 1, 2)):
+        with pytest.raises(ValueError, match="not contiguous") as err:
+            Statistic("Y", labels)
         assert type(err.value) is ValueError
-    assert type(Statistic("Y", (0,), np.int64(1)).num_classes) is int
+    # a label is an integer: not a boolean, not an integral float
+    for label in (True, 1.0):
+        with pytest.raises(ValueError, match="is not an integer") as err:
+            Statistic("Y", (0, label))
+        assert type(err.value) is ValueError
+    stat = Statistic("Y", (np.int64(0), np.int64(1)))
+    assert stat.labels == (0, 1) and type(stat.num_classes) is int
+    # the count is derived from the labels, never given
+    with pytest.raises(TypeError):
+        Statistic("Y", (0,), 1)
 
 
 def test_statistic_views():
-    stat = Statistic("Y", (1, -1, 0, 1), 2)
+    stat = Statistic("Y", (1, -1, 0, 1))
     assert stat.classes() == ((2,), (0, 3))
     assert stat.as_partition() == frozenset({frozenset({2}), frozenset({0, 3})})
 
 
 def test_common_function_checks_class_counts():
-    a = Statistic("Y", (0, 1), 2)
-    b = Statistic("Z", (0, 0), 1)
-    with pytest.raises(ValueError, match="same component labels") as err:
-        CommonFunction(a, b, 2)
-    assert type(err.value) is ValueError
-    for components in (True, 1.0):
-        with pytest.raises(ValueError, match="is not an integer") as err:
-            CommonFunction(b, b, components)
+    a = Statistic("Y", (0, 1))
+    b = Statistic("Z", (0, 0))
+    assert CommonFunction(a, Statistic("Z", (1, 0, -1))).components == 2
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="same component labels") as err:
+            CommonFunction(*pair)
         assert type(err.value) is ValueError
+    with pytest.raises(TypeError):
+        CommonFunction(b, b, 1)
 
 
 # -- minimal sufficient statistic -------------------------------------------------

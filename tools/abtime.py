@@ -14,19 +14,29 @@ every fresh process compiles the package anew (about 14 ms on a 2-core x86
 host), so a tree that alone had bytecode would seem faster.
 
 The requests are every distinct request of the four benchmark workloads at
-seed 1, built by ``perfbench/workloads.py``. One worker process per tree
-times each call of ``pkregion.cli.main`` with ``perf_counter``, with the
-garbage collector disabled, so that collections fall between calls and not
-on whichever call an allocation count happens to tip. Just outside the
-timed part it reads the process's minor page faults before and after the
-call. After the call it checks the report with
-``perfbench/checks.py`` against the values ``perfbench/reference.py``
-computes from the oracles, as the benchmark's serving process does. The
-parent sends each request to both workers in turn, in ABBA order: BASE
-first where the round and the request's index add up to an even number,
-HEAD first otherwise. One untimed round is followed by ``ROUNDS`` timed
-ones. Host drift therefore hits both trees alike, and no yardstick is
-needed.
+seed 1, built by ``perfbench/workloads.py``. Every process the tool starts
+to run a tree gets glibc's ``MALLOC_MMAP_THRESHOLD_`` and
+``MALLOC_TRIM_THRESHOLD_`` at 256 MiB in its environment (``MALLOC``): a
+large array then reuses freed heap instead of being mapped afresh, and the
+heap is not trimmed between calls. Without them, the worker whose heap
+layout happened to unmap a large block after each call (which turned on
+details as small as the length of the tree's path) was seen to pay hundreds
+of minor faults per call that the other did not, and the largest request
+classes to read 0.92-0.97 or 1.05-1.13 with identical code. The benchmark's
+serving process runs with glibc's defaults and still pays for that churn,
+so ``perfbench/run.py``, not this tool, decides a claim about end-to-end
+figures. One worker process per tree times each call of
+``pkregion.cli.main`` with ``perf_counter``, with the garbage collector
+disabled, so that collections fall between calls and not on whichever call
+an allocation count happens to tip. Just outside the timed part it reads
+the process's minor page faults before and after the call. After the call
+it checks the report with ``perfbench/checks.py`` against the values
+``perfbench/reference.py`` computes from the oracles, as the benchmark's
+serving process does. The parent sends each request to both workers in
+turn, in ABBA order: BASE first where the round and the request's index add
+up to an even number, HEAD first otherwise. One untimed round is followed
+by ``ROUNDS`` timed ones. Host drift therefore hits both trees alike, and
+no yardstick is needed.
 
 Printed, with a ratio being HEAD's time over BASE's, so that below 1 means
 HEAD is faster:
@@ -35,9 +45,9 @@ HEAD is faster:
   ``simulate``, the blocklength), per workload and over all requests: the
   number of pairs, the median ratio with its quartiles, the pairs HEAD won,
   the ratio of total times, and the mean minor page faults a call of BASE
-  and of HEAD took. A tree that frees and maps large blocks anew on every
-  call pays for it in faults, and two trees whose ratio differs with equal
-  code show whether allocator state is the cause;
+  and of HEAD took. Near 0 on both sides, the faults show that the
+  thresholds took effect; a tree that still maps large blocks anew on
+  every call pays for it in faults;
 * the same for ``FRESH`` pairs of fresh ``pkregion compute`` processes on
   ``data/worked_source.json``, alternated between the trees.
 
@@ -70,6 +80,10 @@ SEED = 1
 ROUNDS = 40
 FRESH = 10
 FRESH_SOURCE = "worked_source.json"
+# glibc's allocator, fixed in each process that runs a tree: no large block
+# mapped afresh, no heap trimmed, on any call
+MALLOC = {"MALLOC_MMAP_THRESHOLD_": str(256 << 20),
+          "MALLOC_TRIM_THRESHOLD_": str(256 << 20)}
 
 # Runs in each tree's own process: the plan's requests, then one request
 # index a line on stdin; one line [seconds, minor faults, problems] back for
@@ -140,7 +154,7 @@ class Worker:
         self.proc = subprocess.Popen(
             [sys.executable, "-c", WORKER, str(src), str(PERFBENCH),
              str(plan), str(out)],
-            cwd=WORK, env=clean_env(), stdin=subprocess.PIPE,
+            cwd=WORK, env={**clean_env(), **MALLOC}, stdin=subprocess.PIPE,
             stdout=subprocess.PIPE, text=True)
 
     def time(self, index: int) -> tuple:
@@ -193,8 +207,7 @@ def time_fresh(trees) -> tuple:
                                       source.read_bytes())
 
     def spawn(side: int) -> tuple:
-        env = clean_env()
-        env["PYTHONPATH"] = str(trees[side])
+        env = {**clean_env(), **MALLOC, "PYTHONPATH": str(trees[side])}
         output = WORK / "out" / f"fresh-{side}.json"
         start = time.perf_counter()
         done = subprocess.run(

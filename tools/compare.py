@@ -41,10 +41,12 @@ corpus:
 The corpus has 490 runs; the tier-1 tests build it without running it.
 
 Exit code, stdout and stderr are compared byte for byte. Each differing run
-is printed with what differs; for reports that differ, the largest absolute
-difference of each report field (list positions folded into ``[]``) and the
-run that gave it. The last line is a summary. The exit code is 0 when no run
-differs and 1 otherwise; no difference is ever accepted.
+is printed with what differs. For reports that differ, each report field
+(list positions folded into ``[]``) is printed once, with its largest
+absolute difference and the run that gave it, how many of its values
+changed over all runs, and how many of those went from within ``NUM_TOL``
+of 0 to exactly 0.0. The last line is a summary. The exit code is 0 when
+no run differs and 1 otherwise; no difference is ever accepted.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ import variants  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 51)
+# pkregion.dist.NUM_TOL, the window around 0 in which a figure reads 0.0
+NUM_TOL = 1e-12
 SOURCES = ("bsc_source.json", "independent_source.json",
            "worked_source.json", "xy_pair_source.json")
 PROTOCOLS = ("direct_extraction_n2.json", "worked_recovery_n1.json")
@@ -244,8 +248,10 @@ def leaves(value, path=""):
 
 
 def field_differences(base: str, head: str) -> dict:
-    """Field -> largest absolute difference (inf where a value changed
-    kind, or a field came or went) between two reports."""
+    """Field -> (largest absolute difference, values changed, values that
+    went from within ``NUM_TOL`` of 0 to exactly 0.0) between two reports;
+    the difference is inf where a value changed kind, or a field came or
+    went."""
     try:
         a, b = json.loads(base), json.loads(head)
     except ValueError:
@@ -253,14 +259,17 @@ def field_differences(base: str, head: str) -> dict:
     out = {}
     fa, fb = list(leaves(a)), list(leaves(b))
     if [p for p, _ in fa] != [p for p, _ in fb]:
-        return {"(field list)": math.inf}
+        return {"(field list)": (math.inf, 1, 0)}
     for (path, x), (_, y) in zip(fa, fb):
         if x == y and type(x) is type(y):
             continue
         numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
                       for v in (x, y))
         diff = abs(x - y) if numbers else math.inf
-        out[path] = max(out.get(path, 0.0), diff)
+        zeroed = numbers and abs(x) <= NUM_TOL and y == 0.0 \
+            and type(y) is float
+        largest, changed, zeroes = out.get(path, (0.0, 0, 0))
+        out[path] = (max(largest, diff), changed + 1, zeroes + zeroed)
     return out
 
 
@@ -269,10 +278,11 @@ def first_line(text: str) -> str:
 
 
 def report(runs, base, head, corpus) -> tuple:
-    """Print each differing run and the largest difference per report
-    field; return the number of runs that differ and the count per part."""
+    """Print each differing run, then per report field the largest
+    difference and the values changed and zeroed; return the number of runs
+    that differ and the count per part."""
     differ = {"exit code": 0, "stdout": 0, "stderr": 0}
-    largest = {}
+    fields = {}  # field -> [largest difference, its run, changed, zeroed]
     count = 0
     for argv, a, b in zip(runs, base, head):
         what = [part for part, x, y in zip(differ, a, b) if x != y]
@@ -289,11 +299,17 @@ def report(runs, base, head, corpus) -> tuple:
         if "stderr" in what:
             print(f"  stderr {first_line(a[2])!r}\n"
                   f"      -> {first_line(b[2])!r}")
-        for field, diff in field_differences(a[1], b[1]).items():
-            if diff > largest.get(field, (-1.0,))[0]:
-                largest[field] = (diff, label)
-    for field, (diff, label) in sorted(largest.items()):
-        print(f"FIELD {field}: largest |difference| {diff:.3g} at {label}")
+        for field, (diff, changed, zeroed) in \
+                field_differences(a[1], b[1]).items():
+            stats = fields.setdefault(field, [-1.0, label, 0, 0])
+            if diff > stats[0]:
+                stats[:2] = diff, label
+            stats[2] += changed
+            stats[3] += zeroed
+    for field, (diff, label, changed, zeroed) in sorted(fields.items()):
+        print(f"FIELD {field}: largest |difference| {diff:.3g} at {label}; "
+              f"{changed} changed, {zeroed} from within {NUM_TOL:g} of 0 "
+              "to 0.0")
     return count, differ
 
 
