@@ -88,6 +88,9 @@ class JointPmf:
     probs: np.ndarray
 
     def __post_init__(self):
+        if not all(isinstance(v, str) for v in self.variables):
+            raise ValueError(f"variable names must be strings, got "
+                             f"{self.variables!r}")
         names = tuple(str(v) for v in self.variables)
         cards = tuple(_count(c, 1, "cardinalities")
                       for c in self.cardinalities)

@@ -3,14 +3,15 @@
 A fault in pmf or protocol data (read from a file or handed over as an
 array) and a run over the enumeration budget raise a
 :class:`PkRegionError`, whose ``code`` the CLI prints verbatim and callers
-may match on. A misused argument raises ``ValueError``: an unknown variable
-name, a variable group that is empty, repeats a name or overlaps another, a
-symbol outside its alphabet, statistic labels, an integer field that is
-not an integer (a boolean or float is not) or is below its least value
-(cardinalities, labels, blocklength, round count, alphabet sizes,
-``budget``), a region whose caps or points do not fit its provenance, an
-empty point list, a bad CLI option value and a non-finite float handed to
-``dumps_deterministic``.
+may match on. A misused argument raises ``ValueError``: a variable name
+that is not a string, an unknown variable name, a variable group that is
+empty, repeats a name or overlaps another, a symbol outside its alphabet,
+statistic labels, an integer field that is not an integer (a boolean or
+float is not) or is below its least value (cardinalities, labels,
+blocklength, round count, alphabet sizes, ``budget``), a region whose caps
+or points do not fit its provenance, a region cap or point coordinate that
+is not finite and nonnegative, an empty point list, a bad CLI option value
+and a non-finite float handed to ``dumps_deterministic``.
 A value of a type that ``dumps_deterministic`` cannot serialize raises
 ``TypeError``, and a failed write by ``write_atomic`` ``OSError``.
 """

@@ -103,11 +103,12 @@ class RateRegion:
     """A 2-D rate region in bits, cap form or hull form.
 
     The form follows the provenance. ``outer`` and ``exact-thm4`` regions
-    are cap form: three nonnegative caps, and no vertices given, for they
-    are enumerated from the caps. An ``inner-hull`` region is hull form:
-    the points it is given, and all caps ``None``. Any other combination
-    raises ``ValueError``. The vertices are stored as the convex hull of
-    those points: counterclockwise starting from (0, 0), rounded to 12
+    are cap form: three caps, and no vertices given, for they are
+    enumerated from the caps. An ``inner-hull`` region is hull form: the
+    points it is given, and all caps ``None``. Any other combination
+    raises ``ValueError``, and so does a cap or point coordinate that is
+    not finite and nonnegative. The vertices are stored as the convex hull
+    of those points: counterclockwise starting from (0, 0), rounded to 12
     decimals, without duplicates.
     """
 
@@ -120,17 +121,18 @@ class RateRegion:
     def __post_init__(self):
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        caps, points = (self.cap_xy, self.cap_xz, self.cap_sum), self.vertices
+        caps = (self.cap_xy, self.cap_xz, self.cap_sum)
         if self.provenance == "inner-hull":
             if caps != (None, None, None):
                 raise ValueError("an inner-hull region carries no caps")
-        elif None in caps or len(points):
+            points = tuple(self.vertices)
+            _require_finite_nonnegative(
+                "points", [r for point in points for r in point])
+        elif None in caps or len(self.vertices):
             raise ValueError(f"an {self.provenance} region takes three caps "
                              "and no vertices")
-        # a NaN cap fails the comparison too
-        elif not all(cap >= 0.0 for cap in caps):
-            raise ValueError(f"caps must be nonnegative, got {caps!r}")
         else:
+            _require_finite_nonnegative("caps", caps)
             points = _cap_vertices(*caps)
         object.__setattr__(self, "vertices", _start_at_origin(hull(points)))
 
@@ -145,6 +147,14 @@ class RateRegion:
     def from_hull(cls, points) -> "RateRegion":
         """Build the hull-form region (``inner-hull``) of ``points``."""
         return cls(None, None, None, points, "inner-hull")
+
+
+def _require_finite_nonnegative(name: str, values) -> None:
+    """One rule for caps and hull points; NaN fails the comparison too."""
+    for value in values:
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, "
+                             f"got {value!r}")
 
 
 def _cap_vertices(a: float, b: float, s: float) -> tuple:

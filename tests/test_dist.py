@@ -213,6 +213,15 @@ def test_source_roles_on_three_variables():
         source_roles(load_pmf([0.5, 0.5], ("A",), (2,)))
 
 
+def test_variable_names_must_be_strings():
+    """Names are never coerced with str(): None, a float and bytes are
+    refused as a misused argument, as read_pmf refuses them in a file."""
+    for names in ((None, 1.5, b"z"), ("X", "Y", 3), (b"X", "Y", "Z")):
+        with pytest.raises(ValueError, match="must be strings") as err:
+            load_pmf(np.full(8, 1 / 8), names, (2, 2, 2))
+        assert type(err.value) is ValueError
+
+
 def test_jointpmf_direct_construction_validates():
     with pytest.raises(ShapeMismatchError):
         JointPmf(variables=(), cardinalities=(), probs=np.ones(1))

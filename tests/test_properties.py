@@ -1019,6 +1019,7 @@ def test_compare_builds_its_corpus(tmp_path, monkeypatch):
     each changes the file, and each long list or table is long enough."""
     # sys.path comes back as it was, without what compare.py puts on it
     monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "tools")
+    import checkouts
     import compare
     runs = compare.build_corpus(tmp_path)
     assert len({tuple(argv) for argv in runs}) == len(runs)
@@ -1028,7 +1029,7 @@ def test_compare_builds_its_corpus(tmp_path, monkeypatch):
     contents = {}
     for path in inputs:
         contents.setdefault(path.read_bytes(), []).append(path)
-    copies = set(compare.workloads.DATA_FILES)
+    copies = set(checkouts.workloads.DATA_FILES)
     for paths in contents.values():
         names = {path.name for path in paths}
         assert len(paths) == 1 or len(names) == 1 and names <= copies, paths
@@ -1077,6 +1078,55 @@ def test_compare_counts_the_changes_of_each_field(tmp_path, monkeypatch,
         "2 changed, 1 from within 1e-12 of 0 to 0.0",
         "FIELD c: largest |difference| inf at compute --input s0.json; "
         "1 changed, 0 from within 1e-12 of 0 to 0.0"]
+
+
+def test_runner_answers_every_line(tmp_path, monkeypatch, capsys):
+    """The runner of tools/checkouts.py, on this tree's src/, answers each
+    argv line with [exit code, stdout, stderr, seconds, minor faults]: a
+    parser error is an outcome, and the next line still runs."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(root / "tools")
+    import checkouts
+    from pkregion.cli import main
+    source = str(root / "data" / "worked_source.json")
+    runs = (["frobnicate"], ["compute", "--input", source])
+    with checkouts.runner(root / "src", tmp_path) as proc:
+        out, _ = proc.communicate(
+            "".join(json.dumps(argv) + "\n" for argv in runs), timeout=120)
+    assert proc.returncode == 0
+    refused, computed = [json.loads(line) for line in out.splitlines()]
+    assert refused[:2] == [2, ""]
+    assert refused[2].startswith("usage: pkregion")
+    assert main(runs[1]) == 0
+    assert computed[:3] == [0, capsys.readouterr().out, ""]
+    for outcome in (refused, computed):
+        assert outcome[3] > 0.0 and outcome[4] >= 0
+
+
+def test_workload_requests_are_every_distinct_request(tmp_path, monkeypatch):
+    """tools/checkouts.py writes the inputs of the four benchmark workloads
+    at seed 1 and yields each of their 135 distinct requests once, workload
+    by workload, without running a tree."""
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "tools")
+    import checkouts
+    found = list(checkouts.workload_requests((1,), tmp_path))
+    assert len({tuple(argv) for *_, argv in found}) == len(found) == 135
+    for workload in checkouts.workloads.WORKLOADS:
+        requests = checkouts.workloads.build(
+            workload, 1, checkouts.ROOT / "data")[1]
+        assert [(req.command, req.input, req.protocol)
+                for name, _, req, _ in found if name == workload] \
+            == list(dict.fromkeys((req.command, req.input, req.protocol)
+                                  for req in requests))
+    assert [name for name, *_ in found] == sorted(
+        (name for name, *_ in found),
+        key=list(checkouts.workloads.WORKLOADS).index)
+    for workload, files, req, argv in found:
+        names = [req.input] + [req.protocol] * bool(req.protocol)
+        paths = [tmp_path / f"{workload}-seed1" / name for name in names]
+        assert argv[2::2] == list(map(str, paths))
+        assert [path.read_bytes() for path in paths] \
+            == [files[name] for name in names]
 
 
 def test_every_mutant_edits_its_file(monkeypatch):

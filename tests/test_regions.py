@@ -85,11 +85,19 @@ def test_region_validation():
     with pytest.raises(ValueError):
         RateRegion(cap_xy=1.0, cap_xz=None, cap_sum=1.0,
                    vertices=(), provenance="outer")
-    # a NaN cap is refused as such, before any vertex is enumerated
-    nan = float("nan")
-    for caps in ((nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan)):
+    # one rule for caps and hull points: a NaN, infinite or negative value
+    # is refused as such, before any vertex is enumerated or hulled
+    nan, inf = float("nan"), float("inf")
+    for caps in ((nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan),
+                 (inf, inf, inf), (1.0, inf, 1.0)):
         with pytest.raises(ValueError, match="caps must be nonnegative"):
             RateRegion.from_caps(*caps, provenance="outer")
+    for points in ([(nan, 0.0), (1.0, 1.0)], [(-1.0, 0.0), (0.0, 0.0)],
+                   [(0.0, 0.0), (0.0, inf)], [(0.0, -1e-300)]):
+        with pytest.raises(ValueError, match="points must be nonnegative") \
+                as err:
+            RateRegion.from_hull(points)
+        assert type(err.value) is ValueError
     # the form follows the provenance: caps and no vertices for outer and
     # exact-thm4, points and no caps for inner-hull
     triangle = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]

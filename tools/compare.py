@@ -4,12 +4,10 @@ Usage (from the repository root)::
 
     python tools/compare.py BASE [HEAD]
 
-BASE and HEAD are git revisions; HEAD defaults to the working tree. Each
-revision is checked out with ``git worktree`` under
-``.perfbench_work/compare/`` and removed again at the end, by
-``checkouts.py``. Both trees run one corpus, with the same input paths,
-each in its own process that calls ``pkregion.cli.main`` once per run. The
-corpus:
+BASE and HEAD are git revisions; HEAD defaults to the working tree. Each is
+checked out under ``.perfbench_work/compare/``, and both trees run one
+corpus, with the same input paths, each in its own runner process
+(``checkouts.py``). The corpus:
 
 * every ``data/`` source through ``compute`` and ``check``, at the default
   ``--tol-ci`` and at 1;
@@ -24,8 +22,8 @@ corpus:
   2.2e-16, so that a change to the window around 0 shows;
 * ``simulate`` of every ``data/`` source with both shipped protocols, at
   ``--eps`` 0 and 0.5, and with ``--budget 1`` (exit code 3);
-* every distinct request of the four benchmark workloads at seeds 1 and 51,
-  generated by ``perfbench/workloads.py``;
+* every distinct request of the four benchmark workloads at seeds 1 and 51
+  (``checkouts.workload_requests``);
 * command lines that the parser refuses or answers with help, and flags
   given as an abbreviation or joined to their value (``PARSER_RUNS``), at
   a usage width of 80 columns;
@@ -46,7 +44,8 @@ is printed with what differs. For reports that differ, each report field
 absolute difference and the run that gave it, how many of its values
 changed over all runs, and how many of those went from within ``NUM_TOL``
 of 0 to exactly 0.0. The last line is a summary. The exit code is 0 when
-no run differs and 1 otherwise; no difference is ever accepted.
+no run differs, 1 when one does (no difference is ever accepted), and 2
+when a runner dies or on a usage error.
 """
 
 from __future__ import annotations
@@ -55,18 +54,17 @@ import json
 import math
 import os
 import shutil
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-from checkouts import ROOT, clean_env, names, resolve, source_trees
+from checkouts import ROOT, names, resolve, runner, source_trees, \
+    workload_requests
 
 WORK = ROOT / ".perfbench_work" / "compare"
-sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
+sys.path.insert(0, str(ROOT / "tests"))
 
 import variants  # noqa: E402
-import workloads  # noqa: E402
 
 SEEDS = (1, 51)
 # pkregion.dist.NUM_TOL, the window around 0 in which a figure reads 0.0
@@ -120,29 +118,6 @@ PARSER_RUNS = (
 VARIED = {"pmf": ("regions-tight-seed1", "tight_8x32x32_c1.json"),
           "key_xy": ("simulate-interactive-seed1", "bsc_r1_n4.json")}
 
-# Runs in each tree's own process: the runs' argv lists in, each run's
-# exit code, stdout and stderr out. An exception that escapes main is an
-# outcome too.
-RUNNER = """
-import contextlib, io, json, sys
-src, runs, results = sys.argv[1:]
-sys.path.insert(0, src)
-import pkregion.cli
-assert pkregion.cli.__file__.startswith(src), pkregion.cli.__file__
-outcomes = []
-for argv in json.load(open(runs)):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = pkregion.cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        except Exception as exc:
-            code = f"uncaught {type(exc).__name__}: {exc}"
-    outcomes.append([code, out.getvalue(), err.getvalue()])
-json.dump(outcomes, open(results, "w"))
-"""
-
 
 # -- corpus ---------------------------------------------------------------------
 
@@ -182,25 +157,12 @@ def build_corpus(corpus: Path) -> list:
         runs.append(["simulate", "--input", src[source], "--protocol",
                      src[protocol], "--budget", "1"])
 
-    generated = {}
-    for workload in workloads.WORKLOADS:
-        for seed in SEEDS:
-            files, requests = workloads.build(workload, seed, data)
-            folder = f"{workload}-seed{seed}"
-            paths = {name: write(f"{folder}/{name}", text)
-                     for name, text in files.items()}
-            generated[folder] = files
-            for req in requests:
-                argv = [req.command, "--input", paths[req.input]]
-                if req.protocol:
-                    argv += ["--protocol", paths[req.protocol]]
-                if argv not in runs:
-                    runs.append(argv)
+    runs += [argv for *_, argv in workload_requests(SEEDS, corpus)]
 
     source = str(corpus / "simulate-interactive-seed1" /
                  "bsc_seeded_source.json")
     for key, (folder, name) in VARIED.items():
-        text = generated[folder][name].decode()
+        text = (corpus / folder / name).read_bytes().decode()
         kind = "pmf" if key == "pmf" else "protocol"
         doc = json.loads(text)
         files = {f"{label} layout": layout(doc)
@@ -227,13 +189,6 @@ def build_corpus(corpus: Path) -> list:
 
 
 # -- running --------------------------------------------------------------------
-
-def start(src: Path, runs_path: Path, results_path: Path, corpus: Path):
-    return subprocess.Popen(
-        [sys.executable, "-c", RUNNER, str(src), str(runs_path),
-         str(results_path)], cwd=corpus,
-        env={**clean_env(), "COLUMNS": "80"})
-
 
 def leaves(value, path=""):
     """(path, value) of every non-container value; list positions are []."""
@@ -322,15 +277,20 @@ def main(args) -> int:
     shutil.rmtree(WORK, ignore_errors=True)
     corpus = WORK / "corpus"
     runs = build_corpus(corpus)
-    (WORK / "runs.json").write_text(json.dumps(runs))
+    (WORK / "runs.jsonl").write_text(
+        "".join(json.dumps(argv) + "\n" for argv in runs))
     with source_trees(shas, WORK) as trees:
-        procs = [start(src, WORK / "runs.json", WORK / f"results{i}.json",
-                       corpus) for i, src in enumerate(trees)]
+        procs = []
+        for side, src in enumerate(trees):  # both trees at once
+            with open(WORK / "runs.jsonl") as stdin, \
+                    open(WORK / f"results{side}.jsonl", "w") as stdout:
+                procs.append(runner(src, corpus, stdin, stdout))
         if any([proc.wait() for proc in procs]):
-            print("a runner failed", file=sys.stderr)
+            print("a runner died", file=sys.stderr)
             return 2
-        base, head = (json.loads((WORK / f"results{i}.json").read_text())
-                      for i in range(2))
+    base, head = ([json.loads(line) for line in
+                   (WORK / f"results{side}.jsonl").read_text().splitlines()]
+                  for side in (0, 1))
     count, differ = report(runs, base, head, corpus)
     print(f"compare {names(shas)}: {len(runs)} runs, {count} differ "
           f"(exit code {differ['exit code']}, stdout {differ['stdout']}, "
