@@ -24,9 +24,9 @@ from ._version import __version__
 from .dist import DEFAULT_SUM_TOL
 from .errors import BudgetExceededError, MalformedTableError, \
     PkRegionError
-from .ioformats import check_document, dumps_deterministic, \
-    evaluation_document, read_pmf, read_protocol, regions_document, \
-    write_atomic
+from .ioformats import _parse_pmf, _read_bytes, check_document, \
+    dumps_deterministic, evaluation_document, read_pmf, read_protocol, \
+    regions_document, write_atomic
 from .protocol import DEFAULT_BUDGET, evaluate_protocol, rate_point
 from .regions import RegionReport, compute_report, contains, outer_region
 from .structure import DEFAULT_CI_TOL
@@ -158,15 +158,28 @@ def cmd_check(cfg: dict) -> dict:
     return check_document(RegionReport(p, ci_tol=cfg["tol_ci"]), cfg)
 
 
+# The last simulate call's source: (file bytes, --tol-sum, pmf, outer
+# region), for sweeps that name one source call after call. The key is the
+# bytes, not an mtime that an in-place edit within one tick would keep; only
+# a validated source is stored, and the tuple is replaced whole.
+_last_source = (None, None, None, None)
+
+
 def cmd_simulate(cfg: dict) -> dict:
     """Protocol evaluation plus the rate-point containment verdict."""
-    p = read_pmf(cfg["input"], sum_tol=cfg["tol_sum"])
+    global _last_source
+    data, tol_sum = _read_bytes(cfg["input"]), cfg["tol_sum"]
+    source = _last_source
+    if source[:2] != (data, tol_sum):
+        p = _parse_pmf(data, cfg["input"], tol_sum)
+        source = _last_source = (data, tol_sum, p, outer_region(p))
+    p, outer = source[2:]
     spec = read_protocol(cfg["protocol"])
     try:
         report = evaluate_protocol(p, spec, budget=cfg["budget"])
     except MalformedTableError as exc:  # a table shaped for another source
         raise MalformedTableError(f"{cfg['protocol']}: {exc.message}") from exc
-    inside = contains(outer_region(p), rate_point(report), _CONTAIN_TOL)
+    inside = contains(outer, rate_point(report), _CONTAIN_TOL)
     return evaluation_document(report, inside, cfg)
 
 

@@ -10,7 +10,8 @@ statistic labels, an integer field that is not an integer (a boolean or
 float is not) or is below its least value (cardinalities, labels,
 blocklength, round count, alphabet sizes, ``budget``), a region whose caps
 or points do not fit its provenance, a region cap or point coordinate that
-is not finite and nonnegative, an empty point list, a bad CLI option value
+is not finite and nonnegative, a ``hull`` point coordinate that is not
+finite, an empty point list, a bad CLI option value
 and a non-finite float handed to ``dumps_deterministic``.
 A value of a type that ``dumps_deterministic`` cannot serialize raises
 ``TypeError``, and a failed write by ``write_atomic`` ``OSError``.

@@ -68,15 +68,20 @@ EVALUATION_SCHEMA = "pkregion-evaluation-v2"
 
 # -- reading ------------------------------------------------------------------
 
-def _load_json(path, starts, closing, read_table, key=None):
-    """The file's document, parsed from its bytes as ``_parse_tables``
-    does, and the text json read."""
+def _read_bytes(path) -> bytes:
+    """The file's bytes."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
-        return _parse_tables(data, starts, closing, read_table, key)
+            return fh.read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(data, path, starts, closing, read_table, key=None):
+    """The document of the file ``path`` whose bytes are ``data``, parsed
+    as ``_parse_tables`` does, and the text json read."""
+    try:
+        return _parse_tables(data, starts, closing, read_table, key)
     # bad syntax, bytes that are not UTF-8, an integer too long to read, or
     # nesting too deep to read
     except (ValueError, RecursionError) as exc:
@@ -290,8 +295,14 @@ def read_pmf(path, sum_tol: float = DEFAULT_SUM_TOL) -> JointPmf:
     read by json alone. Both give the same bits and the same errors, and
     every error names the file.
     """
-    doc = _load_json(path, _PMF_STARTS, _list_closing, _read_float_list,
-                     "pmf")[0]
+    return _parse_pmf(_read_bytes(path), path, sum_tol)
+
+
+def _parse_pmf(data, path, sum_tol) -> JointPmf:
+    """:func:`read_pmf` of the file ``path`` whose bytes are ``data``."""
+    doc = _load_json(data, path, _PMF_STARTS, _list_closing,
+                     _read_float_list, "pmf")[0]
+    del data  # read_pmf's bytes, freed before the table is checked and copied
     _expect_schema(doc, PMF_SCHEMA, path)
     variables = _field(doc, "variables", path)
     cardinalities = _field(doc, "cardinalities", path)
@@ -333,8 +344,8 @@ def read_protocol(path) -> ProtocolSpec:
     every other value by json. Both give the same tables and the same
     errors, and every error names the file.
     """
-    doc, text = _load_json(path, _PROTOCOL_STARTS, _table_closing,
-                           _read_int_table)
+    doc, text = _load_json(_read_bytes(path), path, _PROTOCOL_STARTS,
+                           _table_closing, _read_int_table)
     _expect_schema(doc, PROTOCOL_SCHEMA, path)
     # JSON booleans come only from true/false literals, which the text
     # numpy read cannot hold. A file without one hands the tables json read

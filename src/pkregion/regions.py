@@ -59,13 +59,16 @@ def hull(points) -> tuple:
     Raises
     ------
     ValueError
-        If no points are given.
+        If no points are given, or a coordinate is NaN or infinite.
     """
     pts = sorted({(round(float(r1), _COORD_DECIMALS) + 0.0,
                    round(float(r2), _COORD_DECIMALS) + 0.0)
                   for r1, r2 in points})
     if not pts:
         raise ValueError("hull needs at least one point")
+    for pt in pts:
+        if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
+            raise ValueError(f"hull points must be finite, got {pt!r}")
     if len(pts) == 1:
         return (pts[0],)
     lower = []

@@ -535,6 +535,86 @@ def test_repeated_calls_match_fresh_processes(tmp_path, capsys, monkeypatch,
     assert verdicts == [True, False]
 
 
+# -- the simulate source memo -------------------------------------------------------
+
+@pytest.fixture
+def simulate_fresh(capsys, monkeypatch, data_dir):
+    """A call of ``simulate`` with the two-key protocol on a source, in
+    this process and with its memo cleared first, checked against a fresh
+    process; it gives the in-process exit code, stdout and stderr."""
+    monkeypatch.setattr(cli, "_last_source", (None, None, None, None))
+
+    def simulate(source):
+        argv = ("simulate", "--input", str(source),
+                "--protocol", f"{data_dir}/direct_extraction_n2.json")
+        got = run_cli(capsys, *argv)
+        assert got == run_fresh_process(*argv), argv
+        return got
+    return simulate
+
+
+def test_memo_sees_a_source_rewritten_in_place(tmp_path, simulate_fresh,
+                                               data_dir):
+    """Rewritten with bytes of the same length and its old mtime, the
+    source is analysed anew."""
+    text = Path(f"{data_dir}/xy_pair_source.json").read_text()
+    moved = text.replace("[0.25, 0.0,", "[0.0, 0.25,")
+    assert moved != text and len(moved) == len(text)
+    path = tmp_path / "source.json"
+    path.write_text(text)
+    first = simulate_fresh(path)
+    stat = path.stat()
+    path.write_text(moved)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    second = simulate_fresh(path)
+    assert first[0] == second[0] == 0 and first[1] != second[1]
+
+
+def test_memo_echoes_the_path_of_each_call(tmp_path, simulate_fresh,
+                                           data_dir):
+    """The same bytes under a second path: the report names that path."""
+    data = Path(f"{data_dir}/xy_pair_source.json").read_bytes()
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_bytes(data)
+        code, out, _ = simulate_fresh(path)
+        assert code == 0 and json.loads(out)["config"]["input"] == str(path)
+
+
+def test_memo_is_keyed_on_the_sum_tolerance(tmp_path, monkeypatch,
+                                            simulate_fresh, data_dir):
+    """A source summing to 1 - 1e-10 passes the default tolerance, then
+    fails a tighter one set between two calls on the same bytes."""
+    doc = json.loads(Path(f"{data_dir}/xy_pair_source.json").read_text())
+    doc["pmf"][0] -= 1e-10
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    assert simulate_fresh(path)[0] == 0
+    monkeypatch.setenv("PKREGION_TOL_SUM", "1e-11")
+    code, out, err = simulate_fresh(path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: SUM_OUT_OF_TOLERANCE: {path}: ")
+
+
+def test_memo_stores_no_error(tmp_path, simulate_fresh):
+    """A malformed source fails the same way on each call."""
+    path = tmp_path / "bad.json"
+    path.write_text('{"schema": "pkregion-pmf-v1", "pmf": [NaN')
+    first = simulate_fresh(path)
+    assert first[0] == 2 and str(path) in first[2]
+    assert simulate_fresh(path) == first
+
+
+def test_memo_outlives_a_compute_call(capsys, simulate_fresh, data_dir):
+    """compute between two simulate calls on one source changes neither
+    report."""
+    source = f"{data_dir}/xy_pair_source.json"
+    first = simulate_fresh(source)
+    argv = ("compute", "--input", source)
+    assert run_cli(capsys, *argv) == run_fresh_process(*argv)
+    assert simulate_fresh(source) == first
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "-h"), ("-h",), (), ("frobnicate",), ("version", "extra"),
     ("simulate", "--budget"), ("compute", "--budget", "5"),

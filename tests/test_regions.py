@@ -36,6 +36,14 @@ def test_hull_empty_raises():
     assert type(err.value) is ValueError
 
 
+@pytest.mark.parametrize("bad", [(float("nan"), 0.0), (0.0, float("inf"))])
+def test_hull_refuses_points_that_are_not_finite(bad):
+    """A NaN would leave ``sorted`` no total order, an inf a vertex at
+    infinity."""
+    with pytest.raises(ValueError, match="must be finite"):
+        hull([bad, (1.0, 1.0), (0.0, 0.0)])
+
+
 def test_hull_is_counterclockwise():
     rng = rng_for(401)
     for trial in range(50):

@@ -36,6 +36,11 @@ HEAD is faster:
 * the same for ``FRESH`` pairs of fresh ``pkregion compute`` processes on
   ``data/worked_source.json``, alternated between the trees.
 
+A row whose quartiles straddle 1.0 ends in ``unresolved``: its spread is
+wider than any difference between the trees, and its median shows none.
+The fresh-process row is one: with the same ``src/`` on both sides its
+quartiles were seen at [0.92, 1.31] on a 2-core x86 host.
+
 The tool reports and never gates on a ratio. The exit code is 1 when a
 request or a fresh process failed (a nonzero exit code or a failed check),
 2 when a runner dies or on a usage error, and 0 otherwise. A run takes
@@ -162,9 +167,9 @@ def time_fresh(trees) -> tuple:
 
 
 def row(label: str, pairs) -> str:
-    """Pairs, median ratio [quartiles], HEAD's wins, the total ratio and,
+    """Pairs, median ratio [quartiles], HEAD's wins, the total ratio,
     where the pairs carry them, the mean minor page faults of a call of
-    BASE and of HEAD."""
+    BASE and of HEAD, and ``unresolved`` where the quartiles straddle 1.0."""
     q1, median, q3 = statistics.quantiles(
         [pair[1] / pair[0] for pair in pairs], n=4)
     wins = sum(pair[1] < pair[0] for pair in pairs)
@@ -175,6 +180,8 @@ def row(label: str, pairs) -> str:
         line += "  " + " / ".join(
             f"{statistics.fmean(pair[side] for pair in pairs):.1f}"
             for side in (2, 3))
+    if q1 <= 1.0 <= q3:
+        line += "  unresolved"
     return line
 
 

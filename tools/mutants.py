@@ -38,6 +38,11 @@ TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
 MUTANTS = (
     ("_CONTAIN_TOL 1e-9 -> 1e-3", "cli.py",
      "_CONTAIN_TOL = 1e-9", "_CONTAIN_TOL = 1e-3"),
+    ("source memo: key without --tol-sum", "cli.py",
+     "source[:2] != (data, tol_sum)", "source[:1] != (data,)"),
+    ("source memo: key by length, not bytes", "cli.py",
+     "source[:2] != (data, tol_sum)",
+     "(len(source[0] or b''), source[1]) != (len(data), tol_sum)"),
     ("DEFAULT_SUM_TOL 1e-9 -> 1e-6", "dist.py",
      "DEFAULT_SUM_TOL = 1e-9", "DEFAULT_SUM_TOL = 1e-6"),
     ("check_eps_pk: leak_xy <= 2 * eps", "protocol.py",
