@@ -7,10 +7,10 @@ three nonnegative caps; the inner bound is the convex hull of two cap-form
 regions and carries vertices only.
 
 Geometry is closed-form throughout: a cap-form region has at most five
-corners, every constructor hulls its points on coordinates rounded to 12
-decimals, and containment and the Hausdorff gap both read the Euclidean
-distance to the vertex polygon. No linear-programming machinery is
-involved, so results are byte-identical for one machine and numpy build.
+corners, every constructor hulls its points by one rule of distance (see
+:func:`hull`), and containment and the Hausdorff gap both read the
+Euclidean distance to the vertex polygon. No linear-programming machinery
+is involved, so results are byte-identical for one machine and numpy build.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import JointPmf, source_roles, _clip0, _entropy_of
+from .dist import NUM_TOL, JointPmf, source_roles, _clip0, _entropy_of
 from .structure import DEFAULT_CI_TOL, CommonFunction, _ci_residual, \
     _common_function, _sufficient_statistic
 
@@ -39,55 +39,56 @@ __all__ = [
 
 _PROVENANCES = frozenset({"outer", "inner-hull", "exact-thm4"})
 
-# Hull coordinates are rounded to this many decimals before exact
-# comparisons; doubles as the duplicate-vertex threshold.
-_COORD_DECIMALS = 12
 
-
-def _cross(o, a, b) -> float:
+def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def hull(points) -> tuple:
-    """Convex hull vertices, counterclockwise, via the monotone chain.
+def _chain(pts) -> list:
+    """One chain of :func:`hull` over ``pts``, pairs of a point and its
+    coordinates as integers on one grid, on which a side is exact."""
+    chain = []  # indices into pts
+    for k, (b, grid_b) in enumerate(pts):
+        while len(chain) >= 2:
+            o, grid_o = pts[chain[-2]]
+            if _cross(grid_o, pts[chain[-1]][1], grid_b) > 0 and any(
+                    _cross(grid_o, grid_q, grid_b) > 0
+                    and _point_segment_distance(q, o, b) > NUM_TOL
+                    for q, grid_q in pts[chain[-2] + 1:k]):
+                break
+            chain.pop()
+        chain.append(k)
+    return [pts[i][0] for i in chain]
 
-    Coordinates are rounded to 12 decimals first and compared exactly, so
-    the result is deterministic and free of duplicates; collinear interior
-    points are dropped. A single distinct point hulls to itself and two
-    distinct points to the segment endpoints.
+
+def hull(points) -> tuple:
+    """Convex hull vertices, counterclockwise from the smallest point in
+    lexicographic order, by the monotone chain on the exact doubles.
+
+    A chain skips its last vertex, between o and the next point b, when it
+    lies on or left of the line from o to b, or when every point the chain
+    then passes lies so or within ``NUM_TOL`` of the segment o–b. Sides are
+    decided exactly. So every vertex is a given point, bit for bit, every
+    given point lies within ``NUM_TOL`` of the hull (up to the rounding of
+    a distance), and the ends of the chains, the smallest and the largest
+    point, stay: two lone points stay a segment however close.
 
     Raises
     ------
     ValueError
         If no points are given, or a coordinate is NaN or infinite.
     """
-    pts = sorted({(round(float(r1), _COORD_DECIMALS) + 0.0,
-                   round(float(r2), _COORD_DECIMALS) + 0.0)
-                  for r1, r2 in points})
+    pts = sorted({(float(r1) + 0.0, float(r2) + 0.0) for r1, r2 in points})
     if not pts:
         raise ValueError("hull needs at least one point")
     for pt in pts:
         if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
             raise ValueError(f"hull points must be finite, got {pt!r}")
-    if len(pts) == 1:
-        return (pts[0],)
-    lower = []
-    for pt in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], pt) <= 0.0:
-            lower.pop()
-        lower.append(pt)
-    upper = []
-    for pt in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], pt) <= 0.0:
-            upper.pop()
-        upper.append(pt)
-    return tuple(lower[:-1] + upper[:-1])
-
-
-def _start_at_origin(verts: tuple) -> tuple:
-    anchor = (0.0, 0.0) if (0.0, 0.0) in verts else min(verts)
-    i = verts.index(anchor)
-    return verts[i:] + verts[:i]
+    ratios = [(r1.as_integer_ratio(), r2.as_integer_ratio()) for r1, r2 in pts]
+    unit = max(d for pair in ratios for _, d in pair)  # a power of two
+    pts = [(pt, tuple(n * (unit // d) for n, d in pair))
+           for pt, pair in zip(pts, ratios)]
+    return tuple(_chain(pts) + _chain(pts[::-1])[1:-1])
 
 
 def _edge_list(verts: tuple) -> list:
@@ -110,9 +111,8 @@ class RateRegion:
     enumerated from the caps. An ``inner-hull`` region is hull form: the
     points it is given, and all caps ``None``. Any other combination
     raises ``ValueError``, and so does a cap or point coordinate that is
-    not finite and nonnegative. The vertices are stored as the convex hull
-    of those points: counterclockwise starting from (0, 0), rounded to 12
-    decimals, without duplicates.
+    not finite and nonnegative. The vertices are stored as :func:`hull` of
+    those points, counterclockwise from (0, 0) when it is one of them.
     """
 
     cap_xy: float | None
@@ -137,7 +137,7 @@ class RateRegion:
         else:
             _require_finite_nonnegative("caps", caps)
             points = _cap_vertices(*caps)
-        object.__setattr__(self, "vertices", _start_at_origin(hull(points)))
+        object.__setattr__(self, "vertices", hull(points))
 
     @classmethod
     def from_caps(cls, cap_xy: float, cap_xz: float, cap_sum: float,
@@ -177,9 +177,8 @@ def _point_segment_distance(point, p0, p1) -> float:
     px, py = point
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]
     length2 = dx * dx + dy * dy
-    if length2 == 0.0:
-        return math.hypot(px - p0[0], py - p0[1])
-    t = max(0.0, min(1.0, ((px - p0[0]) * dx + (py - p0[1]) * dy) / length2))
+    t = ((px - p0[0]) * dx + (py - p0[1]) * dy) / length2 if length2 else 0.0
+    p0, t = (p1, 0.0) if t >= 1.0 else (p0, max(0.0, t))  # p1 exactly
     return math.hypot(px - (p0[0] + t * dx), py - (p0[1] + t * dy))
 
 
@@ -195,6 +194,14 @@ def contains(region: RateRegion, point, tol: float = 0.0) -> bool:
                         (float(point[0]), float(point[1]))) <= tol
 
 
+def _left_of(p0, p1, point) -> float:
+    """How far ``point`` lies left of the line from ``p0`` to ``p1``, on the
+    unit direction: a cross product of tiny differences underflows to 0."""
+    length = math.dist(p0, p1)
+    return ((p1[0] - p0[0]) / length * (point[1] - p0[1])
+            - (p1[1] - p0[1]) / length * (point[0] - p0[0]))
+
+
 def _distance_to(verts: tuple, point) -> float:
     """Euclidean distance from ``point`` to the convex polygon ``verts``.
 
@@ -202,7 +209,7 @@ def _distance_to(verts: tuple, point) -> float:
     one zero-length edge and a segment its two directions.
     """
     edges = _edge_list(verts)
-    if len(verts) > 2 and all(_cross(p0, p1, point) >= 0.0
+    if len(verts) > 2 and all(_left_of(p0, p1, point) >= 0.0
                               for p0, p1 in edges):
         return 0.0
     return min(_point_segment_distance(point, p0, p1) for p0, p1 in edges)

@@ -11,6 +11,7 @@ import sys
 import time
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 from unittest import mock
@@ -35,6 +36,7 @@ from pkregion.ioformats import (
     LARGE_TABLE_CHARS, dumps_deterministic, protocol_document, read_pmf,
     read_protocol,
 )
+from pkregion.regions import _point_segment_distance
 
 import variants
 from conftest import pmf_as_dict
@@ -512,7 +514,8 @@ def test_zero_mass_padding_leaves_the_report_unchanged(data):
 def test_inner_region_reaches_the_single_key_capacities(p):
     """(I(X∧Y|Z), 0) and (0, I(X∧Z|Y)), the private-key capacities of one
     pair with the other terminal as helper (Csiszár–Narayan 2000), lie in
-    the inner region up to the rounding of its hull vertices."""
+    the inner region up to NUM_TOL, the band in which its hull drops a
+    corner."""
     dist = pmf_as_dict(p)
     inner = inner_region(p)
     for point in ((oracle_cmi(dist, (0,), (1,), (2,)), 0.0),
@@ -606,8 +609,9 @@ def test_hausdorff_gap_matches_dense_boundary_sampling(pair):
 
 # -- region geometry against the cap oracle --------------------------------------
 
-# vertices are rounded to 12 decimals: a region's distances are exact up to
-# well within this band
+# the hull drops a cap corner within NUM_TOL of its neighbours' edge, and
+# the oracle and contains() round along different paths: a probe whose
+# distance lies within this band of tol may fall either way
 ROUNDING_BAND = 1e-12
 
 
@@ -661,15 +665,17 @@ def test_contains_agrees_with_the_cap_distance_oracle(caps, data):
 @given(cap_triples())
 def test_cap_vertices_stay_within_the_caps(caps):
     """No vertex passes min(a, s) on the r_xy axis or min(b, s) on the r_xz
-    axis by more than the rounding of the cap to 12 decimals (half a
-    rounding step, 5e-13)."""
+    axis: every vertex is a corner as enumerated, bit for bit."""
     a, b, s = caps
     for r1, r2 in RateRegion.from_caps(a, b, s, provenance="outer").vertices:
-        assert r1 <= round(min(a, s), 12) and r2 <= round(min(b, s), 12)
+        assert r1 <= min(a, s) and r2 <= min(b, s)
 
 
-@given(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
-                min_size=1, max_size=6))
+POINT_LISTS = st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+                       min_size=1, max_size=6)
+
+
+@given(POINT_LISTS)
 def test_every_constructor_stores_the_hull(points):
     """Clockwise or duplicated points given to the constructor make the
     region that ``from_hull`` makes of them in hull form; cap form takes
@@ -681,6 +687,41 @@ def test_every_constructor_stores_the_hull(points):
         for provenance in ("outer", "exact-thm4"):
             with pytest.raises(ValueError, match="no vertices"):
                 RateRegion(1.0, 1.0, 1.0, given_points, provenance)
+
+
+def exact_cross(o, a, b):
+    """(a - o) x (b - o) in rational arithmetic: positive when the path
+    o, a, b turns left at a."""
+    (ox, oy), (ax, ay), (bx, by) = (map(Fraction, v) for v in (o, a, b))
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+
+@given(POINT_LISTS)
+def test_hull_keeps_given_points_and_drops_only_within_num_tol(points):
+    """The hull rule on drawn points. Every vertex is a given point, bit for
+    bit, and every given point lies within NUM_TOL of the region, up to the
+    rounding of a distance between coordinates of at most 2. The
+    vertices start at the smallest point, (0, 0) for every region that has
+    it, rise in lexicographic order to the largest and fall back, and turn
+    left at every vertex but those two, the ends of the chains. Each other
+    vertex is needed: some given point lies outside the edge between its
+    neighbours, further than NUM_TOL from it."""
+    region = RateRegion.from_hull(points)
+    given_points = {(x + 0.0, y + 0.0) for x, y in points}
+    verts, n = region.vertices, len(region.vertices)
+    assert set(verts) <= given_points
+    assert all(contains(region, point, tol=NUM_TOL + 1e-15)
+               for point in given_points)
+    top = verts.index(max(given_points))
+    assert verts[0] == min(given_points)
+    assert list(verts[:top + 1]) == sorted(verts[:top + 1])
+    assert list(verts[top:]) == sorted(verts[top:], reverse=True)
+    for i in set(range(1, n)) - {top}:
+        prev, after = verts[i - 1], verts[(i + 1) % n]
+        assert exact_cross(prev, verts[i], after) > 0
+        assert any(exact_cross(prev, point, after) > 0
+                   and _point_segment_distance(point, prev, after) > NUM_TOL
+                   for point in given_points)
 
 
 def test_a_clockwise_triangle_is_the_cap_triangle():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pkregion import (
-    RateRegion, compute_report, contains, exact_region, gap_metrics, hull,
-    inner_region, load_pmf, outer_region,
+    NUM_TOL, RateRegion, compute_report, contains, exact_region, gap_metrics,
+    hull, inner_region, load_pmf, outer_region,
 )
 from pkregion.regions import _cap_vertices
 
@@ -24,10 +24,85 @@ def test_hull_handles_duplicates_and_collinear():
         (0.0, 0.0), (2.0, 0.0), (1.0, 1.0))
 
 
-def test_hull_rounds_near_duplicates_together():
+def test_hull_merges_near_duplicates_by_distance():
+    """A point within NUM_TOL of its neighbours' edge goes, so of two near
+    duplicates with a third point one input point stays, as it was given:
+    the one that ends the chains. Alone, two distinct points stay a segment
+    however close they are: the rule drops only a point with a neighbour on
+    each side."""
     a = (0.5, 0.5)
     b = (0.5 + 1e-14, 0.5 - 1e-14)
-    assert hull([a, b]) == ((0.5, 0.5),)
+    assert hull([a, b, (0.0, 0.0)]) == ((0.0, 0.0), b)
+    assert hull([a, b, (1.0, 0.0)]) == (a, (1.0, 0.0))
+    assert hull([a, b]) == (a, b)
+
+
+def test_hull_band_is_num_tol_from_the_edge():
+    """On a unit chord, a point 1e-11 outside it stays a vertex and one
+    1e-13 outside it goes."""
+    top = (0.5, 1.0)
+    for off, want in ((1e-11, ((0.0, 0.0), (0.5, -1e-11), (1.0, 0.0), top)),
+                      (1e-13, ((0.0, 0.0), (1.0, 0.0), top))):
+        assert hull([(0.0, 0.0), (1.0, 0.0), (0.5, -off), top]) == want
+
+
+def test_hull_keeps_a_point_near_the_line_but_far_from_the_edge():
+    """The band is a distance to the segment, not to its line: (1e-13, 0)
+    lies 1e-13 from the line through the other two points and a whole unit
+    from the segment between them, and is a vertex."""
+    points = [(0.0, 1.0), (1e-13, 0.0), (2e-13, 2.0)]
+    assert hull(points) == tuple(points)
+
+
+def test_hull_keeps_a_near_collinear_run_within_num_tol():
+    """Six points on a parabola, each within NUM_TOL of the chord of its
+    neighbours. Weighing only the vertex being dropped would keep just the
+    ends and (4, ·), leaving (2, ·) 1.14e-12 outside; the rule weighs every
+    point the chain passes, so (3, ·) stays and no point is that far out."""
+    bow = 1e-12 / 3.5
+    points = [(float(j), 1.0 - bow * j * (5 - j)) for j in range(6)]
+    region = RateRegion.from_hull(points)
+    assert region.vertices == (points[0], points[3], points[5])
+    assert all(contains(region, point, tol=NUM_TOL) for point in points)
+
+
+def test_hull_drops_a_collinear_vertex_whatever_it_passes():
+    """(0.1, 0) lies on the edge from (1, 0) to (0, 0) and goes. Skipping it
+    passes (0.1, 1e-12), which lies 1e-12 from that edge in the maths but
+    1.0000000004e-12 as measured from (1, 0); an inner or collinear vertex
+    goes without weighing what it passes."""
+    assert hull([(0.0, 0.0), (1.0, 0.0), (0.1, 0.0), (0.1, 1e-12)]) \
+        == ((0.0, 0.0), (1.0, 0.0))
+
+
+def test_hull_decides_the_side_exactly_on_subnormal_needles():
+    """In doubles, the cross product that places (0, 0.5) against the chord
+    from (5e-324, 0) to (0, 0), and (0, 1.25) against the chord from
+    (5e-324, 0) to (0, 1), rounds to 0: each would go, though it lies 0.5
+    or 0.25 from the rest. Decided exactly, each is a vertex."""
+    assert hull([(0.0, 0.0), (0.0, 0.5), (5e-324, 0.0)]) \
+        == ((0.0, 0.0), (5e-324, 0.0), (0.0, 0.5))
+    assert hull([(0.0, 1.0), (0.0, 1.25), (5e-324, 0.0)]) \
+        == ((0.0, 1.0), (5e-324, 0.0), (0.0, 1.25))
+
+
+def test_contains_reads_the_side_of_a_subnormal_edge():
+    """(0, -0.4) lies 0.4 below the edge from (0, 0) to (5e-324, 0), and
+    the cross product that says so, 5e-324 times -0.4, rounds to -0.0.
+    Read on the edge's unit direction, the point is outside."""
+    needle = RateRegion.from_hull([(0.0, 0.0), (5e-324, 0.0), (0.0, 0.5)])
+    assert needle.vertices == ((0.0, 0.0), (5e-324, 0.0), (0.0, 0.5))
+    assert not contains(needle, (0.0, -0.4), tol=0.3)
+    assert contains(needle, (0.0, -0.4), tol=0.4)
+    assert contains(needle, (0.0, 0.25))
+
+
+def test_hull_measures_past_an_edge_to_its_end_exactly():
+    """(1, 0) lies 1e-12 from (1, 1e-12), the far end of the edge from
+    (0, 2), and goes; (0, 2) + ((1, 1e-12) - (0, 2)) misses that end by
+    9e-17, which would keep it."""
+    assert hull([(0.0, 2.0), (1.0, 0.0), (1.0, 1e-12)]) \
+        == ((0.0, 2.0), (1.0, 1e-12))
 
 
 def test_hull_empty_raises():

@@ -54,8 +54,32 @@ MUTANTS = (
      "from .dist import JointPmf, _count, _table\nNUM_TOL = 1e-6"),
     ("row rule: projection filter with no room", "structure.py",
      "> 2.0 * NUM_TOL * width", "> 0.0 * NUM_TOL * width"),
-    ("_COORD_DECIMALS 12 -> 6", "regions.py",
-     "_COORD_DECIMALS = 12", "_COORD_DECIMALS = 6"),
+    ("hull rule: NUM_TOL -> 1e-6", "regions.py",
+     "_point_segment_distance(q, o, b) > NUM_TOL",
+     "_point_segment_distance(q, o, b) > 1e-6"),
+    ("hull rule: no band", "regions.py",
+     "_point_segment_distance(q, o, b) > NUM_TOL",
+     "_point_segment_distance(q, o, b) > 0.0 * NUM_TOL"),
+    ("hull rule: band to the line, not the segment", "regions.py",
+     "_point_segment_distance(q, o, b) > NUM_TOL",
+     "-_left_of(o, b, q) > NUM_TOL"),
+    ("hull rule: weigh only the vertex skipped", "regions.py",
+     "pts[chain[-2] + 1:k]", "[pts[chain[-1]]]"),
+    ("hull rule: weigh passed points for an inner vertex too", "regions.py",
+     "if _cross(grid_o, pts[chain[-1]][1], grid_b) > 0 and any(",
+     "if any("),
+    ("hull rule: vertex side on the doubles", "regions.py",
+     "_cross(grid_o, pts[chain[-1]][1], grid_b) > 0",
+     "_cross(o, pts[chain[-1]][0], b) > 0"),
+    ("hull rule: passed points' side on the doubles", "regions.py",
+     "_cross(grid_o, grid_q, grid_b) > 0", "_cross(o, q, b) > 0"),
+    ("inside test: cross product on the doubles", "regions.py",
+     "_left_of(p0, p1, point) >= 0.0",
+     "(p1[0] - p0[0]) * (point[1] - p0[1])\n"
+     "                              >= (p1[1] - p0[1]) * (point[0] - p0[0])"),
+    ("segment distance: far end as p0 + (p1 - p0)", "regions.py",
+     "(p1, 0.0) if t >= 1.0 else (p0, max(0.0, t))",
+     "(p0, max(0.0, min(1.0, t)))"),
     ("_ci_residual: mean for max", "structure.py",
      "float(resid.max())", "float(resid.mean())"),
     ("leak_xy: min for max", "protocol.py",
@@ -71,7 +95,11 @@ MUTANTS = (
      "        transcript = transcript + message * radix\n"
      "        radix *= slot.alphabet_size\n"),
     ("hull keeps collinear points", "regions.py",
-     "pt) <= 0.0:", "pt) < 0.0:"),
+     "if _cross(grid_o, pts[chain[-1]][1], grid_b) > 0 and any(\n"
+     "                    _cross(grid_o, grid_q, grid_b) > 0\n"
+     "                    and _point_segment_distance(q, o, b) > NUM_TOL\n"
+     "                    for q, grid_q in pts[chain[-2] + 1:k]):",
+     "if _cross(grid_o, pts[chain[-1]][1], grid_b) >= 0:"),
     ("_clip0 window: -NUM_TOL -> -1e-6", "dist.py",
      "-NUM_TOL <= v <= NUM_TOL", "-1e-6 <= v <= NUM_TOL"),
     ("_clip0 window: NUM_TOL -> 1e-6", "dist.py",
